@@ -24,7 +24,12 @@ from repro.cluster.run import (
     run_cluster_grid,
     run_coordinated,
 )
-from repro.cluster.shard import ShardSpec, execute_shard, prepare_shard
+from repro.cluster.shard import (
+    ShardSpec,
+    execute_shard,
+    partition_arrivals,
+    prepare_shard,
+)
 from repro.cluster.spec import ClusterSpec, expand_cluster_grid
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "cluster_payload",
     "execute_shard",
     "expand_cluster_grid",
+    "partition_arrivals",
     "prepare_shard",
     "run_cluster",
     "run_cluster_grid",

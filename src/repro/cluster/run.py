@@ -35,13 +35,13 @@ import time
 
 from repro.check.oracle import KVOracle
 from repro.cluster.result import ClusterResult, MigrationReport
-from repro.cluster.shard import ShardSpec, prepare_shard
+from repro.cluster.shard import ShardSpec, partition_arrivals, prepare_shard
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ConfigError
 from repro.obs.events import RangeMigrated
 from repro.serve.arrivals import Request
 from repro.serve.result import ServeResult
-from repro.serve.service import ServeSession, finalize_serve
+from repro.serve.service import ServeSession, finalize_serve, serve_duration
 from repro.sim.sweep import SWEEP_SCHEMA_VERSION, run_sweep
 
 
@@ -153,6 +153,14 @@ def run_coordinated(
     perturb the run unless it mutates the sessions.
     """
     config = spec.config()
+    duration = serve_duration(spec.service_spec(), config)
+    # A split scheduled at/after the end never fires; surface that
+    # instead of silently reporting an un-run migration.
+    if spec.split_at_s is not None and spec.split_at_s >= duration:
+        raise ConfigError(
+            f"split_at_s={spec.split_at_s} is outside the run "
+            f"(duration {duration})"
+        )
     observer: OracleObserver | None = None
     if spec.verify:
         oracle = KVOracle()
@@ -161,13 +169,12 @@ def run_coordinated(
                 oracle.put(key, 0)
         observer = OracleObserver(oracle)
     sessions = [
-        prepare_shard(spec, shard, observer=observer)
-        for shard in range(spec.num_shards)
+        prepare_shard(spec, shard, observer=observer, arrivals=bucket)
+        for shard, bucket in enumerate(partition_arrivals(spec))
     ]
     if attach is not None:
         for shard, session in enumerate(sessions):
             attach(session, shard)
-    duration = sessions[0].duration_s
     for session in sessions:
         session.simulator.begin(duration)
     migration: MigrationReport | None = None
@@ -178,13 +185,6 @@ def run_coordinated(
             session.simulator.step()
         if on_tick is not None:
             on_tick(tick, sessions)
-    # A split scheduled at/after the end never fires; surface that
-    # instead of silently reporting an un-run migration.
-    if spec.split_at_s is not None and migration is None:
-        raise ConfigError(
-            f"split_at_s={spec.split_at_s} is outside the run "
-            f"(duration {duration})"
-        )
     shards = [
         finalize_serve(session, session.simulator.finish())
         for session in sessions

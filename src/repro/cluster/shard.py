@@ -12,6 +12,10 @@ the same reason sweeps are.
 point); :func:`prepare_shard` exposes the wired-but-unrun session so
 the coordinated in-process path (splits, oracle verification) and the
 differential tests can interleave or observe shard simulators directly.
+:func:`partition_arrivals` is the one place a request meets the router:
+the coordinated path generates the stream once and partitions it once
+for all shards; a fanned worker, which is shipped a spec and not a
+stream, generates it once per process and keeps its own bucket.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from dataclasses import dataclass
 
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ConfigError
+from repro.serve.arrivals import Request
 from repro.serve.result import ServeResult
 from repro.serve.service import (
     DispatchObserver,
     ServeSession,
     finalize_serve,
     prepare_serve,
+    serve_arrivals,
 )
 
 
@@ -72,26 +78,48 @@ class ShardSpec:
         )
 
 
+def partition_arrivals(cluster: ClusterSpec) -> list[list[Request]]:
+    """The cluster's arrival stream, one bucket per shard.
+
+    The merged stream is generated once and every request routed once,
+    by the split-aware request router, into its serving shard's bucket
+    in stream order — so a scheduled split's post-split arrivals
+    already land on the target shard.  The buckets are disjoint and
+    freshly built on every call: a run mutates ``Request.retries``, so
+    a request is never shared between shards or between runs.
+    """
+    spec = cluster.service_spec()
+    config = spec.config()
+    route = cluster.request_router(config)
+    buckets: list[list[Request]] = [[] for _ in range(cluster.num_shards)]
+    for request in serve_arrivals(spec, config):
+        buckets[route(request)].append(request)
+    return buckets
+
+
 def prepare_shard(
     cluster: ClusterSpec,
     shard: int,
     observer: DispatchObserver | None = None,
+    arrivals: list[Request] | None = None,
 ) -> ServeSession:
-    """Wire one shard's serve session with its ownership filters.
+    """Wire one shard's serve session: its data placement and its bucket.
 
     Data placement (preload + cache warm) follows the *initial* router;
-    the request filter follows the split-aware request router, so a
-    scheduled split's post-split arrivals already land on the target
-    shard.  With one shard both filters pass everything and the session
-    is exactly the single-engine serve session.
+    ``arrivals`` is this shard's bucket of :func:`partition_arrivals`,
+    which the coordinated path computes once for all shards.  Left as
+    ``None`` (a fanned worker, which is shipped a spec and not a
+    stream) the shard partitions the stream itself and keeps its own
+    bucket.  With one shard everything passes and the session is
+    exactly the single-engine serve session.
     """
-    config = cluster.config()
-    initial = cluster.router(config)
-    route = cluster.request_router(config)
+    initial = cluster.router(cluster.config())
+    if arrivals is None:
+        arrivals = partition_arrivals(cluster)[shard]
     return prepare_serve(
         cluster.service_spec(),
         owned=lambda key: initial.shard_for(key) == shard,
-        keep=lambda request: route(request) == shard,
+        arrivals=arrivals,
         observer=observer,
         shard=shard,
     )

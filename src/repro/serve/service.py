@@ -26,12 +26,13 @@ begin/step×N/finish composition every single-engine path uses.
 
 :func:`execute_serve` is the spec-to-result entry point the sweep
 workers call, mirroring :func:`repro.sim.experiment.execute`.  It is
-itself a composition of :func:`prepare_serve` (build the stack, filter
-preload/arrivals for shard ownership) and :func:`finalize_serve`
-(stamp spec metadata on the result) so a cluster shard can run the
-*identical* pipeline with ownership filters injected — an all-pass
-filter reproduces the single-engine run bit for bit, which is what the
-1-shard differential test pins.
+itself a composition of :func:`prepare_serve` (build the stack, place
+the preload, take the arrival list) and :func:`finalize_serve` (stamp
+spec metadata on the result) so a cluster shard can run the *identical*
+pipeline with its placement filter and its bucket of the arrival stream
+injected — the all-pass filter and the whole stream reproduce the
+single-engine run bit for bit, which is what the 1-shard differential
+test pins.
 """
 
 from __future__ import annotations
@@ -59,13 +60,10 @@ from repro.serve.arrivals import Request, generate_arrivals
 from repro.serve.result import ClassStats, ServeResult
 from repro.serve.scheduler import Scheduler, make_scheduler
 from repro.serve.spec import ServiceSpec
-from repro.sim.kernel import ReadPricer
+from repro.sim.kernel import MAX_READS_PER_TICK, ReadPricer
 from repro.sstable.entry import Entry
 from repro.storage.iomodel import IOCostModel
 from repro.workload.ycsb import RangeHotWorkload
-
-#: Hard cap on dispatches per tick (mirrors the driver's read cap).
-_MAX_DISPATCH_PER_TICK = 50_000
 
 #: Cap on retained per-request decomposition samples.
 _MAX_REQUEST_SAMPLES = 2_000
@@ -295,9 +293,7 @@ class ServiceSimulator:
             raise EngineError("adopt_pending() before begin()")
         adopted = 0
         for request in queued:
-            stats = result.class_stats.setdefault(
-                request.klass, ClassStats(op=request.op)
-            )
+            stats = self._class_ledger(request, result)
             if self.scheduler.offer(request):
                 adopted += 1
                 depth = len(self.scheduler)
@@ -323,10 +319,21 @@ class ServiceSimulator:
     def _recent_stall_s(self) -> float:
         return sum(stall for _, stall in self._stall_window)
 
+    @staticmethod
+    def _class_ledger(request: Request, result: ServeResult) -> ClassStats:
+        """The request's class ledger (a class first seen mid-run gets one)."""
+        stats = result.class_stats.get(request.klass)
+        if stats is None:
+            stats = result.class_stats[request.klass] = ClassStats(op=request.op)
+        return stats
+
     def _ingest(self, now: int, result: ServeResult) -> int:
         """Offer this second's arrivals and due retries; returns arrivals."""
         new_arrivals = 0
         horizon = now + 1.0
+        # The stall window only moves at the end of step(), after
+        # dispatch, so one sum serves every admission decision this tick.
+        recent_stall_s = self._recent_stall_s()
         while True:
             retry_due = (
                 self._retry_heap and self._retry_heap[0][0] < horizon
@@ -345,28 +352,30 @@ class ServiceSimulator:
                 arrival_due = not retry_due
             if retry_due:
                 _, _, request = heapq.heappop(self._retry_heap)
-                self._offer(request, result, is_retry=True)
+                self._offer(request, result, recent_stall_s, is_retry=True)
             elif arrival_due:
                 request = self.arrivals[self._arrival_cursor]
                 self._arrival_cursor += 1
                 new_arrivals += 1
-                self._offer(request, result, is_retry=False)
+                self._offer(request, result, recent_stall_s, is_retry=False)
             else:
                 break
         return new_arrivals
 
     def _offer(
-        self, request: Request, result: ServeResult, is_retry: bool
+        self,
+        request: Request,
+        result: ServeResult,
+        recent_stall_s: float,
+        is_retry: bool,
     ) -> None:
-        stats = result.class_stats.setdefault(
-            request.klass, ClassStats(op=request.op)
-        )
+        stats = self._class_ledger(request, result)
         if is_retry:
             stats.retried += 1
         else:
             stats.arrived += 1
         action, reason = self.admission.decide(
-            request, len(self.scheduler), self._recent_stall_s()
+            request, len(self.scheduler), recent_stall_s
         )
         if action == DEFER:
             request.retries += 1
@@ -413,7 +422,7 @@ class ServiceSimulator:
         budget = threads - self._read_debt
         reads = 0
         dispatched = 0
-        while budget > 0.0 and dispatched < _MAX_DISPATCH_PER_TICK:
+        while budget > 0.0 and dispatched < MAX_READS_PER_TICK:
             request = self.scheduler.pop()
             if request is None:
                 break
@@ -591,24 +600,46 @@ class ServeSession:
     duration_s: int
 
 
+def serve_duration(spec: ServiceSpec, config: SystemConfig) -> int:
+    """Virtual seconds the spec's run lasts."""
+    return spec.duration_s if spec.duration_s is not None else config.duration_s
+
+
+def serve_arrivals(spec: ServiceSpec, config: SystemConfig) -> list[Request]:
+    """The spec's whole merged arrival stream, freshly generated.
+
+    Every call builds new :class:`Request` objects: a run mutates
+    ``Request.retries``, so a stream is never shared between runs.
+    """
+    return generate_arrivals(
+        spec.client_classes(config),
+        config,
+        RangeHotWorkload(config),
+        serve_duration(spec, config),
+        spec.seed,
+    )
+
+
 def prepare_serve(
     spec: ServiceSpec,
     owned: Callable[[int], bool] | None = None,
-    keep: Callable[[Request], bool] | None = None,
+    arrivals: list[Request] | None = None,
     observer: DispatchObserver | None = None,
     shard: int | None = None,
 ) -> ServeSession:
     """Build the engine stack and arrival stream for one serve run.
 
     ``owned`` filters *data placement*: which preloaded keys (and which
-    warm-cache touches) belong to this engine.  ``keep`` filters the
-    arrival stream: which requests this engine serves.  Both default to
-    all-pass, in which case the session is exactly the single-engine
-    run — the cluster tier passes shard-ownership predicates instead,
-    and crucially the arrival stream is *generated whole and then
-    filtered*, so request seqs, timestamps and key choices are identical
-    across every shard count (a request routes somewhere, never
-    changes).
+    warm-cache touches) belong to this engine.  ``arrivals`` is the
+    request list this engine serves, in arrival order; ``None`` means
+    the spec's whole stream (:func:`serve_arrivals`).  With both left
+    at their defaults the session is exactly the single-engine run.
+    The cluster tier passes a shard-ownership predicate and the shard's
+    bucket of the whole stream instead
+    (:func:`repro.cluster.shard.partition_arrivals`): the stream is
+    always generated whole and only then divided, so request seqs,
+    timestamps and key choices are identical across every shard count
+    (a request routes somewhere, never changes).
     """
     from repro.sim.experiment import build_engine
 
@@ -621,18 +652,17 @@ def prepare_serve(
             if owned is None or owned(key)
         ]
         setup.engine.bulk_load(entries)
-    workload = RangeHotWorkload(config)
     if spec.warm_cache:
         # One unaccounted pass over the hot range: serving starts from
         # the steady state the closed-loop figures reach after warm-up.
+        workload = RangeHotWorkload(config)
         for key in range(workload.hot_start, workload.hot_start + workload.hot_size):
             if owned is None or owned(key):
                 setup.engine.get(key)
     classes = spec.client_classes(config)
-    duration = spec.duration_s if spec.duration_s is not None else config.duration_s
-    arrivals = generate_arrivals(classes, config, workload, duration, spec.seed)
-    if keep is not None:
-        arrivals = [request for request in arrivals if keep(request)]
+    duration = serve_duration(spec, config)
+    if arrivals is None:
+        arrivals = serve_arrivals(spec, config)
     scheduler = make_scheduler(spec.policy, spec.queue_bound, classes)
     admission = AdmissionController(
         AdmissionPolicy(

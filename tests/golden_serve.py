@@ -49,10 +49,7 @@ _SERVE = dict(
     engine="lsbm", scale=SCALE, duration_s=DURATION_S,
     read_rate_qps=SATURATING_QPS,
 )
-_CLUSTER = dict(
-    engine="lsbm", scale=SCALE, duration_s=DURATION_S, partitioner="range",
-    read_rate_qps=SATURATING_QPS,
-)
+_CLUSTER = dict(_SERVE, partitioner="range")
 
 #: Cell name -> seed-free spec; every cell runs every pinned seed
 #: (about 0.5 s each, 27 runs: inside the 30 s tier-1 budget).

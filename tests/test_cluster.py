@@ -31,13 +31,19 @@ from repro.cluster import (
     ShardSpec,
     execute_shard,
     expand_cluster_grid,
+    partition_arrivals,
     prepare_shard,
     run_cluster,
     run_cluster_grid,
     run_coordinated,
 )
 from repro.errors import ConfigError
-from repro.serve.service import execute_serve, finalize_serve, prepare_serve
+from repro.serve.service import (
+    execute_serve,
+    finalize_serve,
+    prepare_serve,
+    serve_arrivals,
+)
 
 PINNED_SEEDS = json.loads(
     (Path(__file__).parent / "seeds.json").read_text()
@@ -122,6 +128,52 @@ class TestSingleShardDifferential:
         assert split_arrived == whole_arrived
 
 
+class TestPartitionArrivals:
+    """Generate once, route once: the buckets are the per-shard filters."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(num_shards=3, partitioner="hash"),
+            dict(num_shards=4, partitioner="range"),
+            dict(
+                num_shards=2, partitioner="range", split_at_s=150,
+                write_rate_qps=20_000.0,
+            ),
+        ],
+        ids=["hash", "range", "split"],
+    )
+    def test_buckets_equal_the_routed_filter(self, params):
+        spec = cluster_spec(**params)
+        config = spec.config()
+        stream = serve_arrivals(spec.service_spec(), config)
+        route = spec.request_router(config)
+        buckets = partition_arrivals(spec)
+        assert len(buckets) == spec.num_shards
+        # Request is a dataclass: == compares field for field.
+        for shard, bucket in enumerate(buckets):
+            assert bucket == [r for r in stream if route(r) == shard]
+        union = sorted(
+            (r for bucket in buckets for r in bucket), key=lambda r: r.seq
+        )
+        assert union == stream
+        # Disjoint objects: a run mutates Request.retries in place.
+        assert len({id(r) for r in union}) == len(stream)
+
+    def test_split_moves_post_split_arrivals_between_buckets(self):
+        base = dict(num_shards=2, partitioner="range", write_rate_qps=20_000.0)
+        plain = partition_arrivals(cluster_spec(**base))
+        split = partition_arrivals(cluster_spec(split_at_s=150, **base))
+        assert len(split[1]) > len(plain[1])
+        assert sum(map(len, split)) == sum(map(len, plain))
+
+    def test_prepare_shard_default_is_its_own_bucket(self):
+        spec = cluster_spec(num_shards=3)
+        bucket = partition_arrivals(spec)[1]
+        session = prepare_shard(spec, 1)
+        assert session.simulator.arrivals == bucket
+
+
 class TestParallelEquivalence:
     def test_jobs_1_equals_jobs_2(self):
         spec = cluster_spec(num_shards=2)
@@ -200,10 +252,19 @@ class TestShardSplit:
         )
         assert route(outside) == 0
 
-    def test_split_scheduled_past_the_end_is_an_error(self):
+    def test_split_scheduled_past_the_end_is_an_error(self, monkeypatch):
+        from repro.cluster import run
+
+        prepared: list[int] = []
+        monkeypatch.setattr(
+            run, "prepare_shard",
+            lambda spec, shard, **kwargs: prepared.append(shard),
+        )
         spec = cluster_spec(**dict(self.SPLIT_PARAMS, split_at_s=400))
         with pytest.raises(ConfigError, match="outside the run"):
             run_coordinated(spec)
+        # Refused before any engine was built, not after simulating 400 s.
+        assert prepared == []
 
 
 class TestValidation:

@@ -20,7 +20,12 @@ from repro.serve.admission import ADMIT, DEFER, SHED, AdmissionController, Admis
 from repro.serve.arrivals import ClientClass, Request, generate_arrivals
 from repro.serve.result import ServeResult
 from repro.serve.scheduler import make_scheduler
-from repro.serve.service import execute_serve
+from repro.serve.service import (
+    execute_serve,
+    finalize_serve,
+    prepare_serve,
+    serve_arrivals,
+)
 from repro.serve.spec import ServiceSpec, expand_serve_grid
 from repro.sim.experiment import build_engine
 from repro.sim.sweep import run_sweep
@@ -302,6 +307,42 @@ class TestServeEndToEnd:
         f = fifo.class_stats["readers"].latency_s.percentile(99)
         p = prio.class_stats["readers"].latency_s.percentile(99)
         assert p <= f
+
+    def test_one_class_ledger_per_client_class(self, monkeypatch):
+        """A ClassStats seeds three Mersenne-Twister reservoirs: the run
+        may build one per class, never one per offered request."""
+        from repro.serve import service
+
+        built: list[str] = []
+
+        class CountingClassStats(service.ClassStats):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("op", "?"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(service, "ClassStats", CountingClassStats)
+        result = self._run(write_rate_qps=24.0, queue_bound=16)
+        assert sum(s.arrived + s.retried for s in result.class_stats.values()) > 100
+        assert len(built) <= len(result.class_stats) == 2
+
+    def test_explicit_whole_stream_equals_generated_stream(self):
+        """``arrivals=`` handed the whole stream is the ``None`` run."""
+        spec = ServiceSpec(
+            engine="lsbm", scale=8192, duration_s=300,
+            read_rate_qps=30_000.0, seed=1,
+        )
+
+        def digest(session) -> str:
+            result = finalize_serve(
+                session, session.simulator.run(session.duration_s)
+            )
+            return json.dumps(result.to_dict(), sort_keys=True)
+
+        stream = serve_arrivals(spec, spec.config())
+        assert stream
+        assert digest(prepare_serve(spec, arrivals=stream)) == digest(
+            prepare_serve(spec)
+        )
 
 
 class TestServiceSpec:
