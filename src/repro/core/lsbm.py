@@ -134,10 +134,9 @@ class LSbMTree(BLSMTree):
         self._buffer_levels = self.buffer[1:]
         # The sampled buffer size is cached between membership changes:
         # every path that adds or removes a buffer file bumps one of the
-        # append/remove counters (removals also bump the global
-        # ``SSTableFile.removal_epoch``), so the key below invalidates on
-        # exactly the events that can change the total.
-        self._buffer_kb_key: tuple[int, int, int] | None = None
+        # append/remove counters, so the key below invalidates on exactly
+        # the events that can change the total.
+        self._buffer_kb_key: tuple[int, int] | None = None
         self._buffer_kb_total = 0
 
     # ------------------------------------------------------------------
@@ -182,11 +181,7 @@ class LSbMTree(BLSMTree):
     def compaction_buffer_kb(self) -> int:
         """Live on-disk size of the whole compaction buffer."""
         stats = self.lsbm_stats
-        key = (
-            SSTableFile.removal_epoch,
-            stats.buffer_files_appended,
-            stats.buffer_files_removed,
-        )
+        key = (stats.buffer_files_appended, stats.buffer_files_removed)
         if key != self._buffer_kb_key:
             total = 0
             for buf in self._buffer_levels:
@@ -249,8 +244,7 @@ class LSbMTree(BLSMTree):
             self._freeze_level(target)
 
         if buf.frozen:
-            for file in unit:
-                self._discard_file(file)
+            self._discard_files(unit)
         else:
             for file in unit:
                 buf.incoming.append(file)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.cache.db_cache import DBBufferCache
@@ -260,6 +261,13 @@ class LSMEngine(ABC):
         #: Truncation is deferred to the end of the compaction pass so a
         #: crash anywhere inside the pass leaves the full tail durable.
         self._pending_wal_truncate_seq = 0
+        #: Bumped by everything a compaction pass's outcome depends on
+        #: besides level-0 fullness: a flush, a compaction, a budget move,
+        #: a crash or a recovery.  ``_idle_version`` is the value at which
+        #: a whole pass was last seen to change nothing (see
+        #: :meth:`run_compactions`).
+        self._structure_version = 0
+        self._idle_version = -1
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -286,15 +294,18 @@ class LSMEngine(ABC):
         """
         return None
 
+    def _level0_kb(self) -> int:
+        """Occupied level-0 size; gear engines add the on-disk ``C0'``."""
+        return self.memtable.size_kb
+
     @property
     def l0_pressure(self) -> float:
         """Write-buffer fullness as a fraction of ``S0``.
 
         At 1.0 the buffer is full and the next write blocks behind the
-        drain; gear-scheduled engines override this to count the on-disk
-        ``C0'`` half of level 0 as well.
+        drain.
         """
-        return self.memtable.size_kb / self.memtable_budget_kb
+        return self._level0_kb() / self.memtable_budget_kb
 
     @property
     def write_stalled(self) -> bool:
@@ -316,6 +327,7 @@ class LSMEngine(ABC):
         if budget_kb == old:
             return
         self.memtable_budget_kb = budget_kb
+        self._structure_version += 1
         bus = self.bus
         if bus.active:
             if bus.counting_only:
@@ -411,7 +423,25 @@ class LSMEngine(ABC):
         modeled stall duration, accrued into ``stats.stall_seconds`` and
         the ``engine.stall_seconds`` counter so admission control, the
         driver's stall series and reports all read one source.
+
+        Every ``put`` lands here, and nearly every call has nothing to
+        do, so a pass that would change nothing is skipped.  What a pass
+        does is a function of the structure and of whether level 0 is
+        full (every policy's flush trigger is ``l0_pressure >= 1``): if
+        the previous pass changed nothing, the structure is as it left it
+        and level 0 is still below its budget, this one would change
+        nothing either — for any policy, including one that finds work
+        on every pass (a last level over capacity re-collapses each
+        time, and is never skipped).  No stall can accrue below the
+        budget, and no WAL truncate can be pending: only a flush sets the
+        marker, and a flush is a structure change.
         """
+        version = self._structure_version
+        if (
+            version == self._idle_version
+            and self._level0_kb() < self.memtable_budget_kb
+        ):
+            return
         stalled = self.write_stalled
         if stalled:
             disk_stats = self.disk.stats
@@ -425,6 +455,8 @@ class LSMEngine(ABC):
                 stall_s = moved_kb / self.config.seq_bandwidth_kb_per_s
                 self.stats.stall_seconds += stall_s
         self._apply_pending_wal_truncate()
+        if self._structure_version == version:
+            self._idle_version = version
 
     #: The engine's :class:`~repro.lsm.policy.CompactionPolicy` — the
     #: declarative design-space point whose control flow drives this
@@ -605,35 +637,43 @@ class LSMEngine(ABC):
     # ------------------------------------------------------------------
     # Compaction primitives (shared).
     # ------------------------------------------------------------------
-    def _merge_into_run(
+    def _rewrite_files(
         self,
-        source_files: list[SSTableFile],
-        target: SortedTable,
-        last_level: bool,
-        dispose_sources: bool = True,
-        level: int = -1,
+        inputs: list[SSTableFile],
+        install: Callable[[list[SSTableFile]], None],
+        *,
+        level: int,
+        drop_tombstones: bool,
+        kind: str = "merge",
+        cause: str | None = None,
+        dying: list[SSTableFile] | None = None,
+        temp_space: bool = False,
+        report_obsolete: bool = True,
     ) -> MergeOutcome:
-        """Merge ``source_files`` into the sorted run ``target``.
+        """Merge ``inputs`` into freshly built files: the one compaction step.
 
-        The overlapping target files are read, merged with the sources
-        (newest version wins, tombstones dropped at the last level), and
-        replaced by freshly built files.  Inputs are charged as sequential
-        compaction reads; the builder charges the writes.  Sources are
-        disposed (extent freed, cached blocks invalidated) unless the
-        caller takes ownership — LSbM's buffered merge passes
-        ``dispose_sources=False`` and appends them to the compaction
-        buffer instead, which is the paper's zero-extra-I/O trick.
+        Every engine's merge is this sequence — announce, merge (newest
+        version wins), charge the input reads, build the outputs, let
+        ``install`` place them in the engine's structure, delete the
+        ``dying`` inputs, account — and differs only in its arguments:
+
+        * ``level`` and ``kind`` label the events; ``cause`` the disk
+          traffic (default: :func:`compaction_cause` of ``level``);
+        * ``dying``: the inputs deleted once the outputs are placed, in
+          discard order (default: all; a lazy-adoption merge keeps the
+          ones its compaction buffer re-references);
+        * ``temp_space``: inputs and output coexist until the install,
+          so the inputs are noted as transient space (Fig. 12's bursts);
+        * ``report_obsolete=False`` books and reports zero shadowed
+          entries (a merge that may drop nothing has none to claim).
+
+        The input reads are one disk ledger entry, the output writes
+        another (inside the builder), and a counting-only bus tallies
+        created and discarded files once each: a merge's host cost
+        follows the data it moves, not a call chain per file.
         """
-        if not source_files:
-            raise EngineError("merge requires at least one source file")
-        low = min(f.min_key for f in source_files)
-        high = max(f.max_key for f in source_files)
-        overlapping = target.files_overlapping(low, high)
-
-        read_kb = float(
-            sum(f.size_kb for f in source_files)
-            + sum(f.size_kb for f in overlapping)
-        )
+        input_sizes = [f.size_kb for f in inputs]
+        read_kb = float(sum(input_sizes))
         bus = self.bus
         if bus.active:
             if bus.counting_only:
@@ -642,32 +682,36 @@ class LSMEngine(ABC):
                 bus.emit(
                     CompactionStart(
                         level=level,
-                        input_files=len(source_files) + len(overlapping),
+                        input_files=len(inputs),
                         input_kb=read_kb,
+                        kind=kind,
                     )
                 )
-
-        sources: list[list[Entry]] = [f.entry_list() for f in source_files]
-        sources.extend(f.entry_list() for f in overlapping)
         merged, obsolete = merge_with_obsolete_count(
-            sources, drop_tombstones=last_level
+            [f.entry_list() for f in inputs], drop_tombstones=drop_tombstones
         )
+        if not report_obsolete:
+            obsolete = 0
 
-        cause = compaction_cause(level)
-        self._charge_compaction_read(source_files + overlapping, cause=cause)
+        if cause is None:
+            cause = compaction_cause(level)
+        self.disk.read_files(input_sizes, cause=cause)
+        os_cache = self.os_cache
+        if os_cache is not None:
+            for file in inputs:
+                os_cache.read_for_compaction(file.extent.start, file.size_kb)
 
-        new_files = self.builder.build(iter(merged), cause=cause)
+        new_files = self.builder.build(merged, cause=cause)
         self._on_compaction_output(new_files)
         write_kb = float(sum(f.size_kb for f in new_files))
+        if temp_space:
+            self.disk.note_temp_space(read_kb)
 
-        dying = (list(source_files) if dispose_sources else []) + overlapping
+        if dying is None:
+            dying = inputs
         self._pre_install_hook(dying, new_files)
-        target.replace_range(overlapping, new_files)
-        for file in overlapping:
-            self._discard_file(file)
-        if dispose_sources:
-            for file in source_files:
-                self._discard_file(file)
+        install(new_files)
+        self._discard_files(dying)
 
         self._account_compaction(read_kb, write_kb, obsolete)
         if bus.active:
@@ -681,6 +725,7 @@ class LSMEngine(ABC):
                         write_kb=write_kb,
                         output_files=len(new_files),
                         obsolete_entries=obsolete,
+                        kind=kind,
                     )
                 )
         return MergeOutcome(
@@ -690,10 +735,41 @@ class LSMEngine(ABC):
             write_kb=write_kb,
         )
 
+    def _merge_into_run(
+        self,
+        source_files: list[SSTableFile],
+        target: SortedTable,
+        last_level: bool,
+        dispose_sources: bool = True,
+        level: int = -1,
+    ) -> MergeOutcome:
+        """Merge ``source_files`` into the sorted run ``target``.
+
+        The overlapping target files are read, merged with the sources
+        (tombstones dropped at the last level), and replaced by the
+        freshly built files.  Sources are disposed unless the caller
+        takes ownership — LSbM's buffered merge passes
+        ``dispose_sources=False`` and appends them to the compaction
+        buffer instead, which is the paper's zero-extra-I/O trick.
+        """
+        if not source_files:
+            raise EngineError("merge requires at least one source file")
+        low = min(f.min_key for f in source_files)
+        high = max(f.max_key for f in source_files)
+        overlapping = target.files_overlapping(low, high)
+        return self._rewrite_files(
+            source_files + overlapping,
+            lambda new_files: target.replace_range(overlapping, new_files),
+            level=level,
+            drop_tombstones=last_level,
+            dying=overlapping + source_files if dispose_sources else overlapping,
+        )
+
     def _account_compaction(
         self, read_kb: float, write_kb: float, obsolete: int
     ) -> None:
         """Book one finished compaction into the stats and the registry."""
+        self._structure_version += 1
         stats = self.stats
         stats.compactions += 1
         stats.compaction_read_kb += read_kb
@@ -725,27 +801,26 @@ class LSMEngine(ABC):
             for file in new_files:
                 self.os_cache.write_allocate(file.extent.start, file.size_kb)
 
-    def _charge_compaction_read(
-        self, files: list[SSTableFile], cause: str = "unattributed"
-    ) -> None:
-        for file in files:
-            self.disk.background_read(file.size_kb, cause=cause)
-            if self.os_cache is not None:
-                self.os_cache.read_for_compaction(file.extent.start, file.size_kb)
+    def _discard_files(self, files: list[SSTableFile]) -> None:
+        """Delete files: invalidate cached blocks, free extents, announce.
 
-    def _discard_file(self, file: SSTableFile) -> None:
-        """Delete a file: free its extent, invalidate its cached blocks."""
-        if self.db_cache is not None:
-            self.db_cache.invalidate_file(file.file_id)
-        self.disk.free(file.extent)
+        The one place merged-away files die, and the hook a variant
+        overrides to drop its own per-file state with them.
+        """
+        db_cache = self.db_cache
+        disk = self.disk
         bus = self.bus
-        if bus.active:
-            if bus.counting_only:
-                bus.count(FileDiscarded)
-            else:
+        emit = bus.active and not bus.counting_only
+        for file in files:
+            if db_cache is not None:
+                db_cache.invalidate_file(file.file_id)
+            disk.free(file.extent)
+            if emit:
                 bus.emit(
                     FileDiscarded(file_id=file.file_id, size_kb=file.size_kb)
                 )
+        if bus.counting_only:
+            bus.count(FileDiscarded, len(files))
 
     def _flush_memtable_to_files(self) -> list[SSTableFile]:
         """Write the memtable out as on-disk files (charged sequentially).
@@ -758,9 +833,10 @@ class LSMEngine(ABC):
         durable.
         """
         entries = self.memtable.sorted_entries()
-        files = self.builder.build(iter(entries), cause="flush")
+        files = self.builder.build(entries, cause="flush")
         self._on_compaction_output(files)
         self.memtable.clear()
+        self._structure_version += 1
         if self.wal is not None and entries:
             self._pending_wal_truncate_seq = max(
                 self._pending_wal_truncate_seq, max(e.seq for e in entries)
@@ -798,8 +874,10 @@ class LSMEngine(ABC):
         """
         lost = len(self.memtable)
         self.memtable.clear()
-        # The pending-truncate marker is process state: it dies too.
+        # The pending-truncate marker is process state: it dies too, and
+        # a pass the crash interrupted may have left work behind.
         self._pending_wal_truncate_seq = 0
+        self._structure_version += 1
         return lost
 
     def recover(self) -> int:
@@ -819,6 +897,7 @@ class LSMEngine(ABC):
             else:
                 self.memtable.put(record.key, record.seq)
             self._seq = max(self._seq, record.seq)
+        self._structure_version += 1
         return len(records)
 
     # ------------------------------------------------------------------

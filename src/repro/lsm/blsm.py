@@ -85,17 +85,16 @@ class BLSMTree(LSMEngine):
     def level_total_kb(self, level: int) -> int:
         """``|Ci| + |Ci'|`` (level 0: memtable + C0')."""
         if level == 0:
-            return self.memtable.size_kb + self.c0_prime.size_kb
+            return self._level0_kb()
         return self.c[level].size_kb + self.cp[level].size_kb
+
+    def _level0_kb(self) -> int:
+        """Gear level 0 counts both the memtable and the C0' run."""
+        return self.memtable.size_kb + self.c0_prime.size_kb
 
     def _source(self, level: int) -> SortedTable:
         """The draining run of ``level`` (C0' for level 0, else Ci')."""
         return self.c0_prime if level == 0 else self.cp[level]
-
-    @property
-    def l0_pressure(self) -> float:
-        """Gear level 0 counts both the memtable and the C0' run."""
-        return self.level_total_kb(0) / self.memtable_budget_kb
 
     # ------------------------------------------------------------------
     # The gear scheduler.  Algorithm 1's control flow lives in
@@ -103,20 +102,6 @@ class BLSMTree(LSMEngine):
     # mechanism it drives (and the seam LSbM overrides to add the
     # compaction-buffer lines).
     # ------------------------------------------------------------------
-    def run_compactions(self) -> None:
-        # Fast path for the by-far common case: level 0 is below S0, so a
-        # pass would move nothing, no stall can accrue (``write_stalled``
-        # is the same threshold) and no WAL truncate is pending (the
-        # marker is only ever non-zero *inside* a pass that flushed).
-        # Every put calls this, so skipping the full wrapper matters.
-        if (
-            self.memtable.size_kb + self.c0_prime.size_kb
-            < self.memtable_budget_kb
-            and not self._pending_wal_truncate_seq
-        ):
-            return
-        super().run_compactions()
-
     def _rotate(self, level: int) -> None:
         """Start a merge round: move Ci into Ci' (flush C0 for level 0)."""
         if level == 0:
@@ -143,9 +128,10 @@ class BLSMTree(LSMEngine):
         """
         first = source.pop_first()
         unit = [first]
-        while source and source.files[0].superfile_id == first.superfile_id:
-            if first.superfile_id is None:
-                break  # Ungrouped files compact one at a time.
+        superfile_id = first.superfile_id
+        if superfile_id is None:
+            return unit  # Ungrouped files compact one at a time.
+        while source and source.first.superfile_id == superfile_id:
             unit.append(source.pop_first())
         return unit
 

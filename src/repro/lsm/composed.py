@@ -44,17 +44,11 @@ from __future__ import annotations
 
 from repro.core.compaction_buffer import BufferLevel
 from repro.core.trim import TrimProcess
-from repro.lsm.base import (
-    GetResult,
-    LSMEngine,
-    ReadCost,
-    ScanResult,
-    compaction_cause,
-)
+from repro.lsm.base import GetResult, LSMEngine, ReadCost, ScanResult
 from repro.lsm.policy import CompactionAxes, ComposedPolicy
-from repro.obs.events import CompactionEnd, CompactionStart, FileDiscarded
+from repro.obs.events import FileDiscarded
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
+from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 
@@ -137,18 +131,6 @@ class ComposedTree(LSMEngine):
     # ------------------------------------------------------------------
     # Compaction mechanism (control flow in ComposedPolicy).
     # ------------------------------------------------------------------
-    def run_compactions(self) -> None:
-        # Fast path (same reasoning as LevelDB's): a pass only ever
-        # starts from a full memtable — the policy's per-level drains
-        # complete inside the pass — and the WAL-truncate check only
-        # matters right after a flush.
-        if (
-            self.memtable.size_kb < self.memtable_budget_kb
-            and not self._pending_wal_truncate_seq
-        ):
-            return
-        super().run_compactions()
-
     def _flush_pass(self) -> None:
         """Flush the write buffer into level 1 per the layout axis."""
         files = self._flush_memtable_to_files()
@@ -182,7 +164,8 @@ class ComposedTree(LSMEngine):
                 groups = [run.files]
                 self.levels[level][0] = SortedTable()
             else:
-                file = self._pick_by_cursor(level)
+                # LevelDB's round-robin pick inside a single-run level.
+                file = run.first_after(self._cursor[level])
                 self._cursor[level] = file.max_key
                 run.remove(file)
                 groups = [[file]]
@@ -198,16 +181,6 @@ class ComposedTree(LSMEngine):
             groups = [table.files for table in picked]
         self._move_down(level, groups)
         return True
-
-    def _pick_by_cursor(self, level: int) -> SSTableFile:
-        """LevelDB's round-robin pick inside a single-run level."""
-        files = self.levels[level][0].files
-        cursor = self._cursor[level]
-        if cursor is not None:
-            for file in files:
-                if file.min_key > cursor:
-                    return file
-        return files[0]  # Wrap around the key space.
 
     def _move_down(self, level: int, groups: list[list[SSTableFile]]) -> None:
         """Merge file ``groups`` (one per source table) into ``level + 1``.
@@ -245,50 +218,20 @@ class ComposedTree(LSMEngine):
         tables, and one of those can still hold an older live version of
         a deleted key (the SM-tree's resurrection hazard).
         """
-        input_kb = float(sum(f.size_kb for f in input_files))
-        bus = self.bus
-        if bus.active:
-            if bus.counting_only:
-                bus.count(CompactionStart)
-            else:
-                bus.emit(
-                    CompactionStart(
-                        level=level,
-                        input_files=len(input_files),
-                        input_kb=input_kb,
-                        kind="tier",
-                    )
-                )
-        sources = [f.entry_list() for f in input_files]
-        merged, obsolete = merge_with_obsolete_count(
-            sources, drop_tombstones=False
+
+        def install(new_files: list[SSTableFile]) -> None:
+            if new_files:
+                self.levels[level + 1].append(SortedTable(new_files))
+
+        self._rewrite_files(
+            input_files,
+            install,
+            level=level,
+            drop_tombstones=False,
+            kind="tier",
+            dying=input_files if dispose else [],
+            temp_space=True,
         )
-        cause = compaction_cause(level)
-        self._charge_compaction_read(input_files, cause=cause)
-        new_files = self.builder.build(iter(merged), cause=cause)
-        self._on_compaction_output(new_files)
-        output_kb = float(sum(f.size_kb for f in new_files))
-        self.disk.note_temp_space(input_kb)
-        if new_files:
-            self.levels[level + 1].append(SortedTable(new_files))
-        if dispose:
-            for file in input_files:
-                self._discard_file(file)
-        self._account_compaction(input_kb, output_kb, obsolete)
-        if bus.active:
-            if bus.counting_only:
-                bus.count(CompactionEnd)
-            else:
-                bus.emit(
-                    CompactionEnd(
-                        level=level,
-                        read_kb=input_kb,
-                        write_kb=output_kb,
-                        output_files=len(new_files),
-                        obsolete_entries=obsolete,
-                        kind="tier",
-                    )
-                )
 
     def _collapse_last_level(self) -> None:
         """Merge the tiering last level into one table, in place.
@@ -300,52 +243,21 @@ class ComposedTree(LSMEngine):
         preserves anyway.
         """
         level = self.num_levels
-        tables = self.levels[level]
-        input_files = [f for table in tables for f in table.files]
+        input_files = [f for table in self.levels[level] for f in table]
         if not input_files:
             return
-        input_kb = float(sum(f.size_kb for f in input_files))
-        bus = self.bus
-        if bus.active:
-            if bus.counting_only:
-                bus.count(CompactionStart)
-            else:
-                bus.emit(
-                    CompactionStart(
-                        level=level,
-                        input_files=len(input_files),
-                        input_kb=input_kb,
-                        kind="collapse",
-                    )
-                )
-        sources = [f.entry_list() for f in input_files]
-        merged, obsolete = merge_with_obsolete_count(
-            sources, drop_tombstones=True
+
+        def install(new_files: list[SSTableFile]) -> None:
+            self.levels[level] = [SortedTable(new_files)] if new_files else []
+
+        self._rewrite_files(
+            input_files,
+            install,
+            level=level,
+            drop_tombstones=True,
+            kind="collapse",
+            temp_space=True,
         )
-        cause = compaction_cause(level)
-        self._charge_compaction_read(input_files, cause=cause)
-        new_files = self.builder.build(iter(merged), cause=cause)
-        self._on_compaction_output(new_files)
-        output_kb = float(sum(f.size_kb for f in new_files))
-        self.disk.note_temp_space(input_kb)
-        self.levels[level] = [SortedTable(new_files)] if new_files else []
-        for file in input_files:
-            self._discard_file(file)
-        self._account_compaction(input_kb, output_kb, obsolete)
-        if bus.active:
-            if bus.counting_only:
-                bus.count(CompactionEnd)
-            else:
-                bus.emit(
-                    CompactionEnd(
-                        level=level,
-                        read_kb=input_kb,
-                        write_kb=output_kb,
-                        output_files=len(new_files),
-                        obsolete_entries=obsolete,
-                        kind="collapse",
-                    )
-                )
 
     # ------------------------------------------------------------------
     # Lazy adoption: the compaction buffer generalized beyond the gear.

@@ -52,19 +52,6 @@ class LevelDBTree(LSMEngine):
     # ------------------------------------------------------------------
     # Compactions (control flow in LeveledCursorPolicy; mechanism here).
     # ------------------------------------------------------------------
-    def run_compactions(self) -> None:
-        # Fast path: a pass only ever starts from a full memtable (the
-        # per-level drains the policy runs always complete inside the
-        # same pass), stalls share that threshold, and the WAL-truncate
-        # marker is only non-zero inside a pass — so below S0 this is a
-        # no-op.
-        if (
-            self.memtable.size_kb < self.memtable_budget_kb
-            and not self._pending_wal_truncate_seq
-        ):
-            return
-        super().run_compactions()
-
     def _flush_and_merge_into_c1(self) -> None:
         """Drain C0 to disk and merge the run into C1 file by file."""
         run_files = self._flush_memtable_to_files()

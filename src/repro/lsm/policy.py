@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.sstable.sorted_table import SortedTable
-from repro.sstable.sstable import SSTableFile
 
 TRIGGERS = ("size-ratio", "level-saturation")
 LAYOUTS = ("leveling", "tiering", "lazy-leveling")
@@ -146,22 +145,14 @@ class LeveledCursorPolicy(CompactionPolicy):
 
     def _compact_one_file(self, engine, level: int) -> None:
         """Move one file from ``level`` to ``level + 1`` (cursor order)."""
-        file = self._pick_by_cursor(engine, level)
+        run = engine.levels[level]
+        file = run.first_after(self._cursor[level])
         self._cursor[level] = file.max_key
-        engine.levels[level].remove(file)
+        run.remove(file)
         last = level + 1 == engine.num_levels
         engine._merge_into_run(
             [file], engine.levels[level + 1], last_level=last, level=level
         )
-
-    def _pick_by_cursor(self, engine, level: int) -> SSTableFile:
-        files = engine.levels[level].files
-        cursor = self._cursor[level]
-        if cursor is not None:
-            for file in files:
-                if file.min_key > cursor:
-                    return file
-        return files[0]  # Wrap around the key space.
 
 
 class GearPolicy(CompactionPolicy):

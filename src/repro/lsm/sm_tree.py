@@ -19,18 +19,12 @@ paper shows the two prices paid:
 
 from __future__ import annotations
 
-from repro.lsm.base import (
-    GetResult,
-    LSMEngine,
-    ReadCost,
-    ScanResult,
-    compaction_cause,
-)
+from repro.lsm.base import GetResult, LSMEngine, ReadCost, ScanResult
 from repro.lsm.policy import SteppedMergePolicy
-from repro.obs.events import CompactionEnd, CompactionStart
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
+from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
+from repro.sstable.sstable import SSTableFile
 
 
 class SMTree(LSMEngine):
@@ -78,60 +72,27 @@ class SMTree(LSMEngine):
         tables = self.levels[level]
         if not tables:
             return
-        input_files = [file for table in tables for file in table.files]
-        input_kb = float(sum(f.size_kb for f in input_files))
-        sources = [list(file.entries()) for file in input_files]
         target_level = min(level + 1, self.num_levels)
+
+        def install(new_files: list[SSTableFile]) -> None:
+            self.levels[level] = []
+            self.levels[target_level].append(SortedTable(new_files))
+
         # Tombstones may only be dropped by the in-place collapse of the
         # last level itself: a merge of level k-1 *into* level k appends a
         # new table next to existing last-level tables, and one of those
         # can still hold an older live version of a deleted key — dropping
         # the tombstone there would resurrect it on the next read.
-        drop = level == self.num_levels
-        bus = self.bus
-        if bus.active:
-            if bus.counting_only:
-                bus.count(CompactionStart)
-            else:
-                bus.emit(
-                    CompactionStart(
-                        level=level,
-                        input_files=len(input_files),
-                        input_kb=input_kb,
-                        kind="whole-level",
-                    )
-                )
-        merged, obsolete = merge_with_obsolete_count(sources, drop_tombstones=drop)
-
-        cause = compaction_cause(level)
-        self._charge_compaction_read(input_files, cause=cause)
-        new_files = self.builder.build(iter(merged), cause=cause)
-        self._on_compaction_output(new_files)
-        output_kb = float(sum(f.size_kb for f in new_files))
         # Inputs and output coexist until the install completes; this is
         # the transient space behind Fig. 12's bursts.
-        self.disk.note_temp_space(input_kb)
-
-        self.levels[level] = []
-        self.levels[target_level].append(SortedTable(new_files))
-        for file in input_files:
-            self._discard_file(file)
-
-        self._account_compaction(input_kb, output_kb, obsolete)
-        if bus.active:
-            if bus.counting_only:
-                bus.count(CompactionEnd)
-            else:
-                bus.emit(
-                    CompactionEnd(
-                        level=level,
-                        read_kb=input_kb,
-                        write_kb=output_kb,
-                        output_files=len(new_files),
-                        obsolete_entries=obsolete,
-                        kind="whole-level",
-                    )
-                )
+        self._rewrite_files(
+            [file for table in tables for file in table],
+            install,
+            level=level,
+            drop_tombstones=level == self.num_levels,
+            kind="whole-level",
+            temp_space=True,
+        )
 
     # ------------------------------------------------------------------
     # Queries.

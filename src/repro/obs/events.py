@@ -355,17 +355,21 @@ class EventBus:
         if not deferrable:
             self._sync_subscribers += 1
 
-    def count(self, event_type: type) -> None:
-        """Tally one occurrence of ``event_type`` without a payload.
+    def count(self, event_type: type, times: int = 1) -> None:
+        """Tally ``times`` occurrences of ``event_type`` without a payload.
 
         Only meaningful while :attr:`counting_only` is true; emit sites
         use it to skip event construction when nobody would read the
-        fields.  Delivery timing does not matter to a tally, so counting
-        happens immediately even inside a buffered tick.
+        fields (a build or a discard counts all its files in one call).
+        Delivery timing does not matter to a tally, so counting happens
+        immediately even inside a buffered tick.  ``times=0`` tallies
+        nothing, not a zero entry.
         """
+        if times <= 0:
+            return
         name = event_type.__name__
         for tally in self._tallies:
-            tally.counts[name] += 1
+            tally.counts[name] += times
 
     @property
     def deferrable(self) -> bool:

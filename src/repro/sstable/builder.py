@@ -60,48 +60,55 @@ class TableBuilder:
         disable it to isolate other counters.  ``cause`` labels the
         charged writes for the per-cause bandwidth attribution ("flush",
         "compaction:L2", "preload"); engine call sites always tag it.
+        All files of one build are allocated and charged by a single
+        :meth:`~repro.storage.disk.SimulatedDisk.write_files` call.
         """
         config = self._config
         bits_per_key = config.bloom_bits_per_key
         pairs_per_block = config.pairs_per_block
         block_size_kb = config.block_size_kb
         entries_per_file = pairs_per_block * config.blocks_per_file
-        disk = self._disk
-        next_id = self._file_ids.next_id
-        bus = self._bus
-        emit = bus is not None and bus.active
         entry_list = entries if isinstance(entries, list) else list(entries)
-        files: list[SSTableFile] = []
         # Slice the sorted stream directly into per-file chunks and
         # per-block slices — the same grouping the old per-entry
         # accumulation produced, without a Python-level step per entry.
+        file_blocks: list[list[Block]] = []
         for file_start in range(0, len(entry_list), entries_per_file):
             chunk = entry_list[file_start : file_start + entries_per_file]
-            blocks = [
-                # ``from_sorted`` skips per-entry validation: builder
-                # inputs are strictly sorted by contract (see docstring).
-                Block.from_sorted(
-                    chunk[block_start : block_start + pairs_per_block],
-                    bits_per_key,
-                    block_start // pairs_per_block,
-                )
-                for block_start in range(0, len(chunk), pairs_per_block)
-            ]
-            size_kb = len(blocks) * block_size_kb
-            extent = disk.allocate(size_kb)
-            if charge_write:
-                disk.background_write(size_kb, cause=cause)
-            file = SSTableFile(next_id(), blocks, extent)
-            files.append(file)
-            if emit:
-                if bus.counting_only:
-                    bus.count(FileCreated)
-                else:
+            file_blocks.append(
+                [
+                    # ``from_sorted`` skips per-entry validation: builder
+                    # inputs are strictly sorted by contract (see docstring).
+                    Block.from_sorted(
+                        chunk[block_start : block_start + pairs_per_block],
+                        bits_per_key,
+                        block_start // pairs_per_block,
+                    )
+                    for block_start in range(0, len(chunk), pairs_per_block)
+                ]
+            )
+        # One disk call books the whole build (see SimulatedDisk).
+        extents = self._disk.write_files(
+            [len(blocks) * block_size_kb for blocks in file_blocks],
+            charge_write=charge_write,
+            cause=cause,
+        )
+        next_id = self._file_ids.next_id
+        files = [
+            SSTableFile(next_id(), blocks, extent)
+            for blocks, extent in zip(file_blocks, extents)
+        ]
+        bus = self._bus
+        if bus is not None and bus.active:
+            if bus.counting_only:
+                bus.count(FileCreated, len(files))
+            else:
+                for file in files:
                     bus.emit(
                         FileCreated(
                             file_id=file.file_id,
                             size_kb=file.size_kb,
-                            extent_start=extent.start,
+                            extent_start=file.extent.start,
                         )
                     )
         return files

@@ -40,14 +40,6 @@ class FileIdSource:
 class SSTableFile:
     """An immutable sorted file of blocks on one contiguous extent."""
 
-    #: Global removal-marker epoch: bumped by every :meth:`mark_removed`.
-    #: A file's ``size_kb`` contribution to any containing
-    #: :class:`~repro.sstable.sorted_table.SortedTable` drops to zero the
-    #: instant it is marked removed — without the table being told — so
-    #: tables key their cached sizes on this epoch to notice externally
-    #: removed members without re-summing on every read.
-    removal_epoch: int = 0
-
     __slots__ = (
         "file_id",
         "min_key",
@@ -59,6 +51,7 @@ class SSTableFile:
         "_blocks",
         "_block_max_keys",
         "removed",
+        "_table_live_kb",
     )
 
     def __init__(
@@ -92,6 +85,11 @@ class SSTableFile:
         #: Compaction-buffer removal marker (Section IV-A): when ``True``
         #: only ``min_key``/``max_key`` remain meaningful.
         self.removed = False
+        #: The live-size cell of the sorted table this file currently
+        #: counts toward (see :class:`SortedTable`), else ``None``.  The
+        #: cell holds one int and no pointer back to the table, so a
+        #: dropped table is freed by reference counting alone.
+        self._table_live_kb: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -127,12 +125,17 @@ class SSTableFile:
         "All its indices except the minimum and maximum keys will be
         removed from the memory, and all its data will be deleted from the
         disk."  The caller is responsible for freeing the extent and
-        invalidating cached blocks.
+        invalidating cached blocks.  The containing sorted table is not
+        told, yet its ``size_kb`` drops by this file's size at once: the
+        file takes itself out of the table's live-size cell.
         """
         self.removed = True
         self._blocks = []
         self._block_max_keys = []
-        SSTableFile.removal_epoch += 1
+        cell = self._table_live_kb
+        if cell is not None:
+            cell[0] -= self.size_kb
+            self._table_live_kb = None
 
     def _check_not_removed(self) -> None:
         if self.removed:

@@ -19,6 +19,19 @@ one random block for a query miss) and the disk keeps the books:
 The disk also exposes page-level physical addresses so the OS buffer cache
 (which caches by physical location, not by file) can observe compaction
 traffic — the mechanism behind Fig. 2's OS-cache churn.
+
+**One ledger entry per merge.**  A build writes many files and a merge
+reads many; :meth:`SimulatedDisk.write_files` and
+:meth:`SimulatedDisk.read_files` book all of them in one entry (size =
+the sum, seeks = the number of files) instead of one
+``allocate``/``background_write``/``background_read`` call per file.  The
+result is bitwise what the per-file calls leave behind: every size is an
+integer number of KB (``SystemConfig`` validates ``pair_size_kb >= 1`` and
+the block/file sizes as its multiples), so each float ledger holds an
+exactly represented integer far below 2**53 and integer addition is exact
+in any grouping; the seek, allocation and per-tick seek counters are ints.
+The crash points stay per file: an armed ``fault_hook`` is visited once
+per file, in the per-file calls' interleaving, before anything is booked.
 """
 
 from __future__ import annotations
@@ -176,6 +189,34 @@ class SimulatedDisk:
         self._allocator.free(extent)
         self.stats.frees += 1
 
+    def write_files(
+        self,
+        sizes_kb: list[int],
+        charge_write: bool = True,
+        cause: str = "unattributed",
+    ) -> list[Extent]:
+        """Allocate one extent per size and book their writes as one entry.
+
+        Equivalent to ``allocate(size)`` followed (when ``charge_write``)
+        by ``background_write(size, cause=cause)`` for each size in turn;
+        see the module docstring for why the ledgers read the same.
+        """
+        hook = self.fault_hook
+        if hook is not None:
+            for _ in sizes_kb:
+                hook("disk.allocate")
+                if charge_write:
+                    hook("disk.background_write")
+        allocate = self._allocator.allocate
+        extents = [allocate(size_kb) for size_kb in sizes_kb]
+        self.stats.allocations += len(extents)
+        if charge_write and extents:
+            total_kb = sum(sizes_kb)
+            self._record_background(total_kb, len(extents))
+            self.stats.seq_write_kb += total_kb
+            self._attribute("write", cause, total_kb)
+        return extents
+
     def is_live(self, extent: Extent) -> bool:
         return self._allocator.is_live(extent)
 
@@ -206,6 +247,27 @@ class SimulatedDisk:
         self._record_background(size_kb, seeks)
         self.stats.seq_read_kb += size_kb
         self._attribute("read", cause, size_kb)
+
+    def read_files(
+        self, sizes_kb: list[int], cause: str = "unattributed"
+    ) -> None:
+        """Book one sequential read per size (a merge's inputs) as one entry.
+
+        Equivalent to ``background_read(size, cause=cause)`` for each
+        size in turn.
+        """
+        if not sizes_kb:
+            return
+        hook = self.fault_hook
+        if hook is not None:
+            for _ in sizes_kb:
+                hook("disk.background_read")
+        if min(sizes_kb) < 0:
+            raise StorageError(f"negative I/O size: {min(sizes_kb)}")
+        total_kb = sum(sizes_kb)
+        self._record_background(total_kb, len(sizes_kb))
+        self.stats.seq_read_kb += total_kb
+        self._attribute("read", cause, total_kb)
 
     def background_write(
         self, size_kb: float, seeks: int = 1, cause: str = "unattributed"

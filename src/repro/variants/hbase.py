@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from repro.lsm.base import GetResult, LSMEngine, ReadCost, ScanResult
 from repro.lsm.policy import FlatStorePolicy
-from repro.obs.events import CompactionEnd, CompactionStart
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
+from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
+from repro.sstable.sstable import SSTableFile
 
 
 class HBaseStyleStore(LSMEngine):
@@ -92,70 +92,36 @@ class HBaseStyleStore(LSMEngine):
             range(len(self.tables) - window + 1),
             key=lambda i: sum(t.size_kb for t in self.tables[i : i + window]),
         )
-        merged_table = self._merge_tables(
-            self.tables[start : start + window],
-            drop_obsolete=False,
-            kind="minor",
-        )
-        self.tables[start : start + window] = [merged_table]
+        self._merge_tables(slice(start, start + window), "minor")
         self.minor_compactions += 1
 
     def _major_compaction(self) -> None:
         """Merge the whole store, dropping old versions and tombstones."""
-        merged_table = self._merge_tables(
-            self.tables, drop_obsolete=True, kind="major"
-        )
-        self.tables = [merged_table]
+        self._merge_tables(slice(None), "major")
         self.major_compactions += 1
 
-    def _merge_tables(
-        self, tables: list[SortedTable], drop_obsolete: bool, kind: str
-    ) -> SortedTable:
-        input_files = [f for table in tables for f in table.files]
-        input_kb = float(sum(f.size_kb for f in input_files))
-        bus = self.bus
-        if bus.active:
-            if bus.counting_only:
-                bus.count(CompactionStart)
-            else:
-                bus.emit(
-                    CompactionStart(
-                        level=0,
-                        input_files=len(input_files),
-                        input_kb=input_kb,
-                        kind=kind,
-                    )
-                )
-        sources = [list(f.entries()) for f in input_files]
-        merged, obsolete = merge_with_obsolete_count(
-            sources, drop_tombstones=drop_obsolete
+    def _merge_tables(self, span: slice, kind: str) -> None:
+        """Replace the tables of ``self.tables[span]`` by their merge.
+
+        Only a major compaction may drop (or claim to have dropped)
+        anything: an older version could hide in a table outside a
+        minor's window.
+        """
+        major = kind == "major"
+
+        def install(new_files: list[SSTableFile]) -> None:
+            self.tables[span] = [SortedTable(new_files)]
+
+        self._rewrite_files(
+            [f for table in self.tables[span] for f in table],
+            install,
+            level=0,
+            drop_tombstones=major,
+            kind=kind,
+            cause=f"compaction:{kind}",
+            temp_space=True,
+            report_obsolete=major,
         )
-        cause = f"compaction:{kind}"
-        self._charge_compaction_read(input_files, cause=cause)
-        new_files = self.builder.build(iter(merged), cause=cause)
-        self._on_compaction_output(new_files)
-        output_kb = float(sum(f.size_kb for f in new_files))
-        self.disk.note_temp_space(input_kb)
-        for file in input_files:
-            self._discard_file(file)
-        self._account_compaction(
-            input_kb, output_kb, obsolete if drop_obsolete else 0
-        )
-        if bus.active:
-            if bus.counting_only:
-                bus.count(CompactionEnd)
-            else:
-                bus.emit(
-                    CompactionEnd(
-                        level=0,
-                        read_kb=input_kb,
-                        write_kb=output_kb,
-                        output_files=len(new_files),
-                        obsolete_entries=obsolete if drop_obsolete else 0,
-                        kind=kind,
-                    )
-                )
-        return SortedTable(new_files)
 
     # ------------------------------------------------------------------
     # Queries.

@@ -102,9 +102,10 @@ class WarmupBLSMTree(BLSMTree):
                     )
                     self.blocks_warmed += 1
 
-    def _discard_file(self, file: SSTableFile) -> None:
-        self._hot_marks.pop(file.file_id, None)
-        super()._discard_file(file)
+    def _discard_files(self, files: list[SSTableFile]) -> None:
+        for file in files:
+            self._hot_marks.pop(file.file_id, None)
+        super()._discard_files(files)
 
     # ------------------------------------------------------------------
     # Range helpers.

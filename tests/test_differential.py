@@ -192,17 +192,17 @@ def test_leaked_extent_is_caught(monkeypatch):
 def test_skipped_invalidation_is_caught(monkeypatch):
     """Discarding a file without invalidating its cached blocks must trip
     the coherence checker (the exact bug class the paper is about)."""
-    real_discard = LSMEngine._discard_file
+    real_discard = LSMEngine._discard_files
 
-    def stale_discard(self, file):
+    def stale_discard(self, files):
         cache = self.db_cache
         self.db_cache = None  # Forget to invalidate.
         try:
-            real_discard(self, file)
+            real_discard(self, files)
         finally:
             self.db_cache = cache
 
-    monkeypatch.setattr(LSMEngine, "_discard_file", stale_discard)
+    monkeypatch.setattr(LSMEngine, "_discard_files", stale_discard)
     report = DifferentialRunner("leveldb", seed=0, ops=4000).run()
     assert not report.ok
     assert report.invariants["cache-coherence"]["violations"] > 0

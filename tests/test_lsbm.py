@@ -8,6 +8,8 @@ from repro.clock import VirtualClock
 from repro.config import SystemConfig
 from repro.core.lsbm import LSbMTree
 from repro.sstable.entry import Entry, value_for
+from repro.sstable.sorted_table import SortedTable
+from repro.sstable.sstable import SSTableFile
 from repro.storage.disk import SimulatedDisk
 
 
@@ -203,6 +205,48 @@ class TestTrim:
             for level in engine.buffer[1:]
         )
         assert live_buffer <= untrimmable
+
+
+class TestNoCrossEngineState:
+    def test_trimming_one_engine_leaves_another_untouched(self):
+        """Two engines in one process share nothing: removing a buffer
+        file of the first changes no size and visits no file of the
+        second."""
+        first, clock, *_ = make_lsbm()
+        second, *_ = make_lsbm()
+        for engine, seed in ((first, 4), (second, 5)):
+            churn(engine, random.Random(seed), 3000, keyspace=8192)
+        tables = [*second._all_runs()] + [
+            table
+            for level in second.buffer[1:]
+            for table in (level.incoming, *level.tables, *level.draining)
+        ]
+        cells = [(table._live_kb, table._live_kb[0]) for table in tables]
+        sizes = [table.size_kb for table in tables]
+        assert sum(sizes) > 0
+        buffer_kb = second.compaction_buffer_kb
+
+        victim = next(
+            f for level in first.buffer[1:] for f in level.live_files()
+        )
+        before = first.compaction_buffer_kb
+        first._remove_buffer_file(victim)
+        assert first.compaction_buffer_kb == before - victim.size_kb
+
+        assert [table.size_kb for table in tables] == sizes
+        assert all(cell[0] == value for cell, value in cells)
+        assert all(a[0] is not b[0] for a in cells for b in cells if a is not b)
+        assert second.compaction_buffer_kb == buffer_kb
+
+    def test_file_class_holds_no_mutable_state(self):
+        """Nothing an instance could bump for every engine at once."""
+        for klass in (SSTableFile, SortedTable):
+            for name, value in vars(klass).items():
+                if name.startswith("__"):
+                    continue
+                assert callable(value) or isinstance(
+                    value, (property, type(SSTableFile.file_id))
+                ), f"{klass.__name__}.{name} is class-level data"
 
 
 class TestAdaptivity:

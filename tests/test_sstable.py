@@ -226,6 +226,19 @@ class TestSortedTable:
         with pytest.raises(TableError):
             table.remove(stranger)
 
+    def test_replace_range_unknown_file_raises(self):
+        table = SortedTable(self._files((0, 8), (10, 18)))
+        (stranger,) = self._files((10, 18))
+        with pytest.raises(TableError):
+            table.replace_range([stranger], [])
+
+    def test_replace_range_non_contiguous_raises(self):
+        files = self._files((0, 8), (10, 18), (20, 28))
+        table = SortedTable(files)
+        with pytest.raises(TableError):
+            table.replace_range([files[0], files[2]], [])
+        assert table.files == files
+
 
 class TestMergeIterators:
     def test_newest_version_wins(self):

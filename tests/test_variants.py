@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.cache.db_cache import DBBufferCache
+from repro.check.reflect import live_files
 from repro.clock import VirtualClock
 from repro.config import SystemConfig
 from repro.sstable.entry import Entry, value_for
@@ -65,6 +66,18 @@ class TestWarmup:
         for _ in range(2000):
             engine.put(rng.randrange(4096))
         assert engine.blocks_warmed == 0
+
+    def test_hot_marks_die_with_their_files(self):
+        """Every discard runs the variant's clean-up: after many
+        compactions the sticky marks index live files only."""
+        engine, _ = make_warmup()
+        rng = random.Random(21)
+        for _ in range(4000):
+            engine.put(rng.randrange(2048))
+            engine.get(rng.randrange(2048))
+        assert engine.stats.compactions > 50
+        assert engine._hot_marks
+        assert set(engine._hot_marks) <= set(live_files(engine))
 
     def test_coalesce(self):
         merged = WarmupBLSMTree._coalesce([(5, 9), (0, 3), (2, 4), (12, 14)])
