@@ -59,7 +59,13 @@ LEGACY_ENGINES = (
 )
 
 
-def run_digests(engine_name: str, seed: int) -> dict[str, str]:
+def run_digests(
+    engine_name: str,
+    seed: int,
+    *,
+    scan_mode: bool = False,
+    duration_s: int = DURATION_S,
+) -> dict[str, str]:
     """Digest one driver run: lossless result dict + ordered events."""
     config = SystemConfig.paper_scaled(2048)
     setup = build_engine(engine_name, config)
@@ -72,9 +78,10 @@ def run_digests(engine_name: str, seed: int) -> dict[str, str]:
         setup.clock,
         workload=RangeHotWorkload(config),
         seed=seed,
+        scan_mode=scan_mode,
         kernel="batched",
     )
-    result = driver.run(DURATION_S)
+    result = driver.run(duration_s)
     result_json = json.dumps(result.to_dict(), sort_keys=True)
     return {
         "result": hashlib.sha256(result_json.encode()).hexdigest(),
