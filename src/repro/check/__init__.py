@@ -28,6 +28,7 @@ from repro.check.invariants import (
     CacheCoherenceChecker,
     InvariantChecker,
     LedgerChecker,
+    StructureChecker,
     TrimBoundChecker,
 )
 from repro.check.oracle import KVOracle
@@ -48,6 +49,7 @@ __all__ = [
     "Op",
     "ScheduleSpec",
     "SimulatedCrash",
+    "StructureChecker",
     "TrimBoundChecker",
     "apply_op",
     "generate_schedule",

@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.check.oracle import KVOracle
-from repro.check.reflect import unwrap
 from repro.check.schedule import Op, ScheduleSpec, apply_op, generate_schedule
 from repro.config import SystemConfig
 from repro.sim.experiment import build_engine
 from repro.sstable.entry import value_for
+from repro.variants.kv_store import unwrap
 
 #: Every registered crash point, in rough write-path order.
 CRASH_POINTS = (

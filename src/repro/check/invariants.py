@@ -17,7 +17,11 @@ differential runner sweeps periodically and once at the end):
 * :class:`BandwidthAttributionChecker` — the disk's per-cause traffic
   buckets sum to exactly the ``DiskStats`` sequential totals, with
   nothing left in the "unattributed" bucket (every KB of I/O names the
-  stream — flush, per-level compaction, WAL, query — that issued it).
+  stream — flush, per-level compaction, WAL, query — that issued it);
+* :class:`StructureChecker` — at every sweep, the engine's whole state
+  passes :func:`repro.validation.check_engine` (runs sorted and
+  disjoint, extents live, gear bounds, buffer bookkeeping, cached read
+  orders fresh).
 
 The OS page cache is deliberately exempt from coherence checking: it is
 keyed by physical address, the allocator never reuses addresses, and so
@@ -29,8 +33,11 @@ from __future__ import annotations
 
 import math
 
-from repro.check.reflect import live_files, unwrap
+from repro.check.reflect import live_files
+from repro.errors import EngineError
 from repro.obs.events import FileCreated, FileDiscarded, TrimRun
+from repro.validation import check_engine
+from repro.variants.kv_store import unwrap
 
 
 class InvariantChecker:
@@ -240,6 +247,23 @@ class BandwidthAttributionChecker(InvariantChecker):
                 )
 
 
+class StructureChecker(InvariantChecker):
+    """The engine's structural invariants hold at every sweep."""
+
+    name = "structure"
+
+    def __init__(self, engine) -> None:
+        super().__init__()
+        self._engine = engine
+
+    def sweep(self) -> None:
+        self.checked += 1
+        try:
+            check_engine(self._engine)
+        except EngineError as error:
+            self._violate(str(error))
+
+
 def attach_checkers(setup) -> dict[str, InvariantChecker]:
     """Wire the standard checkers onto a built engine.
 
@@ -255,6 +279,7 @@ def attach_checkers(setup) -> dict[str, InvariantChecker]:
             setup.engine, setup.db_cache, setup.config, bus
         ),
         "bandwidth-attribution": BandwidthAttributionChecker(disk),
+        "structure": StructureChecker(setup.engine),
     }
     if setup.db_cache is not None:
         checkers["cache-coherence"] = CacheCoherenceChecker(

@@ -1,31 +1,17 @@
 """Engine-shape reflection: enumerate every live on-disk file.
 
-The invariant checkers need one question answered for any of the eleven
-variants: *which SSTable files does the engine currently consider live?*
-Each engine family keeps its runs in a different shape (single sorted
-runs per level, C/C' pairs, lists of tables, a flat store, plus LSbM's
-compaction buffer), so the traversal lives here rather than leaking
-isinstance chains into the checkers.
+The invariant checkers need one question answered for any of the sixteen
+registered variants: *which SSTable files does the engine currently
+consider live?*  Every engine declares its sorted runs once, in
+:meth:`~repro.lsm.base.LSMEngine._run_groups`, and its compaction buffer
+(if any) in ``_buffer_levels``; the traversal here reads those two and
+knows no engine class.
 """
 
 from __future__ import annotations
 
-from repro.core.lsbm import LSbMTree
-from repro.errors import ReproError
-from repro.lsm.blsm import BLSMTree
-from repro.lsm.composed import ComposedTree
-from repro.lsm.leveldb import LevelDBTree
-from repro.lsm.sm_tree import SMTree
 from repro.sstable.sstable import SSTableFile
-from repro.variants.hbase import HBaseStyleStore
-from repro.variants.kv_store import KVCachedBLSM
-
-
-def unwrap(engine):
-    """The underlying LSM engine (the K-V cached variant wraps one)."""
-    if isinstance(engine, KVCachedBLSM):
-        return engine.engine
-    return engine
+from repro.variants.kv_store import unwrap
 
 
 def live_files(engine) -> dict[int, SSTableFile]:
@@ -36,42 +22,12 @@ def live_files(engine) -> dict[int, SSTableFile]:
     """
     e = unwrap(engine)
     files: dict[int, SSTableFile] = {}
-
-    def add(iterable) -> None:
-        for file in iterable:
-            if not file.removed:
-                files[file.file_id] = file
-
-    if isinstance(e, LSbMTree):
-        add(e.c0_prime)
-        for level in range(1, e.num_levels + 1):
-            add(e.c[level])
-            if level < e.num_levels:
-                add(e.cp[level])
-        for buffer_level in e.buffer[1:]:
-            add(buffer_level.live_files())
-    elif isinstance(e, BLSMTree):  # Covers the warm-up variant too.
-        add(e.c0_prime)
-        for level in range(1, e.num_levels + 1):
-            add(e.c[level])
-            if level < e.num_levels:
-                add(e.cp[level])
-    elif isinstance(e, LevelDBTree):
-        for level in range(1, e.num_levels + 1):
-            add(e.levels[level])
-    elif isinstance(e, SMTree):
-        for level in range(1, e.num_levels + 1):
-            for table in e.levels[level]:
-                add(table)
-    elif isinstance(e, ComposedTree):
-        for level in range(1, e.num_levels + 1):
-            for table in e.levels[level]:
-                add(table)
-        for buffer_level in e._buffer_levels:
-            add(buffer_level.live_files())
-    elif isinstance(e, HBaseStyleStore):
-        for table in e.tables:
-            add(table)
-    else:
-        raise ReproError(f"unknown engine shape: {type(e).__name__}")
+    for group in e._run_groups():
+        for run in group:
+            for file in run:
+                if not file.removed:
+                    files[file.file_id] = file
+    for buffer_level in e._buffer_levels:
+        for file in buffer_level.live_files():
+            files[file.file_id] = file
     return files

@@ -21,6 +21,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.cache.db_cache import DBBufferCache
 from repro.cache.os_cache import OSBufferCache
@@ -42,11 +43,17 @@ from repro.clock import VirtualClock
 from repro.sstable.block import Block, _shared_filter
 from repro.sstable.builder import TableBuilder
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_with_obsolete_count
+from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import FileIdSource, SSTableFile
 from repro.sstable.superfile import SuperFileIdSource
 from repro.substrate import Substrate
+
+if TYPE_CHECKING:  # ``repro.core`` imports this module.
+    from repro.core.compaction_buffer import BufferLevel
+
+#: Sorted runs in the order one kind of query visits them.
+RunOrder = tuple[SortedTable, ...]
 
 
 def compaction_cause(level: int) -> str:
@@ -261,13 +268,19 @@ class LSMEngine(ABC):
         #: Truncation is deferred to the end of the compaction pass so a
         #: crash anywhere inside the pass leaves the full tail durable.
         self._pending_wal_truncate_seq = 0
-        #: Bumped by everything a compaction pass's outcome depends on
-        #: besides level-0 fullness: a flush, a compaction, a budget move,
-        #: a crash or a recovery.  ``_idle_version`` is the value at which
-        #: a whole pass was last seen to change nothing (see
-        #: :meth:`run_compactions`).
+        #: Bumped (by :meth:`_structure_changed`) by everything a
+        #: compaction pass's outcome depends on besides level-0 fullness:
+        #: a flush, a compaction, a budget move, a crash or a recovery.
+        #: ``_idle_version`` is the value at which a whole pass was last
+        #: seen to change nothing (see :meth:`run_compactions`).
         self._structure_version = 0
         self._idle_version = -1
+        #: ``(probe order, scan order)`` as :meth:`_derive_read_orders`
+        #: last gave them; ``None`` between a :meth:`_structure_changed`
+        #: and the next read.
+        self._read_orders: tuple[RunOrder, RunOrder] | None = None
+        #: The compaction buffer's levels; empty for engines without one.
+        self._buffer_levels: list[BufferLevel] = []
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -327,7 +340,7 @@ class LSMEngine(ABC):
         if budget_kb == old:
             return
         self.memtable_budget_kb = budget_kb
-        self._structure_version += 1
+        self._structure_changed()
         bus = self.bus
         if bus.active:
             if bus.counting_only:
@@ -398,12 +411,132 @@ class LSMEngine(ABC):
     # Abstract engine-specific behaviour.
     # ------------------------------------------------------------------
     @abstractmethod
-    def get(self, key: int) -> GetResult:
-        """Point lookup of the newest version of ``key``."""
+    def _run_groups(self) -> list[list[SortedTable]]:
+        """The tree's on-disk sorted runs: the one shape declaration.
 
-    @abstractmethod
+        An ordered list of *groups*, newest data first; each group lists
+        its runs oldest first (a level of a tiered tree is one group, a
+        single sorted run is a group of one).  Everything that needs to
+        know which runs the engine holds reads this: the query path
+        (through :meth:`_derive_read_orders`),
+        ``check.reflect.live_files`` and ``validation.check_engine``.
+        """
+
+    def _structure_changed(self) -> None:
+        """Note that the tree's structure (or its write budget) moved.
+
+        The one place ``_structure_version`` is bumped and the cached
+        read orders are dropped.  The orders are re-derived on the next
+        read, not here, so an engine may go on replacing run objects
+        after the call (a flush is booked before its table is appended)
+        as long as no query runs in between — and none can: queries
+        enter between engine calls, never inside one.
+        """
+        self._structure_version += 1
+        self._read_orders = None
+
+    def _derive_read_orders(self) -> tuple[RunOrder, RunOrder]:
+        """Flatten the hook into ``(probe order, scan order)``.
+
+        A point read must meet the newest version first, so it takes
+        each group's runs newest first; a scan merges every version
+        anyway and takes them as stored.  Both orders are kept exactly
+        because both reach ``db_cache.access``: the order blocks are
+        touched in is LRU state, hence every later hit, miss and price.
+        """
+        groups = self._run_groups()
+        return (
+            tuple(run for group in groups for run in reversed(group)),
+            tuple(run for group in groups for run in group),
+        )
+
+    def get(self, key: int) -> GetResult:
+        """Point lookup of the newest version of ``key``.
+
+        Memtable, then every on-disk run in probe order through index,
+        Bloom filter and block.  The descent inlines
+        :meth:`_search_table` with the probe counters accumulated in
+        locals — identical cost accounting (the counters are flushed to
+        ``cost`` before any state-bearing step and at every exit),
+        without a method call per run; over half the per-run searches
+        end at the index gate.
+        """
+        if self._closed:
+            self._check_open()
+        self.stats.gets += 1
+        cost = ReadCost()
+        cost.memtable_probes += 1
+        entry = self.memtable.get(key)
+        if entry is not None:
+            return self._make_entry_result(entry, cost)
+        orders = self._read_orders
+        if orders is None:
+            orders = self._read_orders = self._derive_read_orders()
+        tables_checked = 0
+        index_probes = 0
+        bloom_probes = 0
+        for table in orders[0]:
+            tables_checked += 1
+            max_keys = table._max_keys
+            position = bisect_left(max_keys, key)
+            if position == len(max_keys):
+                continue
+            file = table._files[position]
+            if file.min_key > key:  # bisect guarantees key <= file.max_key.
+                continue
+            index_probes += 1
+            if file.removed:
+                file._check_not_removed()
+            block_keys = file._block_max_keys
+            position = bisect_left(block_keys, key)
+            if position == len(block_keys):
+                continue
+            block = file._blocks[position]
+            if block.min_key > key:
+                continue
+            bloom_probes += 1
+            bloom = block._bloom
+            if bloom is None:
+                bloom = block._bloom = _shared_filter(
+                    tuple(block._keys), block._bits_per_key
+                )
+            mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
+            if bloom._bits & mask != mask:
+                continue
+            cost.tables_checked += tables_checked
+            cost.index_probes += index_probes
+            cost.bloom_probes += bloom_probes
+            tables_checked = 0
+            index_probes = 0
+            bloom_probes = 0
+            self._read_block(file, block, cost)
+            entry = block.get(key)
+            if entry is None:
+                cost.false_positive_blocks += 1
+                continue
+            return self._make_entry_result(entry, cost)
+        cost.tables_checked += tables_checked
+        cost.index_probes += index_probes
+        cost.bloom_probes += bloom_probes
+        return GetResult(False, None, cost)
+
     def scan(self, low: int, high: int) -> ScanResult:
         """Range query over ``low <= key <= high`` (newest versions)."""
+        self._check_open()
+        self.stats.scans += 1
+        cost = ReadCost()
+        sources: list[list[Entry]] = [self.memtable.entries_in_range(low, high)]
+        orders = self._read_orders
+        if orders is None:
+            orders = self._read_orders = self._derive_read_orders()
+        for table in orders[1]:
+            overlapping = table.files_overlapping(low, high)
+            if not overlapping:
+                continue
+            cost.tables_checked += 1
+            sources.extend(self._scan_table_files(overlapping, low, high, cost))
+        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
+        return ScanResult(entries, cost)
 
     def run_compactions(self) -> None:
         """Perform whatever compaction work current sizes demand.
@@ -533,11 +666,11 @@ class LSMEngine(ABC):
     ) -> Entry | None:
         """Point lookup in one sorted run (no removed-marker handling).
 
-        This is the hottest chain under every engine's ``get`` (several
-        calls per read), so the index walk and Bloom gate are fused here
-        — the same steps as ``SortedTable.find_file`` +
-        :meth:`_probe_file`, with identical cost accounting, minus the
-        per-level method dispatch.
+        The out-of-line form of the probe :meth:`get` inlines, for the
+        paths that interleave other lookups between runs (the buffered
+        ``ComposedTree.get``): the index walk and Bloom gate are fused —
+        the same steps as ``SortedTable.find_file`` + :meth:`_probe_file`,
+        with identical cost accounting.
         """
         cost.tables_checked += 1
         max_keys = table._max_keys
@@ -769,7 +902,7 @@ class LSMEngine(ABC):
         self, read_kb: float, write_kb: float, obsolete: int
     ) -> None:
         """Book one finished compaction into the stats and the registry."""
-        self._structure_version += 1
+        self._structure_changed()
         stats = self.stats
         stats.compactions += 1
         stats.compaction_read_kb += read_kb
@@ -836,7 +969,7 @@ class LSMEngine(ABC):
         files = self.builder.build(entries, cause="flush")
         self._on_compaction_output(files)
         self.memtable.clear()
-        self._structure_version += 1
+        self._structure_changed()
         if self.wal is not None and entries:
             self._pending_wal_truncate_seq = max(
                 self._pending_wal_truncate_seq, max(e.seq for e in entries)
@@ -877,7 +1010,7 @@ class LSMEngine(ABC):
         # The pending-truncate marker is process state: it dies too, and
         # a pass the crash interrupted may have left work behind.
         self._pending_wal_truncate_seq = 0
-        self._structure_version += 1
+        self._structure_changed()
         return lost
 
     def recover(self) -> int:
@@ -897,7 +1030,7 @@ class LSMEngine(ABC):
             else:
                 self.memtable.put(record.key, record.seq)
             self._seq = max(self._seq, record.seq)
-        self._structure_version += 1
+        self._structure_changed()
         return len(records)
 
     # ------------------------------------------------------------------

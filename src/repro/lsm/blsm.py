@@ -15,15 +15,10 @@ rotation and per-unit compaction steps to feed its compaction buffer.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
-from repro.bloom.hashing import probe_mask
 from repro.errors import EngineError
-from repro.lsm.base import GetResult, LSMEngine, MergeOutcome, ReadCost, ScanResult
+from repro.lsm.base import LSMEngine, MergeOutcome
 from repro.lsm.policy import GearPolicy
-from repro.sstable.block import _shared_filter
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 from repro.sstable.superfile import group_into_superfiles
@@ -62,22 +57,15 @@ class BLSMTree(LSMEngine):
         #: axis through the gear hooks (LSbM) reassign this with the
         #: matching axes.
         self.policy = GearPolicy()
-        self._rebuild_descent()
 
-    def _rebuild_descent(self) -> None:
-        """Recompute the read path's run order (C0', C1, C1', ..., Ck).
-
-        The descent is cached as a flat tuple so ``get`` iterates it
-        without per-read list indexing; it must be rebuilt whenever a
-        rotation *replaces* a run object (in-place mutation of a run's
-        files is fine — the tuple holds the tables, not their contents).
-        """
-        descent = [self.c0_prime]
+    def _run_groups(self) -> list[list[SortedTable]]:
+        """C0', C1, C1', ..., Ck: each a single run, newest data first."""
+        groups = [[self.c0_prime]]
         for level in range(1, self.num_levels + 1):
-            descent.append(self.c[level])
+            groups.append([self.c[level]])
             if level < self.num_levels:
-                descent.append(self.cp[level])
-        self._descent = tuple(descent)
+                groups.append([self.cp[level]])
+        return groups
 
     # ------------------------------------------------------------------
     # Sizes.
@@ -117,7 +105,10 @@ class BLSMTree(LSMEngine):
                 raise EngineError(f"rotating level {level} while C{level}' drains")
             self.cp[level] = self.c[level]
             self.c[level] = SortedTable()
-        self._rebuild_descent()
+            # Level 0's new run object is booked by the flush; nothing
+            # books this swap, since the pass may go on to move nothing
+            # (an empty source).
+            self._structure_changed()
 
     def _pop_unit(self, source: SortedTable) -> list[SSTableFile]:
         """Pop the next compaction unit: one super-file's member files.
@@ -150,94 +141,6 @@ class BLSMTree(LSMEngine):
         return outcome
 
     # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-    def get(self, key: int) -> GetResult:
-        if self._closed:
-            self._check_open()
-        self.stats.gets += 1
-        cost = ReadCost()
-        cost.memtable_probes += 1
-        entry = self.memtable.get(key)
-        if entry is not None:
-            return self._make_entry_result(entry, cost)
-        # The descent inlines ``_search_table`` over the cached run order
-        # with the probe counters accumulated in locals — identical cost
-        # accounting (the counters are flushed to ``cost`` before any
-        # state-bearing step and at every exit), without a method call
-        # per run; over half the per-run searches end at the index gate.
-        tables_checked = 0
-        index_probes = 0
-        bloom_probes = 0
-        for table in self._descent:
-            tables_checked += 1
-            max_keys = table._max_keys
-            position = bisect_left(max_keys, key)
-            if position == len(max_keys):
-                continue
-            file = table._files[position]
-            if file.min_key > key:  # bisect guarantees key <= file.max_key.
-                continue
-            index_probes += 1
-            if file.removed:
-                file._check_not_removed()
-            block_keys = file._block_max_keys
-            position = bisect_left(block_keys, key)
-            if position == len(block_keys):
-                continue
-            block = file._blocks[position]
-            if block.min_key > key:
-                continue
-            bloom_probes += 1
-            bloom = block._bloom
-            if bloom is None:
-                bloom = block._bloom = _shared_filter(
-                    tuple(block._keys), block._bits_per_key
-                )
-            mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
-            if bloom._bits & mask != mask:
-                continue
-            cost.tables_checked += tables_checked
-            cost.index_probes += index_probes
-            cost.bloom_probes += bloom_probes
-            tables_checked = 0
-            index_probes = 0
-            bloom_probes = 0
-            self._read_block(file, block, cost)
-            entry = block.get(key)
-            if entry is None:
-                cost.false_positive_blocks += 1
-                continue
-            return self._make_entry_result(entry, cost)
-        cost.tables_checked += tables_checked
-        cost.index_probes += index_probes
-        cost.bloom_probes += bloom_probes
-        return GetResult(False, None, cost)
-
-    def scan(self, low: int, high: int) -> ScanResult:
-        self._check_open()
-        self.stats.scans += 1
-        cost = ReadCost()
-        sources: list[list[Entry]] = [self.memtable.entries_in_range(low, high)]
-        for table in self._all_runs():
-            overlapping = table.files_overlapping(low, high)
-            if not overlapping:
-                continue
-            cost.tables_checked += 1
-            sources.extend(self._scan_table_files(overlapping, low, high, cost))
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
-        return ScanResult(entries, cost)
-
-    def _all_runs(self) -> list[SortedTable]:
-        """Every on-disk sorted run, newest data first."""
-        runs = [self.c0_prime]
-        for level in range(1, self.num_levels + 1):
-            runs.append(self.c[level])
-            if level < self.num_levels:
-                runs.append(self.cp[level])
-        return runs
-
-    # ------------------------------------------------------------------
     # Bulk loading.
     # ------------------------------------------------------------------
     def bulk_load(self, entries: list[Entry]) -> None:
@@ -245,3 +148,4 @@ class BLSMTree(LSMEngine):
         for file in files:
             self.c[self.num_levels].append(file)
         self._seq = max(self._seq, max((e.seq for e in entries), default=0))
+        self._structure_changed()

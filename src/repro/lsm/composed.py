@@ -6,7 +6,10 @@ interprets an arbitrary :class:`~repro.lsm.policy.CompactionAxes` value
 instead, so the sweep and tune layers can explore points the paper's
 baselines never shipped — tiering with partial merges, lazy-leveling,
 and any of them combined with the LSbM compaction buffer
-(``movement="lazy-adoption"``).
+(``movement="lazy-adoption"``).  Its default point (size-ratio /
+leveling / partial / merge) *is* the LevelDB baseline:
+:class:`~repro.lsm.leveldb.LevelDBTree` is this class with the axes
+pinned.
 
 Data layout is uniform: ``levels[1..k]`` each hold a list of sorted
 tables, oldest first.  Under ``leveling`` every level is pinned to a
@@ -44,11 +47,10 @@ from __future__ import annotations
 
 from repro.core.compaction_buffer import BufferLevel
 from repro.core.trim import TrimProcess
-from repro.lsm.base import GetResult, LSMEngine, ReadCost, ScanResult
+from repro.lsm.base import GetResult, LSMEngine, ReadCost
 from repro.lsm.policy import CompactionAxes, ComposedPolicy
 from repro.obs.events import FileDiscarded
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 
@@ -110,7 +112,6 @@ class ComposedTree(LSMEngine):
                 bus=self.bus,
             )
         else:
-            self._buffer_levels = []
             self.trim = None
 
     # ------------------------------------------------------------------
@@ -127,6 +128,10 @@ class ComposedTree(LSMEngine):
 
     def level_size_kb(self, level: int) -> int:
         return sum(table.size_kb for table in self.levels[level])
+
+    def _run_groups(self) -> list[list[SortedTable]]:
+        """One group per level (a single-run level is a group of one)."""
+        return self.levels[1:]
 
     # ------------------------------------------------------------------
     # Compaction mechanism (control flow in ComposedPolicy).
@@ -347,6 +352,9 @@ class ComposedTree(LSMEngine):
     # Queries.
     # ------------------------------------------------------------------
     def get(self, key: int) -> GetResult:
+        """Buffer-first point lookup; the base descent without a buffer."""
+        if not self._buffer_levels:
+            return super().get(key)
         self._check_open()
         self.stats.gets += 1
         cost = ReadCost()
@@ -354,18 +362,16 @@ class ComposedTree(LSMEngine):
         entry = self.memtable.get(key)
         if entry is not None:
             return self._make_entry_result(entry, cost)
-        buffered = bool(self._buffer_levels)
         for level in range(1, self.num_levels + 1):
             # Buffer first: its newest table holds the freshest copy of
             # whatever was last merged into this level, likely still
             # cache-resident.  A removed marker stops the buffer check
             # and the level's own tables answer (Algorithm 3's rule).
-            if buffered:
-                entry = self._search_buffer_tables(
-                    self.buffer[level].tables, key, cost
-                )
-                if entry is not None:
-                    return self._make_entry_result(entry, cost)
+            entry = self._search_buffer_tables(
+                self.buffer[level].tables, key, cost
+            )
+            if entry is not None:
+                return self._make_entry_result(entry, cost)
             for table in reversed(self.levels[level]):  # Newest first.
                 entry = self._search_table(table, key, cost)
                 if entry is not None:
@@ -392,23 +398,6 @@ class ComposedTree(LSMEngine):
                 return entry
         return None
 
-    def scan(self, low: int, high: int) -> ScanResult:
-        self._check_open()
-        self.stats.scans += 1
-        cost = ReadCost()
-        sources: list[list[Entry]] = [self.memtable.entries_in_range(low, high)]
-        for level in range(1, self.num_levels + 1):
-            for table in self.levels[level]:
-                overlapping = table.files_overlapping(low, high)
-                if not overlapping:
-                    continue
-                cost.tables_checked += 1
-                sources.extend(
-                    self._scan_table_files(overlapping, low, high, cost)
-                )
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
-        return ScanResult(entries, cost)
-
     # ------------------------------------------------------------------
     # Bulk loading.
     # ------------------------------------------------------------------
@@ -421,3 +410,4 @@ class ComposedTree(LSMEngine):
         else:
             self.levels[last].append(SortedTable(files))
         self._seq = max(self._seq, max((e.seq for e in entries), default=0))
+        self._structure_changed()

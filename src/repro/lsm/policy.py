@@ -25,11 +25,12 @@ A :class:`CompactionPolicy` is the executable counterpart: it owns the
 order, until which bound) while the engine keeps the *mechanism* (how to
 flush, merge, install and account one unit of work).  Every engine's
 ``_do_compactions`` body is one of the policies below; the engine classes
-supply hooks the policies drive.  The policies are deliberately
-bit-identical extractions — ``tests/test_design_space.py`` proves each
-legacy engine's event stream unchanged against pinned golden digests —
-and :class:`~repro.lsm.composed.ComposedTree` interprets arbitrary axis
-combinations beyond the legacy points.
+supply hooks the policies drive.  The gear, stepped-merge and flat-store
+policies are deliberately bit-identical extractions —
+``tests/test_design_space.py`` proves each legacy engine's event stream
+unchanged against pinned golden digests — and :class:`ComposedPolicy`
+interprets every other axis combination, LevelDB's point (the default
+axes) among them.
 """
 
 from __future__ import annotations
@@ -110,49 +111,6 @@ class CompactionPolicy(ABC):
     @abstractmethod
     def run(self, engine) -> None:
         """One full compaction pass (the engine's ``_do_compactions``)."""
-
-
-class LeveledCursorPolicy(CompactionPolicy):
-    """LevelDB's design point: leveling, partial merges by key cursor.
-
-    A full write buffer is flushed and merged into C1 file by file; then
-    every level over its size-ratio capacity moves one file at a time —
-    round-robin through the key space via a per-level compaction cursor —
-    into the next level.  The cursor is *policy* state (it encodes what
-    to compact next, not what the tree contains), so it lives here.
-    """
-
-    axes = CompactionAxes(
-        trigger="size-ratio",
-        layout="leveling",
-        granularity="partial",
-        movement="merge",
-    )
-
-    def __init__(self, num_levels: int) -> None:
-        #: Per-level compaction cursor: max key of the last compacted file.
-        self._cursor: dict[int, int | None] = {
-            i: None for i in range(1, num_levels)
-        }
-
-    def run(self, engine) -> None:
-        if engine.memtable.size_kb >= engine.memtable_budget_kb:
-            engine._flush_and_merge_into_c1()
-        for level in range(1, engine.num_levels):
-            capacity = engine.config.level_capacity_kb(level)
-            while engine.levels[level].size_kb > capacity:
-                self._compact_one_file(engine, level)
-
-    def _compact_one_file(self, engine, level: int) -> None:
-        """Move one file from ``level`` to ``level + 1`` (cursor order)."""
-        run = engine.levels[level]
-        file = run.first_after(self._cursor[level])
-        self._cursor[level] = file.max_key
-        run.remove(file)
-        last = level + 1 == engine.num_levels
-        engine._merge_into_run(
-            [file], engine.levels[level + 1], last_level=last, level=level
-        )
 
 
 class GearPolicy(CompactionPolicy):
@@ -270,8 +228,10 @@ class ComposedPolicy(CompactionPolicy):
     per-level "one unit of work", last-level collapse — with the trigger
     axis deciding *when* a level is due and the engine mechanism deciding
     *what* one unit moves (layout + granularity) and what happens to the
-    inputs (movement).  The legacy policies above stay as bit-identical
-    fixed points; this one covers the rest of the space.
+    inputs (movement).  The policies above stay as fixed points whose
+    behaviour no axis value expresses yet (the Ci/Ci' gear, ``>=``
+    whole-level merges, cheapest-window minors); this one covers the
+    rest of the space, LevelDB's cursor-driven leveling included.
     """
 
     def __init__(self, axes: CompactionAxes) -> None:

@@ -19,10 +19,9 @@ paper shows the two prices paid:
 
 from __future__ import annotations
 
-from repro.lsm.base import GetResult, LSMEngine, ReadCost, ScanResult
+from repro.lsm.base import LSMEngine
 from repro.lsm.policy import SteppedMergePolicy
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 
@@ -52,6 +51,10 @@ class SMTree(LSMEngine):
         ]
         #: The SM-tree's design point (control flow lives in the policy).
         self.policy = SteppedMergePolicy()
+
+    def _run_groups(self) -> list[list[SortedTable]]:
+        """One group per level; a level's tables are stored oldest first."""
+        return self.levels[1:]
 
     # ------------------------------------------------------------------
     # Sizes.
@@ -95,44 +98,10 @@ class SMTree(LSMEngine):
         )
 
     # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-    def get(self, key: int) -> GetResult:
-        self._check_open()
-        self.stats.gets += 1
-        cost = ReadCost()
-        cost.memtable_probes += 1
-        entry = self.memtable.get(key)
-        if entry is not None:
-            return self._make_entry_result(entry, cost)
-        for level in range(1, self.num_levels + 1):
-            for table in reversed(self.levels[level]):  # Newest first.
-                entry = self._search_table(table, key, cost)
-                if entry is not None:
-                    return self._make_entry_result(entry, cost)
-        return GetResult(False, None, cost)
-
-    def scan(self, low: int, high: int) -> ScanResult:
-        self._check_open()
-        self.stats.scans += 1
-        cost = ReadCost()
-        sources: list[list[Entry]] = [self.memtable.entries_in_range(low, high)]
-        for level in range(1, self.num_levels + 1):
-            for table in self.levels[level]:
-                overlapping = table.files_overlapping(low, high)
-                if not overlapping:
-                    continue
-                cost.tables_checked += 1
-                sources.extend(
-                    self._scan_table_files(overlapping, low, high, cost)
-                )
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
-        return ScanResult(entries, cost)
-
-    # ------------------------------------------------------------------
     # Bulk loading.
     # ------------------------------------------------------------------
     def bulk_load(self, entries: list[Entry]) -> None:
         files = self.builder.build(iter(entries), cause="preload")
         self.levels[self.num_levels].append(SortedTable(files))
         self._seq = max(self._seq, max((e.seq for e in entries), default=0))
+        self._structure_changed()

@@ -30,14 +30,10 @@ from repro.lsm.base import ReadCost
 from repro.clock import VirtualClock
 from repro.obs.events import EventTally
 from repro.obs.prof import NULL_PROFILER, SpanProfiler
-from repro.sim.kernel import ReadKernel, ReadPricer
+from repro.sim.kernel import MAX_READS_PER_TICK, ReadKernel, ReadPricer
 from repro.sim.metrics import RunResult, TimeSeries
 from repro.storage.iomodel import IOCostModel
 from repro.workload.ycsb import RangeHotWorkload
-
-#: Hard cap on simulated reads per tick, guarding against a degenerate
-#: (near-zero) priced cost making a tick spin forever.
-_MAX_READS_PER_TICK = 50_000
 
 
 def price_read(
@@ -300,7 +296,7 @@ class MixedReadWriteDriver:
         both paths and require bit-identical results.
         """
         reads = 0
-        while budget > 0.0 and reads < _MAX_READS_PER_TICK:
+        while budget > 0.0 and reads < MAX_READS_PER_TICK:
             if self.scan_mode:
                 low, high = self.workload.next_scan_range(self.rng)
                 scan = self.engine.scan(low, high)

@@ -68,9 +68,10 @@ class EngineSpec:
 
     ``axes`` names the variant's point in the compaction design space.
     Legacy engines are *fixed* points (their policies hardcode the
-    axes); the composed variants are built from the axes stated here;
-    ``None`` means the point is dynamic — the ``design`` engine reads
-    its axes from the config's ``compaction_*`` fields at build time.
+    axes; ``leveldb`` is the interpreter pinned to its default point);
+    the composed variants are built from the axes stated here; ``None``
+    means the point is dynamic — the ``design`` engine reads its axes
+    from the config's ``compaction_*`` fields at build time.
     """
 
     name: str

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from repro.core.lsbm import LSbMTree
 from repro.errors import EngineError
+from repro.lsm.base import LSMEngine
 from repro.lsm.blsm import BLSMTree
-from repro.lsm.leveldb import LevelDBTree
-from repro.lsm.sm_tree import SMTree
 from repro.sstable.sorted_table import SortedTable
-from repro.variants.hbase import HBaseStyleStore
+from repro.variants.kv_store import unwrap
 
 
 def _check_run(table: SortedTable, label: str) -> None:
@@ -56,22 +55,6 @@ def _check_live_extents(engine, tables: list[tuple[str, SortedTable]]) -> None:
         )
 
 
-def _leveldb_tables(engine: LevelDBTree) -> list[tuple[str, SortedTable]]:
-    return [
-        (f"level {level}", engine.levels[level])
-        for level in range(1, engine.num_levels + 1)
-    ]
-
-
-def _blsm_tables(engine: BLSMTree) -> list[tuple[str, SortedTable]]:
-    tables = [("C0'", engine.c0_prime)]
-    for level in range(1, engine.num_levels + 1):
-        tables.append((f"C{level}", engine.c[level]))
-        if level < engine.num_levels:
-            tables.append((f"C{level}'", engine.cp[level]))
-    return tables
-
-
 def _check_gear_bounds(engine: BLSMTree) -> None:
     """|Ci| + |Ci'| must respect each level's capacity within slack.
 
@@ -96,65 +79,59 @@ def _check_gear_bounds(engine: BLSMTree) -> None:
 
 
 def _check_lsbm_buffer(engine: LSbMTree) -> None:
-    for level in range(1, engine.num_levels + 1):
-        buf = engine.buffer[level]
-        _check_run(buf.incoming, f"B{level}^0")
-        for index, table in enumerate(buf.tables):
-            _check_run(table, f"B{level}[{index}]")
-        for index, table in enumerate(buf.draining):
-            _check_run(table, f"B{level}'[{index}]")
+    for buf in engine._buffer_levels:
         if buf.frozen and buf.live_kb != 0:
-            raise EngineError(f"frozen B{level} holds live data")
+            raise EngineError(f"frozen B{buf.level} holds live data")
         # Incoming files are never removed while referenced.
         for file in buf.incoming:
             if file.removed:
                 raise EngineError(
-                    f"B{level}^0 references removed file {file.file_id}"
+                    f"B{buf.level}^0 references removed file {file.file_id}"
                 )
+
+
+def _labelled_runs(engine: LSMEngine) -> list[tuple[str, SortedTable]]:
+    """Every sorted run the engine holds, tree first, then the buffer."""
+    runs = [
+        (f"runs[{g}][{i}]", run)
+        for g, group in enumerate(engine._run_groups())
+        for i, run in enumerate(group)
+    ]
+    for buf in engine._buffer_levels:
+        runs.append((f"B{buf.level}^0", buf.incoming))
+        runs.extend((f"B{buf.level}[{i}]", t) for i, t in enumerate(buf.tables))
+        runs.extend(
+            (f"B{buf.level}'[{i}]", t) for i, t in enumerate(buf.draining)
+        )
+    return runs
+
+
+def _check_read_orders(engine: LSMEngine) -> None:
+    """Cached read orders must equal a fresh derivation from the hook.
+
+    A stale order means some structure change was not followed by
+    :meth:`~repro.lsm.base.LSMEngine._structure_changed` before a read.
+    """
+    cached = engine._read_orders
+    # Tuples of runs compare by identity: a run has no ``__eq__``.
+    if cached is not None and cached != engine._derive_read_orders():
+        raise EngineError(
+            "cached read orders are stale: they no longer match the "
+            "engine's run groups"
+        )
 
 
 def check_engine(engine) -> None:
     """Verify every structural invariant of ``engine``'s current state."""
-    if isinstance(engine, LSbMTree):
-        tables = _blsm_tables(engine)
-        for level in range(1, engine.num_levels + 1):
-            buf = engine.buffer[level]
-            tables.append((f"B{level}^0", buf.incoming))
-            tables.extend(
-                (f"B{level}[{i}]", t) for i, t in enumerate(buf.tables)
-            )
-            tables.extend(
-                (f"B{level}'[{i}]", t) for i, t in enumerate(buf.draining)
-            )
-        for label, table in tables:
-            _check_run(table, label)
-        _check_gear_bounds(engine)
-        _check_lsbm_buffer(engine)
-        _check_live_extents(engine, tables)
-    elif isinstance(engine, BLSMTree):  # Includes the warmup variant.
-        tables = _blsm_tables(engine)
-        for label, table in tables:
-            _check_run(table, label)
-        _check_gear_bounds(engine)
-        _check_live_extents(engine, tables)
-    elif isinstance(engine, LevelDBTree):
-        tables = _leveldb_tables(engine)
-        for label, table in tables:
-            _check_run(table, label)
-        _check_live_extents(engine, tables)
-    elif isinstance(engine, SMTree):
-        tables = [
-            (f"level {level}[{i}]", table)
-            for level in range(1, engine.num_levels + 1)
-            for i, table in enumerate(engine.levels[level])
-        ]
-        for label, table in tables:
-            _check_run(table, label)
-        _check_live_extents(engine, tables)
-    elif isinstance(engine, HBaseStyleStore):
-        tables = [(f"store[{i}]", t) for i, t in enumerate(engine.tables)]
-        for label, table in tables:
-            _check_run(table, label)
-        _check_live_extents(engine, tables)
-    else:
+    engine = unwrap(engine)
+    if not isinstance(engine, LSMEngine):
         raise EngineError(f"no integrity checks for {type(engine).__name__}")
+    runs = _labelled_runs(engine)
+    for label, run in runs:
+        _check_run(run, label)
+    _check_live_extents(engine, runs)
+    _check_read_orders(engine)
+    if isinstance(engine, BLSMTree):  # Includes LSbM and the warmup variant.
+        _check_gear_bounds(engine)
+    if isinstance(engine, LSbMTree):
+        _check_lsbm_buffer(engine)

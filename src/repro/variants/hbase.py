@@ -27,10 +27,9 @@ approach does not solve the cache-invalidation problem — the
 
 from __future__ import annotations
 
-from repro.lsm.base import GetResult, LSMEngine, ReadCost, ScanResult
+from repro.lsm.base import LSMEngine
 from repro.lsm.policy import FlatStorePolicy
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 
@@ -71,6 +70,10 @@ class HBaseStyleStore(LSMEngine):
         #: HBase's design point (saturation-triggered minors; the
         #: time-triggered major stays on ``tick`` below).
         self.policy = FlatStorePolicy()
+
+    def _run_groups(self) -> list[list[SortedTable]]:
+        """The flat store is one group: every table, oldest first."""
+        return [self.tables]
 
     # ------------------------------------------------------------------
     # Compactions (pass control flow in FlatStorePolicy).
@@ -124,40 +127,10 @@ class HBaseStyleStore(LSMEngine):
         )
 
     # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-    def get(self, key: int) -> GetResult:
-        self._check_open()
-        self.stats.gets += 1
-        cost = ReadCost()
-        cost.memtable_probes += 1
-        entry = self.memtable.get(key)
-        if entry is not None:
-            return self._make_entry_result(entry, cost)
-        for table in reversed(self.tables):  # Newest first.
-            entry = self._search_table(table, key, cost)
-            if entry is not None:
-                return self._make_entry_result(entry, cost)
-        return GetResult(False, None, cost)
-
-    def scan(self, low: int, high: int) -> ScanResult:
-        self._check_open()
-        self.stats.scans += 1
-        cost = ReadCost()
-        sources: list[list[Entry]] = [self.memtable.entries_in_range(low, high)]
-        for table in self.tables:
-            overlapping = table.files_overlapping(low, high)
-            if not overlapping:
-                continue
-            cost.tables_checked += 1
-            sources.extend(self._scan_table_files(overlapping, low, high, cost))
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
-        return ScanResult(entries, cost)
-
-    # ------------------------------------------------------------------
     # Bulk loading.
     # ------------------------------------------------------------------
     def bulk_load(self, entries: list[Entry]) -> None:
         files = self.builder.build(iter(entries), cause="preload")
         self.tables.insert(0, SortedTable(files))  # Oldest position.
         self._seq = max(self._seq, max((e.seq for e in entries), default=0))
+        self._structure_changed()

@@ -175,3 +175,10 @@ class KVCachedBLSM:
 
     def close(self) -> None:
         self.engine.close()
+
+
+def unwrap(engine):
+    """The underlying LSM engine (the K-V cached variant wraps one)."""
+    if isinstance(engine, KVCachedBLSM):
+        return engine.engine
+    return engine

@@ -28,7 +28,6 @@ from repro.lsm.policy import (
     CompactionAxes,
     FlatStorePolicy,
     GearPolicy,
-    LeveledCursorPolicy,
     SteppedMergePolicy,
 )
 from repro.sim.experiment import ENGINE_SPECS, build_engine, run_experiment
@@ -114,12 +113,25 @@ def test_every_legacy_spec_is_an_annotated_design_point():
 
 
 def test_policy_fixed_points_match_their_engines():
-    assert ENGINE_SPECS["leveldb"].axes == LeveledCursorPolicy(4).axes
+    assert ENGINE_SPECS["leveldb"].axes == CompactionAxes()
     assert ENGINE_SPECS["blsm"].axes == GearPolicy().axes
     assert ENGINE_SPECS["sm"].axes == SteppedMergePolicy.axes
     assert ENGINE_SPECS["hbase"].axes == FlatStorePolicy.axes
     assert ENGINE_SPECS["lsbm"].axes == GearPolicy("lazy-adoption").axes
     assert ENGINE_SPECS["lsbm"].axes.movement == "lazy-adoption"
+
+
+def test_leveldb_point_ignores_config_axes():
+    """``leveldb`` is the interpreter's default point by pinning, not by
+    default: a sweep over ``compaction_*`` must never move the baseline."""
+    config = dataclasses.replace(
+        SystemConfig.tiny(),
+        compaction_layout="tiering",
+        compaction_granularity="full-level",
+    )
+    for name in ("leveldb", "leveldb-oscache"):
+        assert build_engine(name, config).engine.axes == CompactionAxes()
+    assert build_engine("design", config).engine.axes.layout == "tiering"
 
 
 def test_design_engine_reads_axes_from_config():

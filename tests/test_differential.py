@@ -100,6 +100,7 @@ def test_engine_matches_oracle(engine_name, seed_corpus):
         assert report.ok, report.to_json_dict()
         assert report.oracle_checks > 0
         assert report.invariants["ledger"]["checked"] > 0
+        assert report.invariants["structure"]["checked"] > 0
 
 
 def test_lsbm_schedule_exercises_trim(seed_corpus):
@@ -206,6 +207,22 @@ def test_skipped_invalidation_is_caught(monkeypatch):
     report = DifferentialRunner("leveldb", seed=0, ops=4000).run()
     assert not report.ok
     assert report.invariants["cache-coherence"]["violations"] > 0
+
+
+def test_unbooked_structure_change_is_caught(monkeypatch):
+    """A structure change that keeps the cached read orders (so later
+    reads walk runs the engine no longer holds) must trip the structure
+    checker."""
+
+    def forgetful(self):
+        self._structure_version += 1  # The cached orders survive.
+
+    monkeypatch.setattr(LSMEngine, "_structure_changed", forgetful)
+    report = DifferentialRunner("sm", seed=0, ops=4000).run()
+    assert not report.ok
+    structure = report.invariants["structure"]
+    assert structure["violations"] > 0
+    assert "stale" in structure["examples"][0]
 
 
 def test_swallowed_delete_is_caught(monkeypatch):

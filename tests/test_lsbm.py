@@ -216,7 +216,7 @@ class TestNoCrossEngineState:
         second, *_ = make_lsbm()
         for engine, seed in ((first, 4), (second, 5)):
             churn(engine, random.Random(seed), 3000, keyspace=8192)
-        tables = [*second._all_runs()] + [
+        tables = [run for group in second._run_groups() for run in group] + [
             table
             for level in second.buffer[1:]
             for table in (level.incoming, *level.tables, *level.draining)

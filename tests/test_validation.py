@@ -6,10 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import SystemConfig
 from repro.errors import EngineError
+from repro.sim.experiment import ENGINE_NAMES, build_engine
 from repro.validation import check_engine
 
-from .conftest import ENGINE_CLASSES, make_engine
+from .conftest import make_engine
 
 
 class TestCheckerCatchesCorruption:
@@ -28,14 +30,13 @@ class TestCheckerCatchesCorruption:
         rng = random.Random(2)
         for _ in range(1500):
             engine.put(rng.randrange(2048))
-        # Corrupt: force two files of the top level to overlap.
-        files = engine.levels[1].files or engine.levels[2].files
-        target_level = engine.levels[1] if engine.levels[1].files else engine.levels[2]
-        if len(files) >= 2:
-            files[1].min_key = files[0].min_key  # Corrupt the metadata.
-            target_level._files[1] = files[1]
-            with pytest.raises(EngineError, match="overlap"):
-                check_engine(engine)
+        # Corrupt: force two files of the top populated run to overlap.
+        (run,) = engine.levels[1] if engine.levels[1][0] else engine.levels[2]
+        files = run.files
+        assert len(files) >= 2
+        files[1].min_key = files[0].min_key  # Corrupt the metadata.
+        with pytest.raises(EngineError, match="overlap"):
+            check_engine(engine)
 
     def test_detects_leaked_extent(self):
         engine, _, disk, _ = make_engine("blsm")
@@ -72,6 +73,34 @@ class TestCheckerCatchesCorruption:
         with pytest.raises(EngineError):
             check_engine(object())
 
+    @pytest.mark.parametrize("engine_name", ["leveldb", "blsm", "sm", "hbase"])
+    def test_detects_stale_read_order(self, engine_name):
+        engine = build_engine(engine_name, SystemConfig.tiny()).engine
+        rng = random.Random(5)
+        for _ in range(1500):
+            engine.put(rng.randrange(2048))
+        engine.get(1)  # Caches the read orders.
+        check_engine(engine)
+        # Corrupt: the cache keeps a run the engine no longer holds.
+        probe, scan = engine._read_orders
+        engine._read_orders = (probe[:-1], scan)
+        with pytest.raises(EngineError, match="stale"):
+            check_engine(engine)
+
+    def test_detects_unbooked_run_swap(self):
+        """A run object replaced without ``_structure_changed()``."""
+        engine, *_ = make_engine("blsm")
+        rng = random.Random(6)
+        for _ in range(1500):
+            engine.put(rng.randrange(2048))
+        engine.scan(0, 64)
+        check_engine(engine)
+        engine.c[1], engine.cp[1] = engine.cp[1], engine.c[1]
+        with pytest.raises(EngineError, match="stale"):
+            check_engine(engine)
+        engine._structure_changed()
+        check_engine(engine)
+
 
 @settings(
     max_examples=15,
@@ -81,23 +110,37 @@ class TestCheckerCatchesCorruption:
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["put", "put", "put", "delete"]),
+            st.sampled_from(["put", "put", "put", "delete", "get", "scan"]),
             st.integers(min_value=0, max_value=1023),
         ),
-        min_size=20,
-        max_size=400,
+        # The tiny write buffer holds 64 pairs: a shorter stream never
+        # flushes, and a state that never changes proves nothing.
+        min_size=200,
+        max_size=600,
     )
 )
-@pytest.mark.parametrize("engine_name", sorted(ENGINE_CLASSES))
+@pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 def test_integrity_holds_under_arbitrary_streams(engine_name, ops):
-    """After any operation stream, every structural invariant holds."""
-    engine, clock, *_ = make_engine(engine_name)
+    """During and after any operation stream, every invariant holds.
+
+    Reads are interleaved so the cached read orders exist when the next
+    flush or merge replaces runs, and the check runs between operations
+    so a drop that was missed is seen before the next read repairs it.
+    """
+    setup = build_engine(engine_name, SystemConfig.tiny())
+    engine, clock = setup.engine, setup.clock
     for step, (op, key) in enumerate(ops):
         if op == "put":
             engine.put(key)
-        else:
+        elif op == "delete":
             engine.delete(key)
+        elif op == "get":
+            engine.get(key)
+        else:
+            engine.scan(key, key + 64)
         if step % 23 == 0:
             clock.advance(1)
             engine.tick(clock.now)
+        if step % 7 == 0:
+            check_engine(engine)
     check_engine(engine)
