@@ -187,8 +187,7 @@ class DBBufferCache:
         as needed.
         """
         key: BlockKey = (file_id, block_index)
-        if key in self._policy:
-            self._policy.touch(key)
+        if self._policy.hit(key):
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -200,16 +199,15 @@ class DBBufferCache:
 
         Identical to calling :meth:`access` per key in order — same
         eviction sequence, same stats — with the per-call dispatch
-        hoisted; the batched read kernel and warm-up sweeps use it.
+        hoisted.  A range query calls it once per sorted table it reads
+        (``LSMEngine._scan_table_files``).
         """
-        policy = self._policy
-        touch = policy.touch
+        hit = self._policy.hit
         insert = self._insert
         stats = self.stats
         hits = 0
         for key in keys:
-            if key in policy:
-                touch(key)
+            if hit(key):
                 hits += 1
             else:
                 stats.misses += 1
@@ -220,10 +218,8 @@ class DBBufferCache:
     def insert(self, file_id: int, block_index: int) -> None:
         """Insert a block without counting an access (warm-up path)."""
         key: BlockKey = (file_id, block_index)
-        if key in self._policy:
-            self._policy.touch(key)
-            return
-        self._insert(key)
+        if not self._policy.hit(key):
+            self._insert(key)
 
     def _insert(self, key: BlockKey) -> None:
         while len(self._policy) >= self._capacity:

@@ -18,13 +18,21 @@ class ReplacementPolicy(ABC):
     """Tracks a bounded set of keys and chooses eviction victims.
 
     The policy stores only keys; the owning cache holds any per-key
-    bookkeeping and drives the policy through :meth:`touch`,
-    :meth:`insert`, :meth:`remove` and :meth:`evict`.
+    bookkeeping and drives the policy through :meth:`hit` (or
+    :meth:`touch`), :meth:`insert`, :meth:`remove` and :meth:`evict`.
     """
 
     @abstractmethod
     def touch(self, key: Hashable) -> None:
         """Record an access to a resident key."""
+
+    @abstractmethod
+    def hit(self, key: Hashable) -> bool:
+        """Whether ``key`` is resident, recording an access if it is.
+
+        ``key in policy`` and :meth:`touch` in one call: the block
+        caches ask once per block read.
+        """
 
     @abstractmethod
     def insert(self, key: Hashable) -> None:
@@ -56,6 +64,13 @@ class LRUPolicy(ReplacementPolicy):
 
     def touch(self, key: Hashable) -> None:
         self._order.move_to_end(key)
+
+    def hit(self, key: Hashable) -> bool:
+        try:
+            self._order.move_to_end(key)
+        except KeyError:
+            return False
+        return True
 
     def insert(self, key: Hashable) -> None:
         if key in self._order:
@@ -91,6 +106,12 @@ class ClockPolicy(ReplacementPolicy):
 
     def touch(self, key: Hashable) -> None:
         self._referenced[key] = True
+
+    def hit(self, key: Hashable) -> bool:
+        if key in self._referenced:
+            self._referenced[key] = True
+            return True
+        return False
 
     def insert(self, key: Hashable) -> None:
         if key in self._referenced:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.bloom.hashing import probe_mask
 from repro.core.compaction_buffer import BufferLevel
@@ -53,6 +54,14 @@ from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 from repro.sstable.superfile import group_into_superfiles
+
+_is_removed = attrgetter("removed")
+
+#: One level component of the read shape: ``(run, complement or None,
+#: buffer lists newest first, whether the lists cover the run)``.
+Component = tuple[
+    SortedTable, SortedTable | None, tuple[SortedTable, ...], bool
+]
 
 
 @dataclass
@@ -121,12 +130,7 @@ class LSbMTree(BLSMTree):
         # instead of omitting the rows.
         self.disk.record_cause("buffer-append")
         self.disk.record_cause("trim")
-        self.trim = TrimProcess(
-            self.config,
-            cached_blocks=self._cached_blocks_of,
-            remove_file=self._remove_buffer_file,
-            bus=self.bus,
-        )
+        self.trim = TrimProcess.for_engine(self)
         #: ``buffer[1..k]`` in level order — the per-tick walks (sampling
         #: the buffer size, the trim pass) reuse this stable view instead
         #: of rebuilding a list every virtual second.  The BufferLevel
@@ -142,11 +146,6 @@ class LSbMTree(BLSMTree):
     # ------------------------------------------------------------------
     # Substrate helpers.
     # ------------------------------------------------------------------
-    def _cached_blocks_of(self, file_id: int) -> int:
-        if self.db_cache is None:
-            return 0
-        return self.db_cache.cached_blocks(file_id)
-
     def _remove_buffer_file(self, file: SSTableFile) -> None:
         """Remove a file from the compaction buffer (Section IV-A).
 
@@ -298,9 +297,56 @@ class LSbMTree(BLSMTree):
             self.lsbm_stats.trim_runs = self.trim.runs
 
     # ------------------------------------------------------------------
+    # The read shape: one component program for Algorithms 3 and 4.
+    # ------------------------------------------------------------------
+    def _derive_read_orders(self) -> tuple[Component, ...]:
+        """The component program both query algorithms iterate.
+
+        One entry per level component, newest data first: ``C0'`` with
+        ``B1^0``, then per level ``Ci`` with ``Bi`` and ``Ci'`` with
+        ``B'i`` and ``B(i+1)^0``.  An entry is ``(run, complement,
+        buffer lists, coverage)``: the complement is the B0 table of the
+        next level holding the files already drained out of ``run`` —
+        together they cover the original sorted run (Section V's
+        "treated as a whole") — and coverage says whether the buffer
+        lists record every round merged into the run (module docstring).
+        The lists and flags are snapshots, cached like every engine's
+        read orders until the next :meth:`_structure_changed`; only a
+        file's ``removed`` marker moves in between, and it is read live.
+        """
+        program: list[Component] = [
+            (self.c0_prime, self.buffer[1].incoming, (), False)
+        ]
+        for level in range(1, self.num_levels + 1):
+            buf = self.buffer[level]
+            program.append(
+                (self.c[level], None, tuple(buf.tables), self._covers[level])
+            )
+            if level < self.num_levels:
+                program.append(
+                    (
+                        self.cp[level],
+                        self.buffer[level + 1].incoming,
+                        tuple(buf.draining),
+                        self._draining_covers[level],
+                    )
+                )
+        return tuple(program)
+
+    # ------------------------------------------------------------------
     # Random access (Algorithm 3, plus the C'/B0 combination rule).
     # ------------------------------------------------------------------
     def get(self, key: int) -> GetResult:
+        """Point lookup: per component the run's gate, then buffer first.
+
+        The component's index walk and Bloom gate are fused (same steps
+        as ``find_file``/``find_block``/``may_contain``) with the probe
+        counters in locals, flushed before any state-bearing step and at
+        every exit, as :meth:`LSMEngine.get` does.  The accounting is
+        Algorithm 3's, not the base descent's: the run's own index walk
+        counts no ``index_probes``, each buffer table consulted counts
+        one.
+        """
         if self._closed:
             self._check_open()
         self.stats.gets += 1
@@ -309,114 +355,69 @@ class LSbMTree(BLSMTree):
         entry = self.memtable.get(key)
         if entry is not None:
             return self._make_entry_result(entry, cost)
-        # Each component search is gated on emptiness first: a component
-        # whose run (and complement) hold no files contributes exactly
-        # one ``tables_checked`` and nothing else, so the call is skipped
-        # with the same accounting — unpopulated C'/B0 components are
-        # the common case over a run's lifetime.
-        # Level 0's draining run, combined with B1^0 (its drained part).
-        complement = self.buffer[1].incoming
-        if self.c0_prime._max_keys or complement._max_keys:
-            entry = self._search_component(
-                self.c0_prime, key, cost,
-                buffer_tables=[],
-                complement=complement,
-            )
-            if entry is not None:
-                return self._make_entry_result(entry, cost)
-        else:
-            cost.tables_checked += 1
-        for level in range(1, self.num_levels + 1):
-            buf = self.buffer[level]
-            if self.c[level]._max_keys:
-                entry = self._search_component(
-                    self.c[level], key, cost, buffer_tables=buf.tables
-                )
-                if entry is not None:
-                    return self._make_entry_result(entry, cost)
-            else:
-                cost.tables_checked += 1
-            if level < self.num_levels:
-                cp = self.cp[level]
-                complement = self.buffer[level + 1].incoming
-                if cp._max_keys or complement._max_keys:
-                    entry = self._search_component(
-                        cp, key, cost,
-                        buffer_tables=buf.draining,
-                        complement=complement,
-                    )
-                    if entry is not None:
-                        return self._make_entry_result(entry, cost)
-                else:
-                    cost.tables_checked += 1
-        return GetResult(False, None, cost)
-
-    def _search_component(
-        self,
-        run: SortedTable,
-        key: int,
-        cost: ReadCost,
-        buffer_tables: list[SortedTable],
-        complement: SortedTable | None = None,
-    ) -> Entry | None:
-        """One level component: run's index/Bloom gate, buffer first.
-
-        ``complement`` is the B0 table of the next level holding the files
-        already drained out of ``run`` — together they cover the original
-        sorted run (Section V's "treated as a whole").
-        """
-        # The index walk and Bloom gate are fused (same steps as
-        # ``find_file``/``find_block``/``may_contain``, identical cost
-        # accounting) — this runs several times per read.
-        cost.tables_checked += 1
-        max_keys = run._max_keys
-        position = bisect_left(max_keys, key)
-        if position == len(max_keys):
+        program = self._read_orders
+        if program is None:
+            program = self._read_orders = self._derive_read_orders()
+        tables_checked = 0
+        bloom_probes = 0
+        for run, complement, buffer_tables, _ in program:
+            tables_checked += 1
             file = None
-        else:
-            file = run._files[position]
-            if file.min_key > key:
-                file = None
-        if file is None and complement is not None:
-            max_keys = complement._max_keys
+            max_keys = run._max_keys
             position = bisect_left(max_keys, key)
-            if position < len(max_keys):
+            if position != len(max_keys):
+                file = run._files[position]
+                if file.min_key > key:  # bisect guarantees key <= max_key.
+                    file = None
+            if file is None:
+                if complement is None:
+                    continue
+                max_keys = complement._max_keys
+                position = bisect_left(max_keys, key)
+                if position == len(max_keys):
+                    continue
                 file = complement._files[position]
                 if file.min_key > key:
-                    file = None
-        if file is None:
-            return None
-        if file.removed:
-            file._check_not_removed()
-        block_keys = file._block_max_keys
-        position = bisect_left(block_keys, key)
-        if position == len(block_keys):
-            return None
-        block = file._blocks[position]
-        if block.min_key > key:
-            return None
-        cost.bloom_probes += 1
-        bloom = block._bloom
-        if bloom is None:
-            bloom = block._bloom = _shared_filter(
-                tuple(block._keys), block._bits_per_key
-            )
-        mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
-        if bloom._bits & mask != mask:
-            # The buffer lists hold subsets of this component, so a
-            # negative here clears them too (Algorithm 3's level skip).
-            return None
-        entry = self._search_buffer_lists(buffer_tables, key, cost)
-        if entry is not None:
-            self.lsbm_stats.reads_served_by_buffer += 1
-            return entry
-        self._read_block(file, block, cost)
-        entry = block.get(key)
-        if entry is None:
-            cost.false_positive_blocks += 1
-        else:
+                    continue
+            if file.removed:
+                file._check_not_removed()
+            block_keys = file._block_max_keys
+            position = bisect_left(block_keys, key)
+            if position == len(block_keys):
+                continue
+            block = file._blocks[position]
+            if block.min_key > key:
+                continue
+            bloom_probes += 1
+            bloom = block._bloom
+            if bloom is None:
+                bloom = block._bloom = _shared_filter(
+                    tuple(block._keys), block._bits_per_key
+                )
+            mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
+            if bloom._bits & mask != mask:
+                # The buffer lists hold subsets of this component, so a
+                # negative here clears them too (Algorithm 3's level skip).
+                continue
+            cost.tables_checked += tables_checked
+            cost.bloom_probes += bloom_probes
+            tables_checked = 0
+            bloom_probes = 0
+            if buffer_tables:
+                entry = self._search_buffer_lists(buffer_tables, key, cost)
+                if entry is not None:
+                    self.lsbm_stats.reads_served_by_buffer += 1
+                    return self._make_entry_result(entry, cost)
+            self._read_block(file, block, cost)
+            entry = block.get(key)
+            if entry is None:
+                cost.false_positive_blocks += 1
+                continue
             self.lsbm_stats.reads_served_by_tree += 1
-        return entry
+            return self._make_entry_result(entry, cost)
+        cost.tables_checked += tables_checked
+        cost.bloom_probes += bloom_probes
+        return GetResult(False, None, cost)
 
     def _search_buffer_lists(
         self, tables: list[SortedTable], key: int, cost: ReadCost
@@ -465,81 +466,41 @@ class LSbMTree(BLSMTree):
     # Range queries (Algorithm 4, plus the combination rule).
     # ------------------------------------------------------------------
     def scan(self, low: int, high: int) -> ScanResult:
+        """Range query: each component from its buffer lists or its run.
+
+        A component is served from its buffer lists only when they are a
+        complete record of the run (no freeze since rotation) and no
+        removed-file marker overlaps the range; otherwise from the
+        underlying run plus its drained complement.  Either way every
+        sorted table read is one :meth:`_scan_table_files` pass.
+        """
         self._check_open()
         self.stats.scans += 1
         cost = ReadCost()
         sources: list[list[Entry]] = [self.memtable.entries_in_range(low, high)]
-        self._scan_component(
-            sources, self.c0_prime, low, high, cost,
-            buffer_tables=[], buffer_complete=False,
-            complement=self.buffer[1].incoming,
-        )
-        for level in range(1, self.num_levels + 1):
-            buf = self.buffer[level]
-            self._scan_component(
-                sources, self.c[level], low, high, cost,
-                buffer_tables=buf.tables,
-                buffer_complete=self._covers[level],
-            )
-            if level < self.num_levels:
-                self._scan_component(
-                    sources, self.cp[level], low, high, cost,
-                    buffer_tables=buf.draining,
-                    buffer_complete=self._draining_covers[level],
-                    complement=self.buffer[level + 1].incoming,
-                )
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
-        return ScanResult(entries, cost)
-
-    def _scan_component(
-        self,
-        sources: list[list[Entry]],
-        run: SortedTable,
-        low: int,
-        high: int,
-        cost: ReadCost,
-        buffer_tables: list[SortedTable],
-        buffer_complete: bool,
-        complement: SortedTable | None = None,
-    ) -> None:
-        """Collect one component's range data into ``sources``.
-
-        Serves from the buffer list only when it is a complete record of
-        the run (no freeze since rotation) and no removed-file marker
-        overlaps the range; otherwise reads the underlying run (plus its
-        drained complement).
-        """
-        run_files = run.files_overlapping(low, high)
-        complement_files = (
-            complement.files_overlapping(low, high)
-            if complement is not None
-            else []
-        )
-        if not run_files and not complement_files:
-            return
-        cost.tables_checked += 1
-        buffer_groups: list[list[SSTableFile]] | None = None
-        if buffer_complete and buffer_tables:
-            collected: list[list[SSTableFile]] = []
-            usable = True
-            for table in buffer_tables:
-                overlapping = table.files_overlapping(low, high)
-                if any(f.removed for f in overlapping):
-                    usable = False  # Algorithm 4 lines 11-13: clear F.
-                    break
-                if overlapping:
-                    collected.append(overlapping)
-            if usable and collected:
-                buffer_groups = collected
-        if buffer_groups is not None:
-            # Served by the buffer lists: one disk run per Bij touched.
-            for group in buffer_groups:
-                sources.extend(self._scan_table_files(group, low, high, cost))
-        else:
-            # Served by the underlying run (plus its drained complement):
-            # each is one contiguous sorted table.
-            for group in (run_files, complement_files):
+        program = self._read_orders
+        if program is None:
+            program = self._read_orders = self._derive_read_orders()
+        for run, complement, buffer_tables, covered in program:
+            groups = [run.files_overlapping(low, high)]
+            if complement is not None:
+                groups.append(complement.files_overlapping(low, high))
+            if not any(groups):
+                continue
+            cost.tables_checked += 1
+            if covered:
+                buffered: list[list[SSTableFile]] = []
+                for table in buffer_tables:
+                    overlapping = table.files_overlapping(low, high)
+                    if any(map(_is_removed, overlapping)):
+                        buffered = []  # Algorithm 4 lines 11-13: clear F.
+                        break
+                    buffered.append(overlapping)
+                if any(buffered):
+                    groups = buffered  # One disk run per Bij touched.
+            for group in groups:
                 if group:
-                    sources.extend(
+                    sources.append(
                         self._scan_table_files(group, low, high, cost)
                     )
+        return ScanResult(merge_entries(sources, drop_tombstones=True), cost)

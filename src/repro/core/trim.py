@@ -34,8 +34,10 @@ class TrimProcess:
         bus: EventBus | None = None,
     ) -> None:
         """``cached_blocks`` maps a file id to its resident block count
-        (the DB buffer cache's per-file counter); ``remove_file`` performs
-        the engine-side removal (marker + extent free + invalidation)."""
+        (the DB buffer cache's own ``cached_blocks``, or a constant 0
+        without one); ``remove_file`` performs the engine-side removal
+        (marker + extent free + invalidation) and leaves the file in its
+        table."""
         self._interval = config.trim_interval_s
         self._threshold = config.trim_threshold
         self._cached_blocks = cached_blocks
@@ -44,6 +46,23 @@ class TrimProcess:
         self._last_run: int | None = None
         self.files_trimmed = 0
         self.runs = 0
+
+    @classmethod
+    def for_engine(cls, engine) -> "TrimProcess":
+        """The trim process of ``engine``'s compaction buffer.
+
+        Reads the per-file counter straight off the engine's DB buffer
+        cache and removes through its ``_remove_buffer_file``.
+        """
+        cache = engine.db_cache
+        return cls(
+            engine.config,
+            cached_blocks=(
+                cache.cached_blocks if cache is not None else lambda file_id: 0
+            ),
+            remove_file=engine._remove_buffer_file,
+            bus=engine.bus,
+        )
 
     @property
     def threshold(self) -> float:
@@ -86,14 +105,18 @@ class TrimProcess:
         """One full trim pass over every level (Algorithm 2)."""
         self.runs += 1
         removed = 0
+        cached_blocks = self._cached_blocks
+        remove_file = self._remove_file
+        threshold = self._threshold
         for level in buffer_levels:
             for table in level.trimmable_tables():
-                for file in list(table):
+                # Read in place: a removal marks the file and never
+                # edits the table it sits in.
+                for file in table:
                     if file.removed:
                         continue
-                    cached = self._cached_blocks(file.file_id)
-                    if cached / file.num_blocks < self._threshold:
-                        self._remove_file(file)
+                    if cached_blocks(file.file_id) / file.num_blocks < threshold:
+                        remove_file(file)
                         removed += 1
         self.files_trimmed += removed
         bus = self._bus

@@ -23,7 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.cache.db_cache import DBBufferCache
+from repro.cache.db_cache import BlockKey, DBBufferCache
 from repro.cache.os_cache import OSBufferCache
 from repro.config import SystemConfig
 from repro.errors import EngineError
@@ -275,10 +275,12 @@ class LSMEngine(ABC):
         #: seen to change nothing (see :meth:`run_compactions`).
         self._structure_version = 0
         self._idle_version = -1
-        #: ``(probe order, scan order)`` as :meth:`_derive_read_orders`
-        #: last gave them; ``None`` between a :meth:`_structure_changed`
-        #: and the next read.
-        self._read_orders: tuple[RunOrder, RunOrder] | None = None
+        #: The read shape as :meth:`_derive_read_orders` last gave it —
+        #: ``(probe order, scan order)``, or whatever an engine that owns
+        #: its ``get``/``scan`` derives instead (LSbM: its component
+        #: program); ``None`` between a :meth:`_structure_changed` and
+        #: the next read.
+        self._read_orders: tuple | None = None
         #: The compaction buffer's levels; empty for engines without one.
         self._buffer_levels: list[BufferLevel] = []
         self._closed = False
@@ -534,9 +536,8 @@ class LSMEngine(ABC):
             if not overlapping:
                 continue
             cost.tables_checked += 1
-            sources.extend(self._scan_table_files(overlapping, low, high, cost))
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
-        return ScanResult(entries, cost)
+            sources.append(self._scan_table_files(overlapping, low, high, cost))
+        return ScanResult(merge_entries(sources, drop_tombstones=True), cost)
 
     def run_compactions(self) -> None:
         """Perform whatever compaction work current sizes demand.
@@ -705,67 +706,71 @@ class LSMEngine(ABC):
             cost.false_positive_blocks += 1
         return entry
 
-    def _scan_file(
-        self, file: SSTableFile, low: int, high: int, cost: ReadCost
-    ) -> tuple[list[Entry], int]:
-        """Read ``file``'s entries in range; returns (entries, uncached).
-
-        Blocks are pulled through the cache; the caller aggregates the
-        uncached blocks of one *sorted table* into a single sequential run
-        (:meth:`_charge_scan_run`) — files of a run sit contiguously, so a
-        range query pays one seek per sorted table touched, the cost model
-        behind the paper's range-query analysis (Section III).
-        """
-        blocks = file.blocks_overlapping(low, high)
-        if not blocks:
-            return [], 0
-        entries: list[Entry] = []
-        uncached = 0
-        for block in blocks:
-            if self.db_cache is not None:
-                if self.db_cache.access(file.file_id, block.index):
-                    cost.cache_hit_blocks += 1
-                else:
-                    uncached += 1
-            elif self.os_cache is not None:
-                address = (
-                    file.extent.start + block.index * self.config.block_size_kb
-                )
-                if self.os_cache.read(address):
-                    cost.os_hit_blocks += 1
-                else:
-                    uncached += 1
-            else:
-                uncached += 1
-            entries.extend(block.entries_in_range(low, high))
-        return entries, uncached
-
-    def _charge_scan_run(self, uncached_blocks: int, cost: ReadCost) -> None:
-        """Charge one sorted table's uncached scan blocks: 1 seek + stream."""
-        if uncached_blocks <= 0:
-            return
-        cost.seq_runs += 1
-        size_kb = uncached_blocks * self.config.block_size_kb
-        cost.seq_kb += size_kb
-        self.disk.foreground_sequential_read(size_kb, seeks=1)
-
     def _scan_table_files(
         self,
         files: list[SSTableFile],
         low: int,
         high: int,
         cost: ReadCost,
-    ) -> list[list[Entry]]:
-        """Scan one sorted table's overlapping files as a single disk run."""
-        sources: list[list[Entry]] = []
-        uncached_total = 0
+    ) -> list[Entry]:
+        """One sorted table's share of a range query, as a single disk run.
+
+        Returns the entries of ``files`` (the table's members overlapping
+        the range, in key order) inside ``[low, high]``.  Every block in
+        range is pulled through the cache — the DB cache in one
+        :meth:`~repro.cache.db_cache.DBBufferCache.access_many`, file by
+        file and block by block ascending, because the order blocks reach
+        the cache is LRU state — and the blocks that missed are charged
+        as one sequential run: files of a run sit contiguously, so a
+        range query pays one seek per sorted table touched, the cost
+        model behind the paper's range-query analysis (Section III).
+        With a DB cache a miss does not consult the OS cache.
+        """
+        entries: list[Entry] = []
+        extend = entries.extend
+        db_keys: list[BlockKey] = []
+        uncached = 0
+        db_cache = self.db_cache
+        os_cache = self.os_cache
         for file in files:
-            entries, uncached = self._scan_file(file, low, high, cost)
-            uncached_total += uncached
-            if entries:
-                sources.append(entries)
-        self._charge_scan_run(uncached_total, cost)
-        return sources
+            if file.removed:
+                file._check_not_removed()
+            if low <= file.min_key and file.max_key <= high:
+                blocks = file._blocks
+                for block in blocks:
+                    extend(block._entries)
+            else:  # Straddles a bound: only here is anything bisected.
+                blocks = file.blocks_overlapping(low, high)
+                for block in blocks:
+                    extend(block.entries_in_range(low, high))
+            if db_cache is not None:
+                file_id = file.file_id
+                for block in blocks:
+                    db_keys.append((file_id, block.index))
+            elif os_cache is not None:
+                start = file.extent.start
+                block_kb = self.config.block_size_kb
+                for block in blocks:
+                    if os_cache.read(start + block.index * block_kb):
+                        cost.os_hit_blocks += 1
+                    else:
+                        uncached += 1
+            else:
+                uncached += len(blocks)
+        if db_keys:
+            hits = db_cache.access_many(db_keys)
+            cost.cache_hit_blocks += hits
+            uncached = len(db_keys) - hits
+        if uncached:
+            self._charge_scan_run(uncached, cost)
+        return entries
+
+    def _charge_scan_run(self, uncached_blocks: int, cost: ReadCost) -> None:
+        """Charge one sorted table's uncached scan blocks: 1 seek + stream."""
+        cost.seq_runs += 1
+        size_kb = uncached_blocks * self.config.block_size_kb
+        cost.seq_kb += size_kb
+        self.disk.foreground_sequential_read(size_kb, seeks=1)
 
     # ------------------------------------------------------------------
     # Compaction primitives (shared).

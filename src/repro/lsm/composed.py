@@ -105,12 +105,7 @@ class ComposedTree(LSMEngine):
             # Zero-I/O causes, reported explicitly (paper's claim).
             self.disk.record_cause("buffer-append")
             self.disk.record_cause("trim")
-            self.trim: TrimProcess | None = TrimProcess(
-                self.config,
-                cached_blocks=self._cached_blocks_of,
-                remove_file=self._remove_buffer_file,
-                bus=self.bus,
-            )
+            self.trim: TrimProcess | None = TrimProcess.for_engine(self)
         else:
             self.trim = None
 
@@ -310,11 +305,6 @@ class ComposedTree(LSMEngine):
             tables = buf.tables
             while tables and all(file.removed for file in tables[-1]):
                 tables.pop()
-
-    def _cached_blocks_of(self, file_id: int) -> int:
-        if self.db_cache is None:
-            return 0
-        return self.db_cache.cached_blocks(file_id)
 
     def _remove_buffer_file(self, file: SSTableFile) -> None:
         """Free a buffer file; its key-range marker stays in its table."""

@@ -1,55 +1,52 @@
-"""Merging iterators for compactions.
+"""The merge every compaction and every range query runs.
 
-A compaction merge-sorts several sorted sources into one, keeping only the
-newest version of each key (the version with the largest sequence number)
-and optionally dropping tombstones when the output lands in the last level
-— at that point no older version can exist below, so the tombstone has
-done its job.
+Several sorted sources become one, keeping only the newest version of
+each key (the version with the largest sequence number) and optionally
+dropping tombstones: a compaction drops them when its output lands in
+the last level — at that point no older version can exist below, so the
+tombstone has done its job — and a range query never returns them.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
+from itertools import chain
+from operator import itemgetter
 
 from repro.sstable.entry import Entry
+
+_key_of = itemgetter(0)
 
 
 def merge_entries(
     sources: list[Iterable[Entry]],
     drop_tombstones: bool = False,
-) -> Iterator[Entry]:
-    """K-way merge of sorted entry sources with newest-wins deduplication.
+) -> list[Entry]:
+    """Merge sorted entry sources with newest-wins deduplication.
 
     Each source must be strictly sorted by key with unique keys *within*
     the source; across sources the same key may appear with different
-    sequence numbers.  Yields strictly sorted unique keys.
-    """
-    # Heap items: (key, -seq, tiebreak, entry, iterator).  Ordering by
-    # (key, -seq) surfaces the newest version of each key first.
-    heap: list[tuple[int, int, int, Entry, Iterator[Entry]]] = []
-    for tiebreak, source in enumerate(sources):
-        iterator = iter(source)
-        first = next(iterator, None)
-        if first is not None:
-            heap.append((first.key, -first.seq, tiebreak, first, iterator))
-    heapq.heapify(heap)
+    sequence numbers.  Returns strictly sorted unique keys.
 
-    previous_key: int | None = None
-    while heap:
-        key, _, tiebreak, entry, iterator = heapq.heappop(heap)
-        following = next(iterator, None)
-        if following is not None:
-            heapq.heappush(
-                heap,
-                (following.key, -following.seq, tiebreak, following, iterator),
-            )
-        if key == previous_key:
-            continue  # An older version of a key already emitted.
-        previous_key = key
-        if drop_tombstones and entry.is_tombstone:
-            continue
-        yield entry
+    The work is one C-level sort of the concatenated sources — ``Entry``
+    tuples order by key, then ``seq`` ascending, and timsort merges the
+    already-sorted sources as runs — followed by one dict pass: a dict
+    keeps the first insertion's position and the last insertion's value,
+    that is ascending key order and each key's newest version.  The same
+    ``(key, seq)`` in two sources (a buffer file beside the run that
+    re-wrote it, an adopted entry) is the same write, so which copy
+    survives is not observable.
+    """
+    live = [source for source in sources if source]
+    if len(live) == 1:
+        merged = live[0]  # Sorted and unique already.
+    else:
+        pool = list(chain.from_iterable(live))
+        pool.sort()
+        merged = dict(zip(map(_key_of, pool), pool)).values()
+    if drop_tombstones:
+        return [entry for entry in merged if not entry.kind]
+    return list(merged)
 
 
 def merge_with_obsolete_count(
@@ -65,36 +62,5 @@ def merge_with_obsolete_count(
     frozen.  ``sources`` must be materialized lists so they can be both
     counted and merged.
     """
-    if len(sources) == 1:
-        # One source: already strictly sorted with unique keys, so the
-        # merge reduces to an optional tombstone filter.
-        source = sources[0]
-        if drop_tombstones:
-            merged = [e for e in source if not e.is_tombstone]
-        else:
-            merged = list(source)
-        return merged, len(source) - len(merged)
-
-    total_inputs = sum(len(source) for source in sources)
-    # With fully materialized sources a flat timsort on the heap's own
-    # ordering tuples ``(key, -seq, tiebreak)`` beats the per-entry
-    # Python heap loop, and yields the exact same sequence: ascending
-    # key, newest version first within a key, source order on seq ties.
-    # Full tuple ties cannot occur (keys are unique within a source and
-    # ``tiebreak`` is unique across sources), so the trailing Entry is
-    # never compared.
-    decorated: list[tuple[int, int, int, Entry]] = []
-    for tiebreak, source in enumerate(sources):
-        for entry in source:
-            decorated.append((entry.key, -entry.seq, tiebreak, entry))
-    decorated.sort()
-    merged = []
-    previous_key: int | None = None
-    for key, _, _, entry in decorated:
-        if key == previous_key:
-            continue  # An older version of a key already emitted.
-        previous_key = key
-        if drop_tombstones and entry.is_tombstone:
-            continue
-        merged.append(entry)
-    return merged, total_inputs - len(merged)
+    merged = merge_entries(sources, drop_tombstones)
+    return merged, sum(map(len, sources)) - len(merged)

@@ -109,15 +109,18 @@ def _labelled_runs(engine: LSMEngine) -> list[tuple[str, SortedTable]]:
 def _check_read_orders(engine: LSMEngine) -> None:
     """Cached read orders must equal a fresh derivation from the hook.
 
-    A stale order means some structure change was not followed by
-    :meth:`~repro.lsm.base.LSMEngine._structure_changed` before a read.
+    Whatever shape ``_derive_read_orders()`` gives — a pair of run
+    orders, or LSbM's component program with its buffer lists and
+    coverage flags — a stale copy means some structure change was not
+    followed by :meth:`~repro.lsm.base.LSMEngine._structure_changed`
+    before a read.
     """
     cached = engine._read_orders
-    # Tuples of runs compare by identity: a run has no ``__eq__``.
+    # Runs compare by identity inside the tuples: a run has no ``__eq__``.
     if cached is not None and cached != engine._derive_read_orders():
         raise EngineError(
-            "cached read orders are stale: they no longer match the "
-            "engine's run groups"
+            "cached read orders are stale: they no longer match what the "
+            "engine holds"
         )
 
 

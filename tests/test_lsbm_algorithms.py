@@ -9,7 +9,6 @@ coverage fallback for scans.
 import random
 
 from repro.config import SystemConfig
-from repro.lsm.base import ReadCost
 from repro.sstable.entry import value_for
 
 from .conftest import make_engine
@@ -47,13 +46,14 @@ class TestBloomGate:
         assert target is not None, "workload built no buffer tables"
         # A key far outside the populated space: every index probe into
         # buffer tables would be wasted work — the gate avoids them.
-        cost = ReadCost()
-        entry = engine._search_component(
-            engine.c[target], 10**9, cost,
-            buffer_tables=engine.buffer[target].tables,
-        )
-        assert entry is None
-        assert cost.index_probes == 0  # Buffer lists never consulted.
+        # LSbM counts an index probe per buffer table consulted and none
+        # for a run's own index walk, so zero means no list was opened.
+        result = engine.get(10**9)
+        assert not result.found
+        assert result.cost.index_probes == 0  # Buffer lists never consulted.
+        # Every component was still visited: C0', then Ci and Ci' per
+        # level (the last level has no C').
+        assert result.cost.tables_checked == 2 * engine.num_levels
 
     def test_present_key_consults_buffer_first(self):
         engine, _, _, model, rng = populated_engine()

@@ -7,8 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
+from repro.core.lsbm import LSbMTree
 from repro.errors import EngineError
 from repro.sim.experiment import ENGINE_NAMES, build_engine
+from repro.sstable.sorted_table import SortedTable
 from repro.validation import check_engine
 
 from .conftest import make_engine
@@ -73,7 +75,9 @@ class TestCheckerCatchesCorruption:
         with pytest.raises(EngineError):
             check_engine(object())
 
-    @pytest.mark.parametrize("engine_name", ["leveldb", "blsm", "sm", "hbase"])
+    @pytest.mark.parametrize(
+        "engine_name", ["leveldb", "blsm", "sm", "hbase", "lsbm", "lsbm-dual"]
+    )
     def test_detects_stale_read_order(self, engine_name):
         engine = build_engine(engine_name, SystemConfig.tiny()).engine
         rng = random.Random(5)
@@ -81,9 +85,13 @@ class TestCheckerCatchesCorruption:
             engine.put(rng.randrange(2048))
         engine.get(1)  # Caches the read orders.
         check_engine(engine)
-        # Corrupt: the cache keeps a run the engine no longer holds.
-        probe, scan = engine._read_orders
-        engine._read_orders = (probe[:-1], scan)
+        # Corrupt: the cache no longer lists what the engine holds.
+        if isinstance(engine, LSbMTree):
+            # LSbM caches its component program: drop the last component.
+            engine._read_orders = engine._read_orders[:-1]
+        else:
+            probe, scan = engine._read_orders
+            engine._read_orders = (probe[:-1], scan)
         with pytest.raises(EngineError, match="stale"):
             check_engine(engine)
 
@@ -96,6 +104,21 @@ class TestCheckerCatchesCorruption:
         engine.scan(0, 64)
         check_engine(engine)
         engine.c[1], engine.cp[1] = engine.cp[1], engine.c[1]
+        with pytest.raises(EngineError, match="stale"):
+            check_engine(engine)
+        engine._structure_changed()
+        check_engine(engine)
+
+    @pytest.mark.parametrize("engine_name", ["lsbm", "lsbm-dual"])
+    def test_detects_unbooked_buffer_list_swap(self, engine_name):
+        """A buffer list is part of LSbM's read shape, like a run."""
+        engine = build_engine(engine_name, SystemConfig.tiny()).engine
+        rng = random.Random(6)
+        for _ in range(1500):
+            engine.put(rng.randrange(2048))
+        engine.scan(0, 64)
+        check_engine(engine)
+        engine.buffer[1].incoming = SortedTable()
         with pytest.raises(EngineError, match="stale"):
             check_engine(engine)
         engine._structure_changed()
