@@ -382,6 +382,8 @@ class LSbMTree(BLSMTree):
             if file.removed:
                 file._check_not_removed()
             block_keys = file._block_max_keys
+            if block_keys is None:
+                block_keys = file._materialise()
             position = bisect_left(block_keys, key)
             if position == len(block_keys):
                 continue
@@ -440,6 +442,8 @@ class LSbMTree(BLSMTree):
             if file.removed:
                 return None
             block_keys = file._block_max_keys
+            if block_keys is None:
+                block_keys = file._materialise()
             position = bisect_left(block_keys, key)
             if position == len(block_keys):
                 continue

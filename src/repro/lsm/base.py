@@ -490,6 +490,8 @@ class LSMEngine(ABC):
             if file.removed:
                 file._check_not_removed()
             block_keys = file._block_max_keys
+            if block_keys is None:  # First point read to reach the file.
+                block_keys = file._materialise()
             position = bisect_left(block_keys, key)
             if position == len(block_keys):
                 continue
@@ -685,6 +687,8 @@ class LSMEngine(ABC):
         if file.removed:
             file._check_not_removed()
         block_keys = file._block_max_keys
+        if block_keys is None:
+            block_keys = file._materialise()
         position = bisect_left(block_keys, key)
         if position == len(block_keys):
             return None
@@ -716,8 +720,13 @@ class LSMEngine(ABC):
         """One sorted table's share of a range query, as a single disk run.
 
         Returns the entries of ``files`` (the table's members overlapping
-        the range, in key order) inside ``[low, high]``.  Every block in
-        range is pulled through the cache — the DB cache in one
+        the range, in key order) inside ``[low, high]``.  Entries come
+        straight from each file's view and blocks are only *indices*: a
+        file inside the range gives its whole tuple and every block, one
+        straddling a bound is sliced
+        (:meth:`~repro.sstable.sstable.SSTableFile.scan_slice`); no
+        ``Block`` is built for a scan.  Every block in range is pulled
+        through the cache — the DB cache in one
         :meth:`~repro.cache.db_cache.DBBufferCache.access_many`, file by
         file and block by block ascending, because the order blocks reach
         the cache is LRU state — and the blocks that missed are charged
@@ -736,27 +745,25 @@ class LSMEngine(ABC):
             if file.removed:
                 file._check_not_removed()
             if low <= file.min_key and file.max_key <= high:
-                blocks = file._blocks
-                for block in blocks:
-                    extend(block._entries)
+                extend(file._entries)
+                indices = range(file.num_blocks)
             else:  # Straddles a bound: only here is anything bisected.
-                blocks = file.blocks_overlapping(low, high)
-                for block in blocks:
-                    extend(block.entries_in_range(low, high))
+                inside, indices = file.scan_slice(low, high)
+                extend(inside)
             if db_cache is not None:
                 file_id = file.file_id
-                for block in blocks:
-                    db_keys.append((file_id, block.index))
+                for index in indices:
+                    db_keys.append((file_id, index))
             elif os_cache is not None:
                 start = file.extent.start
                 block_kb = self.config.block_size_kb
-                for block in blocks:
-                    if os_cache.read(start + block.index * block_kb):
+                for index in indices:
+                    if os_cache.read(start + index * block_kb):
                         cost.os_hit_blocks += 1
                     else:
                         uncached += 1
             else:
-                uncached += len(blocks)
+                uncached += len(indices)
         if db_keys:
             hits = db_cache.access_many(db_keys)
             cost.cache_hit_blocks += hits

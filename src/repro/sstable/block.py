@@ -85,10 +85,10 @@ class Block:
     ) -> "Block":
         """Construct from entries the caller *guarantees* strictly sorted.
 
-        The table builder's inputs (a memtable's sorted snapshot, a
-        compaction merge's output) are strictly sorted by construction,
-        so the per-entry validation of ``__init__`` is skipped on that
-        hot path.  Everything else about the block is identical.
+        A file cuts its blocks out of a builder's input (a memtable's
+        sorted snapshot, a compaction merge's output), strictly sorted
+        by construction, so the per-entry validation of ``__init__`` is
+        skipped there.  Everything else about the block is identical.
         """
         if not entries:
             raise TableError("a block must contain at least one entry")
@@ -151,11 +151,3 @@ class Block:
         if position < len(self._keys) and self._keys[position] == key:
             return self._entries[position]
         return None
-
-    def entries_in_range(self, low: int, high: int) -> list[Entry]:
-        """All entries with ``low <= key <= high`` (inclusive bounds)."""
-        if high < low:
-            return []
-        start = bisect_left(self._keys, low)
-        end = bisect_left(self._keys, high + 1)
-        return list(self._entries[start:end])

@@ -1,8 +1,9 @@
 """Building files from sorted entry streams.
 
 Compactions and memtable flushes both end in the same step: stream sorted,
-deduplicated entries out to new on-disk files.  :class:`TableBuilder` packs
-entries into single-page blocks, blocks into files, files into super-files
+deduplicated entries out to new on-disk files.  :class:`TableBuilder` cuts
+the stream into files (each a view that cuts itself into single-page
+blocks when a point read first needs them), packs files into super-files
 (Section IV-C), allocates each file's contiguous extent and charges the
 disk with the sequential write traffic.
 """
@@ -13,7 +14,6 @@ from collections.abc import Iterable
 
 from repro.config import SystemConfig
 from repro.obs.events import EventBus, FileCreated
-from repro.sstable.block import Block
 from repro.sstable.entry import Entry
 from repro.sstable.sstable import FileIdSource, SSTableFile
 from repro.sstable.superfile import (
@@ -68,35 +68,23 @@ class TableBuilder:
         pairs_per_block = config.pairs_per_block
         block_size_kb = config.block_size_kb
         entries_per_file = pairs_per_block * config.blocks_per_file
-        entry_list = entries if isinstance(entries, list) else list(entries)
-        # Slice the sorted stream directly into per-file chunks and
-        # per-block slices — the same grouping the old per-entry
-        # accumulation produced, without a Python-level step per entry.
-        file_blocks: list[list[Block]] = []
-        for file_start in range(0, len(entry_list), entries_per_file):
-            chunk = entry_list[file_start : file_start + entries_per_file]
-            file_blocks.append(
-                [
-                    # ``from_sorted`` skips per-entry validation: builder
-                    # inputs are strictly sorted by contract (see docstring).
-                    Block.from_sorted(
-                        chunk[block_start : block_start + pairs_per_block],
-                        bits_per_key,
-                        block_start // pairs_per_block,
-                    )
-                    for block_start in range(0, len(chunk), pairs_per_block)
-                ]
-            )
+        # One tuple for the whole build, one slice of it per file.  No
+        # block is cut here: a file is a view (see SSTableFile).
+        entries = tuple(entries)
+        slices = [
+            entries[start : start + entries_per_file]
+            for start in range(0, len(entries), entries_per_file)
+        ]
         # One disk call books the whole build (see SimulatedDisk).
         extents = self._disk.write_files(
-            [len(blocks) * block_size_kb for blocks in file_blocks],
+            [-(-len(chunk) // pairs_per_block) * block_size_kb for chunk in slices],
             charge_write=charge_write,
             cause=cause,
         )
         next_id = self._file_ids.next_id
         files = [
-            SSTableFile(next_id(), blocks, extent)
-            for blocks, extent in zip(file_blocks, extents)
+            SSTableFile(next_id(), chunk, extent, pairs_per_block, bits_per_key)
+            for chunk, extent in zip(slices, extents)
         ]
         bus = self._bus
         if bus is not None and bus.active:

@@ -9,7 +9,7 @@ tombstone has done its job — and a range query never returns them.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import itemgetter
 
@@ -50,7 +50,7 @@ def merge_entries(
 
 
 def merge_with_obsolete_count(
-    sources: list[list[Entry]],
+    sources: list[Sequence[Entry]],
     drop_tombstones: bool = False,
 ) -> tuple[list[Entry], int]:
     """Merge ``sources`` fully, returning (result, obsolete entry count).
@@ -59,8 +59,8 @@ def merge_with_obsolete_count(
     versions or dropped as expired tombstones — is what LSbM's freeze
     detector (Section IV-A) reacts to: when a merge into level ``i+1``
     drops data, the level received repeated keys and ``B(i+1)`` must be
-    frozen.  ``sources`` must be materialized lists so they can be both
-    counted and merged.
+    frozen.  ``sources`` must be sized sequences (lists, or the tuples
+    files hand out) so they can be both counted and merged.
     """
     merged = merge_entries(sources, drop_tombstones)
     return merged, sum(map(len, sources)) - len(merged)

@@ -11,13 +11,24 @@ its cached blocks.  Compaction-buffer semantics add one twist (Section
 IV-A): a file *removed from the compaction buffer* keeps its identity and
 its ``[min_key, max_key]`` range as a marker — queries that meet the marker
 must fall back to the underlying LSM-tree (Algorithms 3 and 4) — but its
-block data and index are gone.
+data and index are gone.
+
+In memory a file is a *view*: the tuple slice of the sorted entry
+sequence its build produced, plus what is needed to cut that slice into
+single-page blocks.  Block ``i`` is ``entries[i * pairs_per_block :
+(i + 1) * pairs_per_block]``, so writes, merges and scans work on the
+slice and block *indices* alone.  The :class:`Block` objects (each with
+its key list and Bloom filter) and the per-block fence keys are built on
+the first point read that reaches the file: most files a compaction
+writes are rewritten by a later one before any read looks at them, and
+the blocks are a pure function of the slice, so deferring them changes
+nothing observable.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.errors import TableError
 from repro.sstable.block import Block
@@ -45,9 +56,11 @@ class SSTableFile:
         "min_key",
         "max_key",
         "size_kb",
-        "num_entries",
         "extent",
         "superfile_id",
+        "_entries",
+        "_pairs_per_block",
+        "_bits_per_key",
         "_blocks",
         "_block_max_keys",
         "removed",
@@ -57,31 +70,39 @@ class SSTableFile:
     def __init__(
         self,
         file_id: int,
-        blocks: list[Block],
+        entries: Iterable[Entry],
         extent: Extent,
-        superfile_id: int | None = None,
+        pairs_per_block: int,
+        bits_per_key: int,
     ) -> None:
-        if not blocks:
-            raise TableError("a file must contain at least one block")
-        max_keys = []
-        num_entries = 0
-        previous_max = None
-        for block in blocks:
-            if previous_max is not None and previous_max >= block.min_key:
+        """A file over ``entries``, which the caller guarantees sorted.
+
+        Builder inputs (a memtable's sorted snapshot, a merge's output)
+        are strictly sorted by construction, so entries are not validated
+        one by one; the order of keys across each block boundary is.
+        Each file holds its own tuple (a slice copies pointers only), so
+        no file keeps the whole build it was cut from alive.
+        """
+        entries = tuple(entries)
+        if not entries:
+            raise TableError("a file must contain at least one entry")
+        for boundary in range(pairs_per_block, len(entries), pairs_per_block):
+            if entries[boundary - 1].key >= entries[boundary].key:
                 raise TableError("file blocks must be sorted and disjoint")
-            previous_max = block.max_key
-            max_keys.append(previous_max)
-            num_entries += len(block)
         self.file_id = file_id
-        self._blocks = blocks
-        self._block_max_keys = max_keys
-        self.min_key = blocks[0].min_key
-        self.max_key = previous_max
-        self.num_entries = num_entries
+        self._entries = entries
+        self._pairs_per_block = pairs_per_block
+        self._bits_per_key = bits_per_key
+        #: The blocks and their fence (maximum) keys; ``None`` until the
+        #: first point read (see :meth:`_materialise`).
+        self._blocks: list[Block] | None = None
+        self._block_max_keys: list[int] | None = None
+        self.min_key = entries[0].key
+        self.max_key = entries[-1].key
         self.size_kb = extent.size_kb
         self.extent = extent
         #: Id of the super-file this file belongs to, if any (Section IV-C).
-        self.superfile_id = superfile_id
+        self.superfile_id: int | None = None
         #: Compaction-buffer removal marker (Section IV-A): when ``True``
         #: only ``min_key``/``max_key`` remain meaningful.
         self.removed = False
@@ -95,12 +116,23 @@ class SSTableFile:
     # Introspection.
     # ------------------------------------------------------------------
     @property
+    def num_entries(self) -> int:
+        return len(self._entries)
+
+    @property
     def num_blocks(self) -> int:
-        return len(self._blocks)
+        return -(-len(self._entries) // self._pairs_per_block)
+
+    @property
+    def materialised(self) -> bool:
+        """Whether a point read has built this file's blocks yet."""
+        return self._blocks is not None
 
     @property
     def blocks(self) -> list[Block]:
         self._check_not_removed()
+        if self._blocks is None:
+            self._materialise()
         return self._blocks
 
     def __repr__(self) -> str:
@@ -120,7 +152,7 @@ class SSTableFile:
     # Removal marker (compaction-buffer semantics).
     # ------------------------------------------------------------------
     def mark_removed(self) -> None:
-        """Drop block data and index, keeping only the key-range marker.
+        """Drop data and index, keeping only the key-range marker.
 
         "All its indices except the minimum and maximum keys will be
         removed from the memory, and all its data will be deleted from the
@@ -130,8 +162,9 @@ class SSTableFile:
         file takes itself out of the table's live-size cell.
         """
         self.removed = True
-        self._blocks = []
-        self._block_max_keys = []
+        self._entries = ()
+        self._blocks = None
+        self._block_max_keys = None
         cell = self._table_live_kb
         if cell is not None:
             cell[0] -= self.size_kb
@@ -142,13 +175,37 @@ class SSTableFile:
             raise TableError(f"file {self.file_id} was removed; data is gone")
 
     # ------------------------------------------------------------------
-    # Lookups.
+    # Point lookups: the one consumer of blocks.
     # ------------------------------------------------------------------
+    def _materialise(self) -> list[int]:
+        """Cut the view into blocks; returns the new fence-key list.
+
+        Every block of the file is built at once, ``index`` ascending.
+        Nothing is counted, cached, charged or announced: the engines'
+        fused descents call this where they find ``_block_max_keys``
+        still ``None``.
+        """
+        entries = self._entries
+        pairs_per_block = self._pairs_per_block
+        bits_per_key = self._bits_per_key
+        self._blocks = blocks = [
+            Block.from_sorted(
+                entries[start : start + pairs_per_block],
+                bits_per_key,
+                start // pairs_per_block,
+            )
+            for start in range(0, len(entries), pairs_per_block)
+        ]
+        self._block_max_keys = max_keys = [block.max_key for block in blocks]
+        return max_keys
+
     def find_block(self, key: int) -> Block | None:
         """The block whose range covers ``key``, if one exists."""
         if self.removed:
             self._check_not_removed()
         max_keys = self._block_max_keys
+        if max_keys is None:
+            max_keys = self._materialise()
         position = bisect_left(max_keys, key)
         if position == len(max_keys):
             return None
@@ -156,32 +213,50 @@ class SSTableFile:
         # bisect_left guarantees key <= block.max_key here.
         return block if block.min_key <= key else None
 
-    def blocks_overlapping(self, low: int, high: int) -> list[Block]:
-        """All blocks intersecting ``[low, high]`` in key order."""
+    # ------------------------------------------------------------------
+    # Everything else reads the view.
+    # ------------------------------------------------------------------
+    def block_key_span(self, index: int) -> tuple[int, int]:
+        """``(min_key, max_key)`` of block ``index``, without building it."""
         self._check_not_removed()
-        if high < low:
-            return []
-        start = bisect_left(self._block_max_keys, low)
-        result: list[Block] = []
-        for block in self._blocks[start:]:
-            if block.min_key > high:
-                break
-            result.append(block)
-        return result
+        entries = self._entries
+        start = index * self._pairs_per_block
+        end = min(start + self._pairs_per_block, len(entries))
+        return entries[start].key, entries[end - 1].key
+
+    def scan_slice(self, low: int, high: int) -> tuple[tuple[Entry, ...], range]:
+        """A range query's share of this file: entries and block indices.
+
+        The entries with ``low <= key <= high``, and the indices of the
+        blocks whose key *span* meets the range — the blocks a scan reads
+        through the cache.  The two differ at the edges: a range that
+        falls between two of a block's keys selects that block and no
+        entry, a range in the gap between two blocks selects neither.
+
+        ``Entry`` tuples order by key first and a 1-tuple sorts before
+        every entry of its key, so the view is bisected with one-element
+        probes: no key function, no key list.
+        """
+        self._check_not_removed()
+        entries = self._entries
+        start = bisect_left(entries, (low,))
+        end = bisect_left(entries, (high + 1,), start)
+        if high < low or start == len(entries) or end == 0:
+            return (), range(0)
+        # The first block ending at or above ``low`` holds entry
+        # ``start``; the last one starting at or below ``high`` holds
+        # entry ``end - 1``.  In a gap, first > last: an empty range.
+        pairs_per_block = self._pairs_per_block
+        return entries[start:end], range(
+            start // pairs_per_block, (end - 1) // pairs_per_block + 1
+        )
 
     def entries(self) -> Iterator[Entry]:
         """All entries of the file in key order."""
         self._check_not_removed()
-        for block in self._blocks:
-            yield from block
+        return iter(self._entries)
 
-    def entry_list(self) -> list[Entry]:
-        """All entries as a list (the compaction merge's bulk read)."""
+    def entry_list(self) -> tuple[Entry, ...]:
+        """All entries, as the file's own tuple (the merge's bulk read)."""
         self._check_not_removed()
-        blocks = self._blocks
-        if len(blocks) == 1:
-            return list(blocks[0].entries)
-        result: list[Entry] = []
-        for block in blocks:
-            result.extend(block.entries)
-        return result
+        return self._entries

@@ -15,6 +15,7 @@ from repro.errors import EngineError
 from repro.lsm.base import LSMEngine
 from repro.lsm.blsm import BLSMTree
 from repro.sstable.sorted_table import SortedTable
+from repro.sstable.sstable import SSTableFile
 from repro.variants.kv_store import unwrap
 
 
@@ -124,6 +125,65 @@ def _check_read_orders(engine: LSMEngine) -> None:
         )
 
 
+def _shape_fault(file: SSTableFile, pairs_per_block: int, block_kb: int) -> str:
+    """What is wrong with one file's shape; empty when nothing is."""
+    if file.removed:
+        held = file.num_entries or file.materialised
+        return "was removed but still holds data" if held else ""
+    entries = file.entry_list()
+    starts = range(0, len(entries), pairs_per_block)
+    if file.num_blocks != len(starts):
+        return (
+            f"counts {file.num_blocks} blocks for {len(entries)} entries, "
+            f"expected {len(starts)}"
+        )
+    if not file.size_kb == file.extent.size_kb == len(starts) * block_kb:
+        return (
+            f"is {file.size_kb} KB on a {file.extent.size_kb} KB extent, "
+            f"expected {len(starts) * block_kb} KB"
+        )
+    if (file.min_key, file.max_key) != (entries[0].key, entries[-1].key):
+        return (
+            f"claims keys [{file.min_key}, {file.max_key}] but holds "
+            f"[{entries[0].key}, {entries[-1].key}]"
+        )
+    if any(entries[start - 1].key >= entries[start].key for start in starts[1:]):
+        return "is unsorted across a block boundary"
+    if file.materialised:
+        blocks = file.blocks
+        chunks = [entries[start : start + pairs_per_block] for start in starts]
+        fences = [chunk[-1].key for chunk in chunks]
+        if (
+            [block.index for block in blocks] != list(range(len(starts)))
+            or [block.entries for block in blocks] != chunks
+            or [block.min_key for block in blocks] != [c[0].key for c in chunks]
+            or [block.max_key for block in blocks] != fences
+            or file._block_max_keys != fences
+        ):
+            return "has materialised blocks that disagree with its view"
+    return ""
+
+
+def _check_file_shapes(
+    engine: LSMEngine, tables: list[tuple[str, SortedTable]]
+) -> None:
+    """Every file must be the view a build of this configuration cuts.
+
+    A file's sizes, key range and block count all follow from its entry
+    tuple and its extent, and a point read derives its blocks from the
+    tuple later; where it already has, the blocks must be what a fresh
+    derivation gives.  A removed marker must hold neither entries nor
+    blocks.  Nothing here builds a block.
+    """
+    pairs_per_block = engine.config.pairs_per_block
+    block_kb = engine.config.block_size_kb
+    for label, table in tables:
+        for file in table:
+            fault = _shape_fault(file, pairs_per_block, block_kb)
+            if fault:
+                raise EngineError(f"{label}: file {file.file_id} {fault}")
+
+
 def check_engine(engine) -> None:
     """Verify every structural invariant of ``engine``'s current state."""
     engine = unwrap(engine)
@@ -133,6 +193,7 @@ def check_engine(engine) -> None:
     for label, run in runs:
         _check_run(run, label)
     _check_live_extents(engine, runs)
+    _check_file_shapes(engine, runs)
     _check_read_orders(engine)
     if isinstance(engine, BLSMTree):  # Includes LSbM and the warmup variant.
         _check_gear_bounds(engine)

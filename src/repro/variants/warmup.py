@@ -83,23 +83,19 @@ class WarmupBLSMTree(BLSMTree):
             marks = self._hot_marks.pop(file.file_id, None)
             if not marks:
                 continue
-            blocks = file.blocks
+            # Key spans come from the view: warming builds no block.
             for index in marks:
-                block = blocks[index]
-                hot_ranges.append((block.min_key, block.max_key))
+                hot_ranges.append(file.block_key_span(index))
         if not hot_ranges:
             return
         merged = self._coalesce(hot_ranges)
         starts = [low for low, _ in merged]
         for file in new_files:
-            for block in file.blocks:
-                if self._overlaps_any(
-                    block.min_key, block.max_key, merged, starts
-                ):
-                    self.db_cache.insert(file.file_id, block.index)
-                    self._hot_marks.setdefault(file.file_id, set()).add(
-                        block.index
-                    )
+            for index in range(file.num_blocks):
+                low, high = file.block_key_span(index)
+                if self._overlaps_any(low, high, merged, starts):
+                    self.db_cache.insert(file.file_id, index)
+                    self._hot_marks.setdefault(file.file_id, set()).add(index)
                     self.blocks_warmed += 1
 
     def _discard_files(self, files: list[SSTableFile]) -> None:

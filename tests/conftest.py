@@ -14,6 +14,7 @@ from repro.core.lsbm import LSbMTree
 from repro.lsm.blsm import BLSMTree
 from repro.lsm.leveldb import LevelDBTree
 from repro.lsm.sm_tree import SMTree
+from repro.sstable.sstable import SSTableFile
 from repro.storage.disk import SimulatedDisk
 from repro.variants.hbase import HBaseStyleStore
 from repro.variants.warmup import WarmupBLSMTree
@@ -46,6 +47,20 @@ def disk(tiny_config, clock) -> SimulatedDisk:
 @pytest.fixture
 def db_cache(tiny_config) -> DBBufferCache:
     return DBBufferCache(tiny_config.cache_blocks)
+
+
+@pytest.fixture
+def materialised(monkeypatch) -> list[SSTableFile]:
+    """Every file that cuts its blocks while the test runs, in order."""
+    files: list[SSTableFile] = []
+    materialise = SSTableFile._materialise
+
+    def recording(file):
+        files.append(file)
+        return materialise(file)
+
+    monkeypatch.setattr(SSTableFile, "_materialise", recording)
+    return files
 
 
 def make_engine(name: str, config: SystemConfig | None = None):

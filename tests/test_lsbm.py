@@ -4,6 +4,7 @@ import random
 
 
 from repro.cache.db_cache import DBBufferCache
+from repro.check.reflect import live_files
 from repro.clock import VirtualClock
 from repro.config import SystemConfig
 from repro.core.lsbm import LSbMTree
@@ -11,6 +12,7 @@ from repro.sstable.entry import Entry, value_for
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 from repro.storage.disk import SimulatedDisk
+from repro.storage.extent import Extent
 
 
 def make_lsbm(config=None):
@@ -247,6 +249,28 @@ class TestNoCrossEngineState:
                 assert callable(value) or isinstance(
                     value, (property, type(SSTableFile.file_id))
                 ), f"{klass.__name__}.{name} is class-level data"
+
+
+    def test_file_slots_point_back_at_nothing(self):
+        """A file is slots only, and no slot reaches a table, an engine
+        or the build it was cut from: its tuple is its own slice (never
+        more than one file of entries), its cell one int."""
+        engine, *_ = make_lsbm()
+        churn(engine, random.Random(6), 3000, keyspace=8192)
+        assert engine.get(next(iter(engine.c[2])).min_key).found
+        files = list(live_files(engine).values())
+        assert any(f.materialised for f in files)
+        assert not all(f.materialised for f in files)
+        for file in files:
+            assert not hasattr(file, "__dict__")
+            for name in SSTableFile.__slots__:
+                value = getattr(file, name)
+                assert isinstance(
+                    value, (int, tuple, list, Extent, type(None))
+                ), f"{name} holds a {type(value).__name__}"
+            assert type(file.entry_list()) is tuple
+            assert file.num_entries <= engine.config.pairs_per_file
+            assert file._table_live_kb is None or len(file._table_live_kb) == 1
 
 
 class TestAdaptivity:

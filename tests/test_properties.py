@@ -162,8 +162,7 @@ def test_sorted_table_range_queries(keys, low, span):
     covered = [
         e.key
         for f in table.files_overlapping(low, high)
-        for b in f.blocks_overlapping(low, high)
-        for e in b.entries_in_range(low, high)
+        for e in f.scan_slice(low, high)[0]
     ]
     assert covered == [k for k in sorted(keys) if low <= k <= high]
 

@@ -14,8 +14,9 @@ own on a twin engine fed the same operations.
   form (run gate, complement, buffer lists first), walking ``c``, ``cp``
   and ``buffer`` by index.
 * ``reference_scan``: ``files_overlapping`` -> ``blocks_overlapping``
-  -> one cache call per block -> ``entries_in_range``, one run charge
-  per sorted table, merged by ``heap_merge``.
+  -> one cache call per block -> ``entries_in_range`` (the eager file's
+  walk over ``Block`` objects, kept in ``tests/eager_reference.py``),
+  one run charge per sorted table, merged by ``heap_merge``.
 * ``heap_merge``: the k-way heap merge ``merge_entries`` replaced.
 """
 
@@ -39,6 +40,7 @@ from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 from repro.variants.kv_store import unwrap
+from tests.eager_reference import blocks_overlapping, entries_in_range
 
 
 def _inner(engine_name: str):
@@ -343,7 +345,7 @@ def _reference_scan_table(
     uncached = 0
     for file in files:
         entries: list[Entry] = []
-        for block in file.blocks_overlapping(low, high):
+        for block in blocks_overlapping(file.blocks, low, high):
             if engine.db_cache is not None:
                 # A DB miss goes to the disk: scans bypass the OS cache.
                 if engine.db_cache.access(file.file_id, block.index):
@@ -361,7 +363,7 @@ def _reference_scan_table(
                     uncached += 1
             else:
                 uncached += 1
-            entries.extend(block.entries_in_range(low, high))
+            entries.extend(entries_in_range(block, low, high))
         sources.append(entries)
     if uncached:
         cost.seq_runs += 1

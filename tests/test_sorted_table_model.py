@@ -20,7 +20,6 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import TableError
-from repro.sstable.block import Block
 from repro.sstable.entry import Entry
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
@@ -33,8 +32,8 @@ def make_file(
     file_id: int, low: int, high: int, size_kb: int = 4, cls=SSTableFile
 ) -> SSTableFile:
     keys = [low] if low == high else [low, high]
-    block = Block.from_sorted([Entry(k, 1) for k in keys], 10, 0)
-    return cls(file_id, [block], Extent(file_id * 1000, size_kb))
+    entries = [Entry(k, 1) for k in keys]
+    return cls(file_id, entries, Extent(file_id * 1000, size_kb), 2, 10)
 
 
 def linear_pick(files: list[SSTableFile], cursor: int | None) -> SSTableFile:

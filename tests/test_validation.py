@@ -125,6 +125,105 @@ class TestCheckerCatchesCorruption:
         check_engine(engine)
 
 
+def _swap_across_boundary(file) -> None:
+    entries = list(file.entry_list())
+    entries[3], entries[4] = entries[4], entries[3]  # Blocks hold 4 pairs.
+    file._entries = tuple(entries)
+
+
+def _halve_view(file) -> None:
+    file._entries = file.entry_list()[:4]  # One block on a two-block extent.
+    file.max_key = file._entries[-1].key
+
+
+def _fake_removal(file, disk) -> None:
+    disk.free(file.extent)
+    file.removed = True  # What mark_removed() sets, without its drop.
+
+
+def _move_fence(file) -> None:
+    file._block_max_keys[0] += 1
+
+
+def _renumber_block(file) -> None:
+    file.blocks[0].index = 1
+
+
+def _swap_blocks(file) -> None:
+    file.blocks.reverse()
+
+
+#: One corruption per property of a file's shape: ``(what check_engine
+#: must say, whether a point read reaches the file first, the edit)``.
+SHAPE_CORRUPTIONS = {
+    "block-count": (
+        "blocks for",
+        False,
+        lambda f, d: setattr(f, "_pairs_per_block", 8),
+    ),
+    "size": ("KB extent", False, lambda f, d: setattr(f, "size_kb", 4)),
+    "extent-of-another-view": ("KB extent", False, lambda f, d: _halve_view(f)),
+    "min-key": (
+        "claims keys",
+        False,
+        lambda f, d: setattr(f, "min_key", f.min_key - 1),
+    ),
+    "max-key": (
+        "claims keys",
+        False,
+        lambda f, d: setattr(f, "max_key", f.max_key + 1),
+    ),
+    "boundary-order": (
+        "unsorted across",
+        False,
+        lambda f, d: _swap_across_boundary(f),
+    ),
+    "removed-with-entries": ("holds data", False, _fake_removal),
+    "removed-with-blocks": ("holds data", True, _fake_removal),
+    "fence-key": ("disagree", True, lambda f, d: _move_fence(f)),
+    "block-index": ("disagree", True, lambda f, d: _renumber_block(f)),
+    "block-entries": ("disagree", True, lambda f, d: _swap_blocks(f)),
+}
+
+
+class TestFileShape:
+    """``check_engine`` holds every live file to the view a build cuts."""
+
+    @pytest.mark.parametrize("corruption", SHAPE_CORRUPTIONS)
+    def test_detects_corrupted_file_shape(self, corruption):
+        message, materialise, corrupt = SHAPE_CORRUPTIONS[corruption]
+        engine, _, disk, _ = make_engine("blsm")
+        rng = random.Random(8)
+        for _ in range(1500):
+            engine.put(rng.randrange(2048))
+        victim = next(
+            file
+            for level in range(1, engine.num_levels + 1)
+            for file in engine.c[level]
+            if file.num_blocks == 2
+        )
+        if materialise:
+            assert engine.get(victim.min_key).found
+        assert victim.materialised == materialise
+        check_engine(engine)  # The twin before the edit is healthy.
+        corrupt(victim, disk)
+        with pytest.raises(EngineError, match=message):
+            check_engine(engine)
+
+    def test_check_materialises_nothing(self):
+        engine, *_ = make_engine("lsbm")
+        rng = random.Random(9)
+        for _ in range(1500):
+            engine.put(rng.randrange(2048))
+        check_engine(engine)
+        assert not any(
+            file.materialised
+            for group in engine._run_groups()
+            for run in group
+            for file in run
+        )
+
+
 @settings(
     max_examples=15,
     deadline=None,

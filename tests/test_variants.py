@@ -60,6 +60,26 @@ class TestWarmup:
         inserted_without_access = cache.stats.insertions - cache.stats.misses
         assert inserted_without_access >= 0
 
+    def test_warm_transplants_materialise_no_file(self, materialised):
+        """Warming reads block key spans off the view: a compaction's
+        outputs stay uncut until a point read reaches them."""
+        engine, cache = make_warmup()
+        rng = random.Random(18)
+        hot = list(range(256))
+        for _ in range(3000):
+            cut = len(materialised)
+            engine.put(rng.randrange(4096))
+            assert len(materialised) == cut
+            engine.get(rng.choice(hot))
+        assert engine.blocks_warmed > 0
+        warmed_unread = [
+            file
+            for file_id, file in live_files(engine).items()
+            if file_id in engine._hot_marks and not file.materialised
+        ]
+        assert warmed_unread
+        assert all(cache.cached_blocks(f.file_id) for f in warmed_unread[-1:])
+
     def test_no_reads_means_no_warming(self):
         engine, _ = make_warmup()
         rng = random.Random(20)
