@@ -29,8 +29,7 @@ from pathlib import Path
 from repro.config import SystemConfig
 from repro.sim.metrics import RunResult
 from repro.sim.spec import ExperimentSpec
-from repro.sim.speedgate import find_baseline_path, load_baseline
-from repro.sim.sweep import run_sweep
+from repro.sim.sweep import SWEEP_SCHEMA_VERSION, run_sweep
 
 BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "2048"))
 BENCH_DURATION = int(os.environ.get("REPRO_BENCH_DURATION", "20000"))
@@ -161,14 +160,9 @@ def write_report(name: str, text: str) -> None:
     print(f"\n{text}\n[written to {path}]")
 
 
-#: Bench-telemetry JSON schema version (bump on breaking layout change).
-#: Version 2: run entries must carry ``stall_seconds``; serve runs (from
-#: ``repro serve`` / the serve SLO benchmark) add ``"kind": "serve"``
-#: entries with per-class percentiles.
-#: Version 3: cluster runs (from ``repro cluster`` / the hot-shard
-#: benchmark) add ``"kind": "cluster"`` entries with per-shard ledgers.
-#: Keep in sync with ``repro.sim.sweep.SWEEP_SCHEMA_VERSION``.
-BENCH_SCHEMA_VERSION = 3
+#: Bench-telemetry JSON schema version: the sweep writer's, by import
+#: (its version history sits beside ``SWEEP_SCHEMA_VERSION``).
+BENCH_SCHEMA_VERSION = SWEEP_SCHEMA_VERSION
 
 #: Required per-run fields and their types, for :func:`validate_bench`.
 _BENCH_RUN_FIELDS = {
@@ -312,32 +306,6 @@ def _validate_trace_block(label: str, trace: object) -> None:
             )
 
 
-def speed_baseline_summary() -> dict | None:
-    """The pinned speed reference points, for bench telemetry payloads.
-
-    Pulled from ``benchmarks/baseline.json`` (see
-    :mod:`repro.sim.speedgate`): the seed scalar tree's Fig. 8 grid
-    ops/s and the currently recorded (batched-kernel) floor.  Returns
-    ``None`` when no baseline file is present so ad-hoc checkouts still
-    benchmark cleanly.
-    """
-    path = find_baseline_path()
-    if not path.exists():
-        return None
-    try:
-        baseline = load_baseline(path)
-    except (ValueError, OSError):
-        return None
-    summary: dict = {}
-    seed = baseline.get("seed_scalar")
-    if seed:
-        summary["seed_scalar_grid_ops_per_s"] = seed["grid_ops_per_s"]
-    recorded = baseline.get("recorded")
-    if recorded:
-        summary["recorded_grid_ops_per_s"] = recorded["best"]["grid_ops_per_s"]
-    return summary or None
-
-
 def _bench_label(key) -> str:
     """Stringify a run key (sweeps use tuple keys like (engine, mult))."""
     if isinstance(key, tuple):
@@ -378,9 +346,6 @@ def write_bench(
         )
         entry.update(telemetry)
         payload["runs"][_bench_label(label)] = entry
-    speed = speed_baseline_summary()
-    if speed is not None:
-        payload["speed_baseline"] = speed
     validate_bench(payload)
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"

@@ -67,7 +67,7 @@ import sys
 from pathlib import Path
 
 from repro.config import SystemConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.sim.experiment import ENGINE_NAMES, run_experiment, run_profiled
 from repro.sim.metrics import RunResult
 from repro.sim.report import (
@@ -1166,18 +1166,23 @@ def _report_from_file(args: argparse.Namespace) -> int:
             _render_run_entry(label, entry)
         return 0
     kind = payload.get("kind")
+    loader = None
     if kind == "cluster" and "spec" in payload and "shards" in payload:
-        result = ClusterResult.from_dict(payload)
-        _render_run_entry(result.spec.label(), result.to_json_dict())
-        return 0
-    if kind == "serve":
-        result = ServeResult.from_dict(payload)
-        entry = result.to_json_dict()
-        label = (
-            f"{entry.get('policy', '?')}@"
-            f"{float(entry.get('offered_read_qps', 0.0)):g}qps"
-        )
-        _render_run_entry(label, entry)
+        loader = ClusterResult
+    elif kind == "serve":
+        loader = ServeResult
+    if loader is not None:
+        try:
+            result = loader.from_dict(payload)
+        except ReproError as error:
+            print(f"report: cannot load {args.from_file}: {error}",
+                  file=sys.stderr)
+            return 2
+        if loader is ClusterResult:
+            label = result.spec.label()
+        else:
+            label = f"{result.policy}@{result.offered_read_qps:g}qps"
+        _render_run_entry(label, result.to_json_dict())
         return 0
     if "reads_completed" in payload:
         _render_run_entry(args.from_file, payload)
@@ -1464,48 +1469,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict["ok"] = all(r["ok"] for r in verdict["engines"].values())
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return 0 if verdict["ok"] else 1
-
-
-def cmd_bench_baseline(args: argparse.Namespace) -> int:
-    from repro.sim import speedgate
-
-    path = Path(args.baseline) if args.baseline else speedgate.find_baseline_path()
-    trials = args.trials if args.trials is not None else speedgate.DEFAULT_TRIALS
-    print(
-        f"timing the Fig. 8 grid x{trials} "
-        f"({'+'.join(speedgate.GRID_ENGINES)})...",
-        file=sys.stderr,
-    )
-    measured = speedgate.measure_grid(trials=trials)
-    baseline = speedgate.load_baseline(path) if path.exists() else None
-    outcome = None
-    exit_code = 0
-    if args.check:
-        if baseline is None:
-            print(f"no baseline at {path}; record one first", file=sys.stderr)
-            return 2
-        outcome = speedgate.evaluate_gate(measured, baseline)
-        exit_code = 0 if outcome.passed else 1
-    print(speedgate.format_report(measured, baseline, outcome))
-    if args.record:
-        written = speedgate.record_baseline(measured, path)
-        print(f"[baseline recorded to {written}]", file=sys.stderr)
-    if args.out:
-        artifact: dict = {"measured": measured}
-        if baseline is not None:
-            artifact["baseline"] = baseline
-        if outcome is not None:
-            artifact["gate"] = {
-                "status": outcome.status,
-                "ratio": outcome.ratio,
-                "min_ratio": outcome.min_ratio,
-                "reasons": outcome.reasons,
-            }
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(artifact, indent=2) + "\n")
-        print(f"[comparison artifact written to {out}]", file=sys.stderr)
-    return exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -2060,38 +2023,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="schedule length for crash experiments (default 2500)",
     )
     check.set_defaults(func=cmd_check)
-
-    bench = commands.add_parser(
-        "bench-baseline",
-        help="time the Fig. 8 grid against benchmarks/baseline.json",
-    )
-    bench.add_argument(
-        "--trials",
-        type=int,
-        default=None,
-        help="grid repetitions (default 5; best trial is the headline)",
-    )
-    bench.add_argument(
-        "--record",
-        action="store_true",
-        help="re-record the baseline floor from this measurement",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="enforce the speed gate: exit 1 if the best trial is more "
-        "than (1 - min_ratio) below the recorded ops/s",
-    )
-    bench.add_argument(
-        "--baseline",
-        help="baseline.json path (default: benchmarks/baseline.json, "
-        "or REPRO_BASELINE_PATH)",
-    )
-    bench.add_argument(
-        "--out",
-        help="write the measurement + comparison as a JSON artifact",
-    )
-    bench.set_defaults(func=cmd_bench_baseline)
     return parser
 
 

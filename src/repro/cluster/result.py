@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.spec import ClusterSpec
+from repro.codec import Wire
 from repro.obs.tracing import exemplar_summary
 from repro.serve.result import ServeResult
 
@@ -34,7 +35,7 @@ def _percentile(samples: list[float], percentile: float) -> float:
 
 
 @dataclass
-class MigrationReport:
+class MigrationReport(Wire):
     """What one live shard split did."""
 
     at_s: int
@@ -51,37 +52,12 @@ class MigrationReport:
     #: Deferred-write retries moved between the retry heaps.
     moved_retries: int
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "at_s": self.at_s,
-            "source": self.source,
-            "target": self.target,
-            "low": self.low,
-            "high": self.high,
-            "entries": self.entries,
-            "drained_requests": self.drained_requests,
-            "adopted_requests": self.adopted_requests,
-            "moved_retries": self.moved_retries,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MigrationReport":
-        return cls(
-            at_s=int(payload["at_s"]),
-            source=int(payload["source"]),
-            target=int(payload["target"]),
-            low=int(payload["low"]),
-            high=int(payload["high"]),
-            entries=int(payload["entries"]),
-            drained_requests=int(payload["drained_requests"]),
-            adopted_requests=int(payload["adopted_requests"]),
-            moved_retries=int(payload["moved_retries"]),
-        )
-
 
 @dataclass
-class ClusterResult:
+class ClusterResult(Wire):
     """Everything one cluster run produced."""
+
+    _wire_kind = "cluster"
 
     spec: ClusterSpec
     shards: list[ServeResult] = field(default_factory=list)
@@ -194,39 +170,6 @@ class ClusterResult:
                 "max_queue_depth": shard.max_queue_depth,
             }
         return summary
-
-    # ------------------------------------------------------------------
-    # Transport (lossless).
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "kind": "cluster",
-            "spec": self.spec.to_dict(),
-            "shards": [shard.to_dict() for shard in self.shards],
-            "migration": (
-                None if self.migration is None else self.migration.to_dict()
-            ),
-            "verify": None if self.verify is None else dict(self.verify),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClusterResult":
-        return cls(
-            spec=ClusterSpec.from_dict(payload["spec"]),
-            shards=[
-                ServeResult.from_dict(entry) for entry in payload["shards"]
-            ],
-            migration=(
-                None
-                if payload.get("migration") is None
-                else MigrationReport.from_dict(payload["migration"])
-            ),
-            verify=(
-                None
-                if payload.get("verify") is None
-                else {k: int(v) for k, v in payload["verify"].items()}
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Bench-schema summary.

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.spec import ClusterSpec
+from repro.codec import Wire
 from repro.errors import ConfigError
 from repro.serve.arrivals import Request
 from repro.serve.result import ServeResult
@@ -36,8 +37,10 @@ from repro.serve.service import (
 
 
 @dataclass(frozen=True)
-class ShardSpec:
+class ShardSpec(Wire):
     """One shard's slice of a cluster run."""
+
+    _wire_kind = "cluster-shard"
 
     cluster: ClusterSpec
     shard: int
@@ -62,20 +65,6 @@ class ShardSpec:
 
     def label(self) -> str:
         return f"{self.cluster.label()}/shard{self.shard}"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "kind": "cluster-shard",
-            "cluster": self.cluster.to_dict(),
-            "shard": self.shard,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShardSpec":
-        return cls(
-            cluster=ClusterSpec.from_dict(payload["cluster"]),
-            shard=int(payload["shard"]),
-        )
 
 
 def partition_arrivals(cluster: ClusterSpec) -> list[list[Request]]:

@@ -28,14 +28,16 @@ from repro.cluster.ring import (
     RangePartitioner,
     SplitRouter,
 )
+from repro.codec import Wire, encode, project
 from repro.config import SystemConfig
+from repro.control.controller import DEFAULT_CONTROL_INTERVAL_S
 from repro.errors import ConfigError
 from repro.serve.arrivals import Request
 from repro.serve.spec import DEFAULT_REQUEST_SAMPLE_EVERY, ServiceSpec
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Wire):
     """One sharded open-loop serve run, described entirely by primitives.
 
     The offered rates are *cluster-wide*: each shard receives the
@@ -47,6 +49,10 @@ class ClusterSpec:
     every dispatched request with a cluster-wide
     :class:`~repro.check.oracle.KVOracle` (coordinated execution).
     """
+
+    _wire_kind = "cluster"
+    #: Serve-spec keys ``to_dict()`` carries that no cluster field owns.
+    _wire_extra = ("classes", "profile", "sample_every")
 
     engine: str
     num_shards: int = 2
@@ -77,7 +83,7 @@ class ClusterSpec:
     #: Per-shard runtime controller (see ServiceSpec.controller); each
     #: shard runs its own independent control loop over its own stack.
     controller: str = "off"
-    control_interval_s: int = 30
+    control_interval_s: int = DEFAULT_CONTROL_INTERVAL_S
     #: Live shard-split schedule (None = no split).
     split_at_s: int | None = None
     split_source: int = 0
@@ -139,32 +145,7 @@ class ClusterSpec:
     # ------------------------------------------------------------------
     def service_spec(self) -> ServiceSpec:
         """The per-shard serve spec (identical across shards)."""
-        return ServiceSpec(
-            engine=self.engine,
-            base=self.base,
-            scale=self.scale,
-            overrides=self.overrides,
-            duration_s=self.duration_s,
-            seed=self.seed,
-            policy=self.policy,
-            arrival=self.arrival,
-            read_rate_qps=self.read_rate_qps,
-            write_rate_qps=self.write_rate_qps,
-            queue_bound=self.queue_bound,
-            admit_queue_fraction=self.admit_queue_fraction,
-            retry_after_s=self.retry_after_s,
-            max_retries=self.max_retries,
-            do_preload=self.do_preload,
-            warm_cache=self.warm_cache,
-            request_sample_every=self.request_sample_every,
-            trace=self.trace,
-            trace_dir=self.trace_dir,
-            trace_slo_s=self.trace_slo_s,
-            trace_stall_spike_s=self.trace_stall_spike_s,
-            trace_dip_threshold=self.trace_dip_threshold,
-            controller=self.controller,
-            control_interval_s=self.control_interval_s,
-        )
+        return project(self, ServiceSpec)
 
     def config(self) -> SystemConfig:
         return self.service_spec().config()
@@ -236,59 +217,8 @@ class ClusterSpec:
     # Serialization.
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        payload = self.service_spec().to_dict()
-        payload["kind"] = "cluster"
-        payload["num_shards"] = self.num_shards
-        payload["partitioner"] = self.partitioner
-        payload["vnodes"] = self.vnodes
-        payload["split_at_s"] = self.split_at_s
-        payload["split_source"] = self.split_source
-        payload["split_target"] = self.split_target
-        payload["split_fraction"] = self.split_fraction
-        payload["verify"] = self.verify
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClusterSpec":
-        serve = ServiceSpec.from_dict(payload)
-        return cls(
-            engine=serve.engine,
-            num_shards=int(payload.get("num_shards", 2)),
-            partitioner=payload.get("partitioner", "hash"),
-            vnodes=int(payload.get("vnodes", DEFAULT_VNODES)),
-            base=serve.base,
-            scale=serve.scale,
-            overrides=serve.overrides,
-            duration_s=serve.duration_s,
-            seed=serve.seed,
-            policy=serve.policy,
-            arrival=serve.arrival,
-            read_rate_qps=serve.read_rate_qps,
-            write_rate_qps=serve.write_rate_qps,
-            queue_bound=serve.queue_bound,
-            admit_queue_fraction=serve.admit_queue_fraction,
-            retry_after_s=serve.retry_after_s,
-            max_retries=serve.max_retries,
-            do_preload=serve.do_preload,
-            warm_cache=serve.warm_cache,
-            request_sample_every=serve.request_sample_every,
-            trace=serve.trace,
-            trace_dir=serve.trace_dir,
-            trace_slo_s=serve.trace_slo_s,
-            trace_stall_spike_s=serve.trace_stall_spike_s,
-            trace_dip_threshold=serve.trace_dip_threshold,
-            controller=serve.controller,
-            control_interval_s=serve.control_interval_s,
-            split_at_s=(
-                None
-                if payload.get("split_at_s") is None
-                else int(payload["split_at_s"])
-            ),
-            split_source=int(payload.get("split_source", 0)),
-            split_target=int(payload.get("split_target", 1)),
-            split_fraction=float(payload.get("split_fraction", 0.5)),
-            verify=bool(payload.get("verify", False)),
-        )
+        """The per-shard serve spec's keys plus this spec's own."""
+        return {**self.service_spec().to_dict(), **encode(self)}
 
 
 def expand_cluster_grid(

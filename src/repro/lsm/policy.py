@@ -38,6 +38,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.codec import Wire
 from repro.errors import ConfigError
 from repro.sstable.sorted_table import SortedTable
 
@@ -48,7 +49,7 @@ MOVEMENTS = ("merge", "lazy-adoption")
 
 
 @dataclass(frozen=True)
-class CompactionAxes:
+class CompactionAxes(Wire):
     """One point in the four-knob compaction design space."""
 
     trigger: str = "size-ratio"
@@ -85,14 +86,6 @@ class CompactionAxes:
             granularity=config.compaction_granularity,
             movement=config.compaction_movement,
         )
-
-    def to_dict(self) -> dict[str, str]:
-        return {
-            "trigger": self.trigger,
-            "layout": self.layout,
-            "granularity": self.granularity,
-            "movement": self.movement,
-        }
 
     def describe(self) -> str:
         """Compact one-line rendering for tables and logs."""

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import random
 
+from repro.codec import LOAD_ERRORS, load_error
+
 
 class Reservoir:
     """Uniform fixed-size sample of a value stream (Vitter's Algorithm R).
@@ -151,9 +153,12 @@ class Reservoir:
         restarts from its seed, which only matters if the restored
         reservoir keeps observing — transport happens on finished runs.
         """
-        reservoir = cls(capacity=int(payload["capacity"]))
-        reservoir._samples = [float(value) for value in payload["samples"]]
-        reservoir.count = int(payload["count"])
+        try:
+            reservoir = cls(capacity=int(payload["capacity"]))
+            reservoir._samples = [float(value) for value in payload["samples"]]
+            reservoir.count = int(payload["count"])
+        except LOAD_ERRORS as error:
+            raise load_error("Reservoir", payload, error) from error
         return reservoir
 
 

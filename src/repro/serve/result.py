@@ -10,14 +10,15 @@ with their totals — the audit trail behind every percentile reported.
 
 ``ServeResult`` subclasses ``RunResult`` so the sweep runner, the bench
 schema helpers and the summary tables all work on serve cells
-unchanged; its ``to_dict`` tags payloads with ``"kind": "serve"`` and
-the sweep loader dispatches on that tag.
+unchanged; its wire form is tagged ``"kind": "serve"`` and the sweep
+loader dispatches on that tag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec import Wire
 from repro.obs.tracing import exemplar_summary
 from repro.sim.metrics import LatencyReservoir, RunResult, TimeSeries
 
@@ -26,7 +27,7 @@ _SUMMARY_PERCENTILES = (50.0, 95.0, 99.0, 99.9)
 
 
 @dataclass
-class ClassStats:
+class ClassStats(Wire):
     """One client class's SLO ledger over a serve run.
 
     ``latency_s`` observes total per-request latency (queueing delay +
@@ -47,40 +48,12 @@ class ClassStats:
     service_s: LatencyReservoir = field(default_factory=LatencyReservoir)
     latency_s: LatencyReservoir = field(default_factory=LatencyReservoir)
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "op": self.op,
-            "arrived": self.arrived,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "deferred": self.deferred,
-            "retried": self.retried,
-            "queue_delay_s": self.queue_delay_s.to_dict(),
-            "service_s": self.service_s.to_dict(),
-            "latency_s": self.latency_s.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClassStats":
-        stats = cls(
-            op=payload.get("op", "read"),
-            arrived=int(payload["arrived"]),
-            admitted=int(payload["admitted"]),
-            completed=int(payload["completed"]),
-            shed=int(payload["shed"]),
-            deferred=int(payload["deferred"]),
-            retried=int(payload["retried"]),
-        )
-        stats.queue_delay_s = LatencyReservoir.from_dict(payload["queue_delay_s"])
-        stats.service_s = LatencyReservoir.from_dict(payload["service_s"])
-        stats.latency_s = LatencyReservoir.from_dict(payload["latency_s"])
-        return stats
-
 
 @dataclass
 class ServeResult(RunResult):
     """A :class:`RunResult` extended with open-loop serving metrics."""
+
+    _wire_kind = "serve"
 
     #: Scheduling policy and arrival process this run used.
     policy: str = "fifo"
@@ -166,63 +139,6 @@ class ServeResult(RunResult):
             self.exemplars, key=lambda e: (-e["total_s"], e["seq"])
         )
         return [exemplar_summary(record) for record in ranked[:n]]
-
-    # ------------------------------------------------------------------
-    # Transport.
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        payload = super().to_dict()
-        payload["kind"] = "serve"
-        payload["policy"] = self.policy
-        payload["arrival"] = self.arrival
-        payload["offered_read_qps"] = self.offered_read_qps
-        payload["ops_scale"] = self.ops_scale
-        payload["max_queue_depth"] = self.max_queue_depth
-        payload["queue_depth"] = self.queue_depth.to_dict()
-        payload["offered_qps"] = self.offered_qps.to_dict()
-        payload["class_stats"] = {
-            name: stats.to_dict()
-            for name, stats in sorted(self.class_stats.items())
-        }
-        payload["request_samples"] = [dict(s) for s in self.request_samples]
-        payload["trace_mode"] = self.trace_mode
-        payload["exemplars"] = [dict(e) for e in self.exemplars]
-        payload["flight_dumps"] = [dict(d) for d in self.flight_dumps]
-        payload["controller"] = self.controller
-        payload["control_decisions"] = [
-            dict(d) for d in self.control_decisions
-        ]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServeResult":
-        result = super().from_dict(payload)
-        result.policy = payload.get("policy", "fifo")
-        result.arrival = payload.get("arrival", "poisson")
-        result.offered_read_qps = float(payload.get("offered_read_qps", 0.0))
-        result.ops_scale = float(payload.get("ops_scale", 1.0))
-        result.max_queue_depth = int(payload.get("max_queue_depth", 0))
-        if "queue_depth" in payload:
-            result.queue_depth = TimeSeries.from_dict(payload["queue_depth"])
-        if "offered_qps" in payload:
-            result.offered_qps = TimeSeries.from_dict(payload["offered_qps"])
-        result.class_stats = {
-            name: ClassStats.from_dict(stats)
-            for name, stats in payload.get("class_stats", {}).items()
-        }
-        result.request_samples = [
-            dict(s) for s in payload.get("request_samples", [])
-        ]
-        result.trace_mode = payload.get("trace_mode", "off")
-        result.exemplars = [dict(e) for e in payload.get("exemplars", [])]
-        result.flight_dumps = [
-            dict(d) for d in payload.get("flight_dumps", [])
-        ]
-        result.controller = payload.get("controller", "off")
-        result.control_decisions = [
-            dict(d) for d in payload.get("control_decisions", [])
-        ]
-        return result
 
     def to_json_dict(self) -> dict[str, object]:
         summary = super().to_json_dict()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro.codec import Wire, project
 from repro.config import SystemConfig
 from repro.control import CONTROLLER_NAMES
 from repro.control.controller import DEFAULT_CONTROL_INTERVAL_S
@@ -32,7 +33,7 @@ DEFAULT_REQUEST_SAMPLE_EVERY = 17
 
 
 @dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(Wire):
     """One open-loop serve run, described entirely by primitives.
 
     ``read_rate_qps``/``write_rate_qps`` configure the *default* client
@@ -43,6 +44,8 @@ class ServiceSpec:
     (``write_rate_pairs_per_s × ops_scale``), keeping serve runs
     write-comparable with the closed-loop figures.
     """
+
+    _wire_kind = "serve"
 
     engine: str
     base: str = "paper_scaled"
@@ -127,13 +130,9 @@ class ServiceSpec:
             raise ConfigError("control_interval_s must be >= 1")
         # Delegate override validation (field names, sorting) to the
         # experiment spec, then adopt its normalized tuple.
-        probe = ExperimentSpec(
-            engine=self.engine,
-            base=self.base,
-            scale=self.scale,
-            overrides=self.overrides,
+        object.__setattr__(
+            self, "overrides", self._experiment_spec().overrides
         )
-        object.__setattr__(self, "overrides", probe.overrides)
         object.__setattr__(self, "classes", tuple(self.classes))
 
     def replace(self, **changes: object) -> "ServiceSpec":
@@ -146,17 +145,8 @@ class ServiceSpec:
     # Materialization.
     # ------------------------------------------------------------------
     def _experiment_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            engine=self.engine,
-            base=self.base,
-            scale=self.scale,
-            overrides=self.overrides,
-            duration_s=self.duration_s,
-            seed=self.seed,
-            do_preload=self.do_preload,
-            profile=self.profile,
-            sample_every=self.sample_every,
-        )
+        """The closed-loop spec of the same stack (every shared field)."""
+        return project(self, ExperimentSpec)
 
     def config(self) -> SystemConfig:
         return self._experiment_spec().config()
@@ -196,7 +186,7 @@ class ServiceSpec:
         parts.append(f"r{self.read_rate_qps:g}")
         if self.write_rate_qps is not None:
             parts.append(f"w{self.write_rate_qps:g}")
-        if self.queue_bound != 64:
+        if self.queue_bound != _DEFAULTS["queue_bound"]:
             parts.append(f"q{self.queue_bound}")
         if not self.warm_cache:
             parts.append("cold")
@@ -204,12 +194,10 @@ class ServiceSpec:
             parts.append(f"c:{klass.name}:{klass.op}:{klass.rate_qps:g}")
         if self.trace != "off":
             parts.append(f"trace:{self.trace}")
-            thresholds = (
-                self.trace_slo_s,
-                self.trace_stall_spike_s,
-                self.trace_dip_threshold,
-            )
-            if thresholds != (1.0, 0.25, 0.7):
+            if any(
+                getattr(self, name) != _DEFAULTS[name]
+                for name in _FLIGHT_THRESHOLDS
+            ):
                 parts.append(
                     "flight:"
                     f"{self.trace_slo_s:g}"
@@ -225,89 +213,12 @@ class ServiceSpec:
     def label(self) -> str:
         return f"{self.cell_key()}/s{self.seed}"
 
-    # ------------------------------------------------------------------
-    # Serialization.
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "kind": "serve",
-            "engine": self.engine,
-            "base": self.base,
-            "scale": self.scale,
-            "overrides": dict(self.overrides),
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "policy": self.policy,
-            "arrival": self.arrival,
-            "read_rate_qps": self.read_rate_qps,
-            "write_rate_qps": self.write_rate_qps,
-            "queue_bound": self.queue_bound,
-            "admit_queue_fraction": self.admit_queue_fraction,
-            "retry_after_s": self.retry_after_s,
-            "max_retries": self.max_retries,
-            "classes": [klass.to_dict() for klass in self.classes],
-            "do_preload": self.do_preload,
-            "warm_cache": self.warm_cache,
-            "profile": self.profile,
-            "sample_every": self.sample_every,
-            "request_sample_every": self.request_sample_every,
-            "trace": self.trace,
-            "trace_dir": self.trace_dir,
-            "trace_slo_s": self.trace_slo_s,
-            "trace_stall_spike_s": self.trace_stall_spike_s,
-            "trace_dip_threshold": self.trace_dip_threshold,
-            "controller": self.controller,
-            "control_interval_s": self.control_interval_s,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServiceSpec":
-        return cls(
-            engine=payload["engine"],
-            base=payload.get("base", "paper_scaled"),
-            scale=payload.get("scale", 2048),
-            overrides=tuple(payload.get("overrides", {}).items()),
-            duration_s=payload.get("duration_s"),
-            seed=payload.get("seed", 0),
-            policy=payload.get("policy", "fifo"),
-            arrival=payload.get("arrival", "poisson"),
-            read_rate_qps=float(payload.get("read_rate_qps", 2000.0)),
-            write_rate_qps=(
-                None
-                if payload.get("write_rate_qps") is None
-                else float(payload["write_rate_qps"])
-            ),
-            queue_bound=int(payload.get("queue_bound", 64)),
-            admit_queue_fraction=float(
-                payload.get("admit_queue_fraction", 0.75)
-            ),
-            retry_after_s=float(payload.get("retry_after_s", 5.0)),
-            max_retries=int(payload.get("max_retries", 3)),
-            classes=tuple(
-                ClientClass.from_dict(entry)
-                for entry in payload.get("classes", [])
-            ),
-            do_preload=payload.get("do_preload", True),
-            warm_cache=payload.get("warm_cache", True),
-            profile=payload.get("profile", False),
-            sample_every=payload.get("sample_every", DEFAULT_SAMPLE_EVERY),
-            request_sample_every=payload.get(
-                "request_sample_every", DEFAULT_REQUEST_SAMPLE_EVERY
-            ),
-            trace=payload.get("trace", "off"),
-            trace_dir=payload.get("trace_dir"),
-            trace_slo_s=float(payload.get("trace_slo_s", 1.0)),
-            trace_stall_spike_s=float(
-                payload.get("trace_stall_spike_s", 0.25)
-            ),
-            trace_dip_threshold=float(
-                payload.get("trace_dip_threshold", 0.7)
-            ),
-            controller=payload.get("controller", "off"),
-            control_interval_s=int(
-                payload.get("control_interval_s", DEFAULT_CONTROL_INTERVAL_S)
-            ),
-        )
+#: The declared defaults ``cell_key()`` leaves out of the key.
+_DEFAULTS = {
+    field.name: field.default for field in dataclasses.fields(ServiceSpec)
+}
+_FLIGHT_THRESHOLDS = ("trace_slo_s", "trace_stall_spike_s", "trace_dip_threshold")
 
 
 def expand_serve_grid(

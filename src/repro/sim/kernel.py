@@ -224,21 +224,6 @@ class ReadPricer:
                 ) * queueing
         return seconds * self.ops_scale
 
-    def price_batch(
-        self,
-        shapes: list[tuple[ReadCost, int]],
-        utilization: float,
-        is_scan: bool = False,
-    ) -> list[float]:
-        """Price an array of ``(cost, pairs_returned)`` shapes.
-
-        One utilization applies to the whole batch (utilization is a
-        per-tick quantity); element ``i`` equals
-        ``price(shapes[i][0], shapes[i][1], utilization, is_scan)``.
-        """
-        price = self.price
-        return [price(cost, pairs, utilization, is_scan) for cost, pairs in shapes]
-
 
 class ReadKernel:
     """Executes one tick's thread-budgeted reads as a batched loop.

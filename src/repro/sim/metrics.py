@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec import LOAD_ERRORS, Wire, load_error
 from repro.obs.metrics import Reservoir
 
 #: The driver's per-read latency sample is the one shared reservoir
@@ -57,9 +58,12 @@ class TimeSeries:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TimeSeries":
-        series = cls(payload["name"])
-        series.times = [int(time) for time in payload["times"]]
-        series.values = [float(value) for value in payload["values"]]
+        try:
+            series = cls(payload["name"])
+            series.times = [int(time) for time in payload["times"]]
+            series.values = [float(value) for value in payload["values"]]
+        except LOAD_ERRORS as error:
+            raise load_error("TimeSeries", payload, error) from error
         return series
 
     def mean(self, skip: int = 0) -> float:
@@ -111,21 +115,30 @@ class TimeSeries:
         return crossings
 
 
-#: The per-second series bundled in every result, in declaration order.
-_SERIES_FIELDS = (
-    "hit_ratio",
-    "throughput_qps",
-    "db_size_mb",
-    "cache_usage",
-    "disk_utilization",
-    "buffer_size_mb",
-    "stall",
-)
-
-
 @dataclass
-class RunResult:
-    """Everything one driver run measured."""
+class RunResult(Wire):
+    """Everything one driver run measured.
+
+    ``to_dict()`` (from :class:`~repro.codec.Wire`) is the *complete*
+    run state, unlike :meth:`to_json_dict` (a human-oriented summary):
+    every time series, the latency reservoir's retained sample, event
+    counts, per-cause bandwidth and the metrics snapshot round-trip
+    exactly through ``from_dict()`` — it is how sweep workers ship
+    results across the process boundary.
+    """
+
+    #: The per-second series every saved payload nests under "series".
+    _wire_groups = {
+        "series": (
+            "hit_ratio",
+            "throughput_qps",
+            "db_size_mb",
+            "cache_usage",
+            "disk_utilization",
+            "buffer_size_mb",
+            "stall",
+        )
+    }
 
     engine: str
     config_note: str = ""
@@ -187,73 +200,6 @@ class RunResult:
     def latency_percentile_s(self, percentile: float) -> float:
         """Read-latency percentile (e.g. 50, 99) over the whole run."""
         return self.read_latencies_s.percentile(percentile)
-
-    def to_dict(self) -> dict[str, object]:
-        """The *complete* run state as a JSON-friendly dict.
-
-        Unlike :meth:`to_json_dict` (a human-oriented summary), this is
-        the lossless transport format: every time series, the latency
-        reservoir's retained sample, event counts, per-cause bandwidth
-        and the metrics snapshot all round-trip exactly through
-        :meth:`from_dict` — it is how sweep workers ship results across
-        the process boundary.
-        """
-        return {
-            "engine": self.engine,
-            "config_note": self.config_note,
-            "duration_s": self.duration_s,
-            "reads_completed": self.reads_completed,
-            "writes_applied": self.writes_applied,
-            "stall_seconds": self.stall_seconds,
-            "series": {
-                name: getattr(self, name).to_dict() for name in _SERIES_FIELDS
-            },
-            "read_latencies_s": self.read_latencies_s.to_dict(),
-            "event_counts": dict(self.event_counts),
-            "bandwidth_by_cause": {
-                cause: series.to_dict()
-                for cause, series in sorted(self.bandwidth_by_cause.items())
-            },
-            "bandwidth_kb_by_cause": {
-                cause: dict(totals)
-                for cause, totals in sorted(self.bandwidth_kb_by_cause.items())
-            },
-            "metrics": dict(self.metrics),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunResult":
-        """Rebuild a result from :meth:`to_dict` output (the worker
-        transport); the round-trip preserves equality."""
-        result = cls(
-            engine=payload["engine"],
-            config_note=payload.get("config_note", ""),
-            duration_s=int(payload["duration_s"]),
-            reads_completed=int(payload["reads_completed"]),
-            writes_applied=int(payload["writes_applied"]),
-        )
-        result.stall_seconds = float(payload.get("stall_seconds", 0.0))
-        for name in _SERIES_FIELDS:
-            # ``.get`` tolerates payloads written before a series existed.
-            data = payload["series"].get(name)
-            if data is not None:
-                setattr(result, name, TimeSeries.from_dict(data))
-        result.read_latencies_s = LatencyReservoir.from_dict(
-            payload["read_latencies_s"]
-        )
-        result.event_counts = {
-            name: int(count) for name, count in payload["event_counts"].items()
-        }
-        result.bandwidth_by_cause = {
-            cause: TimeSeries.from_dict(series)
-            for cause, series in payload["bandwidth_by_cause"].items()
-        }
-        result.bandwidth_kb_by_cause = {
-            cause: {kind: float(kb) for kind, kb in totals.items()}
-            for cause, totals in payload["bandwidth_kb_by_cause"].items()
-        }
-        result.metrics = dict(payload["metrics"])
-        return result
 
     def to_json_dict(self) -> dict[str, object]:
         """The run summary as a JSON-serializable dict (``cli --json``)."""

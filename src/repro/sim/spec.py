@@ -21,6 +21,7 @@ import dataclasses
 import zlib
 from dataclasses import dataclass
 
+from repro.codec import Wire
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.obs.prof import DEFAULT_SAMPLE_EVERY
@@ -44,12 +45,14 @@ def _format_value(value: object) -> str:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Wire):
     """One run of one engine, described entirely by primitives.
 
     ``overrides`` is a sorted tuple of ``(field, value)`` pairs applied
     on top of the named configuration base; keeping it a tuple (not a
     dict) makes the spec hashable, so specs can key caches directly.
+    ``to_dict()``/``from_dict()`` (the sweep transport format) come from
+    :class:`~repro.codec.Wire`.
     """
 
     engine: str
@@ -157,37 +160,3 @@ class ExperimentSpec:
     def label(self) -> str:
         """The run identity: the cell key plus the seed."""
         return f"{self.cell_key()}/s{self.seed}"
-
-    # ------------------------------------------------------------------
-    # Serialization (JSON-friendly; the sweep transport format).
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "engine": self.engine,
-            "base": self.base,
-            "scale": self.scale,
-            "overrides": dict(self.overrides),
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "scan_mode": self.scan_mode,
-            "do_preload": self.do_preload,
-            "profile": self.profile,
-            "sample_every": self.sample_every,
-            "trace_path": self.trace_path,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentSpec":
-        return cls(
-            engine=payload["engine"],
-            base=payload.get("base", "paper_scaled"),
-            scale=payload.get("scale", 2048),
-            overrides=tuple(payload.get("overrides", {}).items()),
-            duration_s=payload.get("duration_s"),
-            seed=payload.get("seed", 0),
-            scan_mode=payload.get("scan_mode", False),
-            do_preload=payload.get("do_preload", True),
-            profile=payload.get("profile", False),
-            sample_every=payload.get("sample_every", DEFAULT_SAMPLE_EVERY),
-            trace_path=payload.get("trace_path"),
-        )

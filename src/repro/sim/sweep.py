@@ -36,12 +36,14 @@ from repro.sim.experiment import ENGINE_NAMES, execute
 from repro.sim.metrics import RunResult
 from repro.sim.spec import ExperimentSpec
 
-#: Keep in sync with ``benchmarks.common.BENCH_SCHEMA_VERSION`` (the
-#: validator lives there; src must not import the benchmarks package).
+#: Bench-telemetry JSON schema version (bump on a breaking layout
+#: change); ``benchmarks.common``, where the validator lives, imports it.
 #: Version 2: run entries grew a required ``stall_seconds`` field and
-#: serve cells may appear (tagged ``"kind": "serve"``).
+#: serve cells may appear (tagged ``"kind": "serve"``, with per-class
+#: percentiles).
 #: Version 3: cluster run entries (tagged ``"kind": "cluster"``, from
-#: ``repro cluster``) and cluster-shard spec payloads in the pool.
+#: ``repro cluster``, with per-shard ledgers) and cluster-shard spec
+#: payloads in the pool.
 SWEEP_SCHEMA_VERSION = 3
 
 #: Headline metrics aggregated per cell: name -> extractor.

@@ -815,6 +815,30 @@ class TestReportFromFile:
         assert main(["report", "--from", str(weird)]) == 0
         assert "unrecognized kind" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "payload, names",
+        [
+            # Truncated: the one field without a default is gone.
+            ({"kind": "serve", "duration_s": 100}, "ServeResult.engine"),
+            ({"kind": "serve", "engine": "lsbm",
+              "class_stats": {"readers": "not a ledger"}}, "ClassStats"),
+            ({"kind": "cluster", "shards": [],
+              "spec": {"engine": "lsbm", "num_shards": "two"}},
+             "ClusterSpec.num_shards"),
+        ],
+    )
+    def test_malformed_lossless_payload_exits_2_with_one_line(
+        self, payload, names, tmp_path, capsys
+    ):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", "--from", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"report: cannot load {path}: ")
+        assert names in line and "Traceback" not in line
+
     def test_report_requires_engine_or_from(self, capsys):
         assert main(["report"]) == 2
         err = capsys.readouterr().err

@@ -433,6 +433,12 @@ class TestBenchTelemetry:
         assert run["sim_ops_per_s"] > 0.0
         assert run["mean_hit_ratio"] >= 0.0
         assert payload["scalars"] == {"knob": 2.5}
+        # No speed_baseline block is stamped in any more; payloads
+        # already on disk that carry one still validate.
+        assert "speed_baseline" not in payload
+        common.validate_bench(
+            dict(payload, speed_baseline={"recorded_grid_ops_per_s": 45987.0})
+        )
 
     def test_validate_bench_rejects_bad_payloads(self):
         common = self._common()
