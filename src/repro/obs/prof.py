@@ -4,8 +4,8 @@ The driver prices every read from its :class:`~repro.lsm.base.ReadCost`,
 but a priced total cannot say *where* a slow read spent its time — in
 Bloom probes, in the cache hierarchy, or queued behind compaction I/O on
 the disk.  :class:`SpanProfiler` closes that gap: every ``sample_every``-th
-read is decomposed, stage by stage and with the exact arithmetic of
-:meth:`~repro.sim.driver.MixedReadWriteDriver.price_read`, into a
+read is decomposed, stage by stage from the addends of
+:meth:`~repro.storage.iomodel.ReadPricer.stage_terms`, into a
 :class:`~repro.obs.events.ReadSpan` event carrying per-stage virtual-time
 durations (memtable/CPU → Bloom → DB cache → OS cache → random disk →
 sequential runs) plus the read's shape counters.  Spans travel the normal
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.obs.events import EventBus, ReadSpan
-from repro.storage.iomodel import IOCostModel
+from repro.storage.iomodel import ReadPricer, queueing_factor
 
 if TYPE_CHECKING:  # repro.lsm.base imports repro.obs — keep this one-way.
     from repro.lsm.base import ReadCost
@@ -43,8 +43,7 @@ class SpanProfiler:
         "reads_seen",
         "spans_emitted",
         "_bus",
-        "_config",
-        "_cost_model",
+        "_pricer",
     )
 
     def __init__(
@@ -63,8 +62,7 @@ class SpanProfiler:
         self.reads_seen = 0
         self.spans_emitted = 0
         self._bus = bus
-        self._config = config
-        self._cost_model = IOCostModel(config) if config is not None else None
+        self._pricer = ReadPricer(config) if config is not None else None
 
     def record_read(
         self,
@@ -99,41 +97,30 @@ class SpanProfiler:
     ) -> ReadSpan:
         """Split one read's modeled time into per-stage durations.
 
-        The stage sum equals the driver's priced per-real-read latency
-        (``price_read / ops_scale``) exactly — asserted by the profiler
-        tests — so span traces reconcile with the latency reservoir.
+        The stages are the pricer's own addends, summed in its order, so
+        ``total_s`` is bitwise ``service_seconds(...)``: span traces
+        reconcile with the latency reservoir exactly.
         """
-        config = self._config
-        model = self._cost_model
-        cpu_s = config.cache_hit_s + pairs_returned * config.scan_pair_cpu_s
-        if is_scan:
-            cpu_s += cost.tables_checked * config.scan_table_cpu_s
-        bloom_s = model.bloom_probe_s(cost.bloom_probes)
-        db_cache_s = cost.cache_hit_blocks * config.block_hit_s
-        os_cache_s = cost.os_hit_blocks * config.os_hit_s
-        disk_random_s = 0.0
-        if cost.disk_random_blocks:
-            disk_random_s = model.random_read_s(
-                cost.disk_random_blocks, utilization
-            )
-        disk_seq_s = 0.0
-        if cost.seq_runs or cost.seq_kb:
-            disk_seq_s = model.sequential_s(
-                cost.seq_kb, seeks=cost.seq_runs, utilization=utilization
-            )
-        total_s = (
-            cpu_s + bloom_s + db_cache_s + os_cache_s + disk_random_s + disk_seq_s
+        terms = self._pricer.stage_terms(
+            cost, pairs_returned, utilization, is_scan
         )
+        # An explicit loop: builtin sum() compensates from Python 3.12 on.
+        total_s = 0.0
+        for _, seconds in terms:
+            total_s += seconds
+        stages = dict(terms)
         return ReadSpan(
             op="scan" if is_scan else "get",
             sample_index=sample_index,
             total_s=total_s,
-            cpu_s=cpu_s,
-            bloom_s=bloom_s,
-            db_cache_s=db_cache_s,
-            os_cache_s=os_cache_s,
-            disk_random_s=disk_random_s,
-            disk_seq_s=disk_seq_s,
+            cpu_s=stages["cpu"]
+            + stages["scan_pairs"]
+            + stages.get("scan_tables", 0.0),
+            bloom_s=stages["bloom"],
+            db_cache_s=stages["db_cache"],
+            os_cache_s=stages["os_cache"],
+            disk_random_s=stages.get("disk_random", 0.0),
+            disk_seq_s=stages.get("disk_seq", 0.0),
             memtable_probes=cost.memtable_probes,
             index_probes=cost.index_probes,
             bloom_probes=cost.bloom_probes,
@@ -160,7 +147,7 @@ def span_queueing_split(record: dict) -> dict[str, float]:
     ``record`` is a trace record (or ``dataclasses.asdict`` form) of a
     :class:`~repro.obs.events.ReadSpan`.
     """
-    factor = IOCostModel.queueing_factor(record["utilization"])
+    factor = queueing_factor(record["utilization"])
     disk_s = record["disk_random_s"] + record["disk_seq_s"]
     queueing_s = disk_s * (1.0 - 1.0 / factor)
     return {

@@ -15,7 +15,7 @@ Three pieces, all off by default and all deterministic:
   ``tail_k`` requests by total latency (a min-heap over totals) plus a
   small uniform sample (every ``uniform_every``-th completion), or for
   everything in ``"full"`` mode.  A kept exemplar's service stages come
-  from :meth:`~repro.sim.kernel.ReadPricer.stage_terms` — the pricer's
+  from :meth:`~repro.storage.iomodel.ReadPricer.stage_terms` — the pricer's
   own addends in its own expression order — so the left-to-right float
   sum of the stages reproduces the recorded service time *bitwise* and
   ``queue + Σstages == total`` holds with reconciliation error exactly
@@ -215,7 +215,7 @@ class RequestTracer:
     def bind_pricer(self, pricer) -> None:
         """Adopt the serve loop's pricer (the source of stage terms)."""
         self._pricer = pricer
-        self._cache_hit_s = pricer.config.cache_hit_s
+        self._cache_hit_s = pricer.write_s
 
     # ------------------------------------------------------------------
     # Sampling decisions.
@@ -329,7 +329,7 @@ class RequestTracer:
         tag = self._admit(total_s, request.seq)
         if tag is None:
             return
-        # service_s was computed as cache_hit_s + stall_s, in that
+        # service_s was computed as write_s + stall_s, in that
         # order, so these two stages sum to it bitwise (and dropping a
         # zero stall term preserves the sum exactly).
         stages = [{"stage": "engine_write", "duration_s": self._cache_hit_s}]

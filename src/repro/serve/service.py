@@ -5,7 +5,7 @@ arrivals (and due write retries) through admission control into the
 bounded scheduler, let the engine do its compaction housekeeping, then
 dispatch queued requests against the engine under the same
 ``read_threads`` thread-second budget — and the same
-:class:`~repro.sim.kernel.ReadPricer` arithmetic — as the closed-loop
+:class:`~repro.storage.iomodel.ReadPricer` arithmetic — as the closed-loop
 driver.  The one semantic difference is what latency means: here a
 request's latency is *queueing delay* (arrival to dispatch) plus
 *service time* (the priced engine work), which is exactly the quantity
@@ -60,9 +60,10 @@ from repro.serve.arrivals import Request, generate_arrivals
 from repro.serve.result import ClassStats, ServeResult
 from repro.serve.scheduler import Scheduler, make_scheduler
 from repro.serve.spec import ServiceSpec
-from repro.sim.kernel import MAX_READS_PER_TICK, ReadPricer
+from repro.sim.driver import HIT_RATIO_WINDOW_S
+from repro.sim.kernel import MAX_READS_PER_TICK
 from repro.sstable.entry import Entry
-from repro.storage.iomodel import IOCostModel
+from repro.storage.iomodel import ReadPricer
 from repro.workload.ycsb import RangeHotWorkload
 
 #: Cap on retained per-request decomposition samples.
@@ -108,8 +109,7 @@ class ServiceSimulator:
         self.arrivals = arrivals
         self.scheduler = scheduler
         self.admission = admission
-        self.cost_model = IOCostModel(config)
-        self.pricer = ReadPricer(config, self.cost_model)
+        self.pricer = ReadPricer(config)
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.request_sample_every = max(1, request_sample_every)
         self.observer = observer
@@ -135,7 +135,6 @@ class ServiceSimulator:
         self._completed_count = 0
         self._last_cache_stats: CacheStats | None = None
         self._last_hit_sample_tick: int | None = None
-        self.hit_ratio_window_s = 20
         # Per-run loop state, created by begin().
         self._result: ServeResult | None = None
         self._sample_every = 1
@@ -440,8 +439,8 @@ class ServiceSimulator:
                 stall_s = self.engine.stats.stall_seconds - stall_before
                 # One simulated write stands for ops_scale real writes'
                 # worth of ingestion; a stall blocks the write path once.
-                budget -= config.cache_hit_s * config.ops_scale + stall_s
-                service_s = config.cache_hit_s + stall_s
+                budget -= self.pricer.write_s * config.ops_scale + stall_s
+                service_s = self.pricer.write_s + stall_s
                 result.writes_applied += 1
             else:
                 if request.op == "scan":
@@ -548,7 +547,7 @@ class ServiceSimulator:
             stats = self.metric_cache.stats
             due = (
                 self._last_hit_sample_tick is None
-                or now - self._last_hit_sample_tick >= self.hit_ratio_window_s
+                or now - self._last_hit_sample_tick >= HIT_RATIO_WINDOW_S
             )
             if due:
                 if self._last_cache_stats is None:

@@ -13,7 +13,8 @@ Here one virtual second is one driver tick:
 3. read the disk's background utilization for this second — compaction
    traffic slows foreground I/O through the queueing factor;
 4. spend ``read_threads`` thread-seconds issuing reads, pricing each one
-   from its :class:`~repro.lsm.base.ReadCost` via the I/O cost model
+   from its :class:`~repro.lsm.base.ReadCost` via
+   :class:`~repro.storage.iomodel.ReadPricer`
    (each simulated read stands for ``ops_scale`` real reads, so reported
    throughput is paper-comparable);
 5. sample the per-second metrics.
@@ -26,47 +27,20 @@ import random
 from repro.cache.stats import CacheStats
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.lsm.base import ReadCost
 from repro.clock import VirtualClock
 from repro.obs.events import EventTally
 from repro.obs.prof import NULL_PROFILER, SpanProfiler
-from repro.sim.kernel import MAX_READS_PER_TICK, ReadKernel, ReadPricer
+from repro.sim.kernel import MAX_READS_PER_TICK, ReadKernel
 from repro.sim.metrics import RunResult, TimeSeries
-from repro.storage.iomodel import IOCostModel
+from repro.storage.iomodel import ReadPricer
 from repro.workload.ycsb import RangeHotWorkload
 
-
-def price_read(
-    config: SystemConfig,
-    cost_model: IOCostModel,
-    cost: ReadCost,
-    pairs_returned: int,
-    utilization: float,
-    is_scan: bool = False,
-) -> float:
-    """Modeled service seconds of one (simulated) read.
-
-    Module-level so the driver and the :mod:`repro.serve` service layer
-    price reads with literally the same arithmetic — and so the span
-    profiler's stage decomposition (:mod:`repro.obs.prof`) has one
-    formula to reconcile against.
-    """
-    seconds = config.cache_hit_s  # Per-operation base CPU.
-    seconds += cost.cache_hit_blocks * config.block_hit_s
-    seconds += cost.os_hit_blocks * config.os_hit_s
-    seconds += pairs_returned * config.scan_pair_cpu_s
-    if is_scan:
-        # Range queries position an iterator on every sorted table
-        # they touch; point reads pay per-probe costs instead.
-        seconds += cost.tables_checked * config.scan_table_cpu_s
-    seconds += cost_model.bloom_probe_s(cost.bloom_probes)
-    if cost.disk_random_blocks:
-        seconds += cost_model.random_read_s(cost.disk_random_blocks, utilization)
-    if cost.seq_runs or cost.seq_kb:
-        seconds += cost_model.sequential_s(
-            cost.seq_kb, seeks=cost.seq_runs, utilization=utilization
-        )
-    return seconds * config.ops_scale
+#: Hit-ratio points are computed over windows of this many ticks so each
+#: point aggregates enough reads to be a meaningful ratio (a per-tick
+#: ratio over a handful of reads is dominated by sampling noise and,
+#: averaged, biased low: miss ticks complete few reads).  Shared by the
+#: YCSB driver and the serve loop.
+HIT_RATIO_WINDOW_S = 20
 
 
 class MixedReadWriteDriver:
@@ -105,12 +79,11 @@ class MixedReadWriteDriver:
         self.workload = workload or RangeHotWorkload(config)
         self.rng = random.Random(seed)
         self.scan_mode = scan_mode
-        self.cost_model = IOCostModel(config)
         self.metric_cache = (
             metric_cache if metric_cache is not None else engine.metric_cache
         )
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.pricer = ReadPricer(config, self.cost_model)
+        self.pricer = ReadPricer(config)
         if kernel == "batched":
             kernel_args = {} if batch_size is None else {"batch_size": batch_size}
             self._kernel: ReadKernel | None = ReadKernel(
@@ -142,28 +115,6 @@ class MixedReadWriteDriver:
         self._stall_last = 0.0
         self._last_cache_stats: CacheStats | None = None
         self._last_hit_sample_tick: int | None = None
-        #: Hit-ratio points are computed over windows of this many ticks so
-        #: each point aggregates enough reads to be a meaningful ratio (a
-        #: per-tick ratio over a handful of reads is dominated by sampling
-        #: noise and, averaged, biased low: miss ticks complete few reads).
-        self.hit_ratio_window_s = 20
-
-    # ------------------------------------------------------------------
-    # Pricing.
-    # ------------------------------------------------------------------
-    def price_read(
-        self,
-        cost: ReadCost,
-        pairs_returned: int,
-        utilization: float,
-        is_scan: bool = False,
-    ) -> float:
-        """Modeled service seconds of one (simulated) read.
-
-        Delegates to the prebound :class:`~repro.sim.kernel.ReadPricer`,
-        whose arithmetic matches module :func:`price_read` exactly.
-        """
-        return self.pricer.price(cost, pairs_returned, utilization, is_scan)
 
     # ------------------------------------------------------------------
     # The run loop.
@@ -305,7 +256,7 @@ class MixedReadWriteDriver:
                 key = self.workload.next_read_key(self.rng)
                 got = self.engine.get(key)
                 cost, pairs = got.cost, 0
-            priced = self.price_read(cost, pairs, utilization, self.scan_mode)
+            priced = self.pricer.price(cost, pairs, utilization, self.scan_mode)
             self.profiler.record_read(cost, utilization, pairs, self.scan_mode)
             budget -= priced
             result.read_latencies_s.append(priced / self.config.ops_scale)
@@ -339,7 +290,7 @@ class MixedReadWriteDriver:
             stats = self.metric_cache.stats
             due = (
                 self._last_hit_sample_tick is None
-                or now - self._last_hit_sample_tick >= self.hit_ratio_window_s
+                or now - self._last_hit_sample_tick >= HIT_RATIO_WINDOW_S
             )
             if due:
                 if self._last_cache_stats is None:

@@ -25,12 +25,12 @@ import random
 from repro.check.oracle import KVOracle
 from repro.config import SystemConfig
 from repro.clock import VirtualClock
-from repro.sim.driver import MixedReadWriteDriver
+from repro.obs.events import EventTally
+from repro.sim.driver import HIT_RATIO_WINDOW_S
+from repro.sim.kernel import MAX_READS_PER_TICK
 from repro.sim.metrics import RunResult
+from repro.storage.iomodel import ReadPricer
 from repro.workload.ycsb import OpKind, YCSBWorkload
-
-#: Guard against degenerate near-zero op costs spinning a tick forever.
-_MAX_OPS_PER_TICK = 50_000
 
 
 class YCSBDriver:
@@ -54,8 +54,10 @@ class YCSBDriver:
         self.client_threads = (
             client_threads if client_threads is not None else config.read_threads
         )
-        # Reuse the RangeHot driver's pricing and sampling machinery.
-        self._pricer = MixedReadWriteDriver(engine, config, clock, seed=seed)
+        self._pricer = ReadPricer(config)
+        self._write_price = self._pricer.write_s * config.ops_scale
+        self._metric_cache = engine.metric_cache
+        self._event_tally = EventTally(engine.bus)
         self._debt = 0.0
         self.ops_by_kind: dict[OpKind, int] = {kind: 0 for kind in OpKind}
         self.oracle = oracle
@@ -92,26 +94,25 @@ class YCSBDriver:
         """Run one operation; returns its priced service seconds."""
         op = self.workload.next_operation(self.rng)
         self.ops_by_kind[op.kind] += 1
-        write_price = self.config.cache_hit_s * self.config.ops_scale
         if op.kind in (OpKind.UPDATE, OpKind.INSERT):
             seq = self.engine.put(op.key)
             if self.oracle is not None:
                 self.oracle.put(op.key, seq)
-            return write_price
+            return self._write_price
         if op.kind == OpKind.DELETE:
             self.engine.delete(op.key)
             if self.oracle is not None:
                 self.oracle.delete(op.key)
-            return write_price
+            return self._write_price
         if op.kind == OpKind.READ:
             result = self.engine.get(op.key)
             self._check_get(op.key, result)
-            return self._pricer.price_read(result.cost, 0, utilization)
+            return self._pricer.price(result.cost, 0, utilization)
         if op.kind == OpKind.SCAN:
             high = op.key + max(1, op.scan_length) - 1
             scan = self.engine.scan(op.key, high)
             self._check_scan(op.key, high, scan)
-            return self._pricer.price_read(
+            return self._pricer.price(
                 scan.cost, len(scan.entries), utilization, is_scan=True
             )
         # Read-modify-write: a read plus a write.
@@ -121,7 +122,7 @@ class YCSBDriver:
         if self.oracle is not None:
             self.oracle.put(op.key, seq)
         return (
-            self._pricer.price_read(result.cost, 0, utilization) + write_price
+            self._pricer.price(result.cost, 0, utilization) + self._write_price
         )
 
     # ------------------------------------------------------------------
@@ -129,8 +130,8 @@ class YCSBDriver:
     # ------------------------------------------------------------------
     def run(self, duration_s: int) -> RunResult:
         result = RunResult(engine=self.engine.name, duration_s=duration_s)
-        metric_cache = self._pricer.metric_cache
-        events_before = dict(self._pricer.event_tally.counts)
+        metric_cache = self._metric_cache
+        events_before = dict(self._event_tally.counts)
         last_stats = None
         for _ in range(duration_s):
             now = self.clock.now
@@ -138,7 +139,7 @@ class YCSBDriver:
             utilization = self.engine.disk.utilization()
             budget = float(self.client_threads) - self._debt
             ops = 0
-            while budget > 0.0 and ops < _MAX_OPS_PER_TICK:
+            while budget > 0.0 and ops < MAX_READS_PER_TICK:
                 priced = self._execute(utilization)
                 budget -= priced
                 result.read_latencies_s.append(priced / self.config.ops_scale)
@@ -153,7 +154,7 @@ class YCSBDriver:
                 / 1024.0,
             )
             result.disk_utilization.add(now, utilization)
-            if metric_cache is not None and now % 20 == 0:
+            if metric_cache is not None and now % HIT_RATIO_WINDOW_S == 0:
                 stats = metric_cache.stats
                 ratio = (
                     stats.hit_ratio
@@ -163,7 +164,7 @@ class YCSBDriver:
                 last_stats = stats.snapshot()
                 result.hit_ratio.add(now, ratio)
             self.clock.advance(1)
-        tally = self._pricer.event_tally.counts
+        tally = self._event_tally.counts
         result.event_counts = {
             name: count - events_before.get(name, 0)
             for name, count in tally.items()

@@ -2,12 +2,12 @@
 
 from repro.storage.disk import DiskStats, SimulatedDisk
 from repro.storage.extent import Extent, ExtentAllocator
-from repro.storage.iomodel import IOCostModel
+from repro.storage.iomodel import ReadPricer
 
 __all__ = [
     "DiskStats",
     "Extent",
     "ExtentAllocator",
-    "IOCostModel",
+    "ReadPricer",
     "SimulatedDisk",
 ]

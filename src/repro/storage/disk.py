@@ -8,7 +8,7 @@ one random block for a query miss) and the disk keeps the books:
 * cumulative read/write traffic split by random/sequential,
 * a per-virtual-second bandwidth ledger for *background* (compaction) I/O,
   from which the driver derives device utilization and, through
-  :class:`~repro.storage.iomodel.IOCostModel`, the queueing slowdown that
+  :class:`~repro.storage.iomodel.ReadPricer`, the queueing slowdown that
   foreground queries experience,
 * a per-*cause* attribution of all sequential traffic ("flush",
   "compaction:L2", "wal", "query", ...), so the profiling layer can say
@@ -368,7 +368,7 @@ class SimulatedDisk:
         )
 
     # ------------------------------------------------------------------
-    # Foreground I/O accounting (queries). Costing happens in IOCostModel;
+    # Foreground I/O accounting (queries). Costing happens in ReadPricer;
     # the disk only keeps cumulative counters.
     # ------------------------------------------------------------------
     def foreground_random_read(self, blocks: int = 1) -> None:

@@ -1,4 +1,4 @@
-"""Disk I/O cost models.
+"""The read cost model: what one query costs on the simulated disk.
 
 The paper's evaluation runs on a RAID0 of two 15K-RPM hard disks.  The
 relevant performance facts for every experiment are:
@@ -10,18 +10,25 @@ relevant performance facts for every experiment are:
 * each sorted table touched by a range query adds one seek, which is why
   SM-tree's many-tables-per-level structure collapses range throughput.
 
-:class:`IOCostModel` turns an operation's *shape* (random reads, sequential
-bytes, cache hits, Bloom probes) into modeled service seconds, including a
-simple M/M/1-style contention factor for device utilization.  Constants
-come from :class:`~repro.config.SystemConfig`; DESIGN.md Section 2 and
-EXPERIMENTS.md record the calibration against the paper's absolute numbers.
+:class:`ReadPricer` turns an operation's *shape* (a
+:class:`~repro.lsm.base.ReadCost`: cached blocks, Bloom probes, random
+reads, sequential runs) into modeled service seconds, including a simple
+M/M/1-style contention factor for device utilization.  It is the only
+home of that formula: the closed-loop drivers, the serve loop, the
+request tracer and the span profiler all hold one and read it.
+Constants come from :class:`~repro.config.SystemConfig`; DESIGN.md
+Section 2 and EXPERIMENTS.md record the calibration against the paper's
+absolute numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import SystemConfig
+
+if TYPE_CHECKING:  # repro.lsm.base imports repro.storage: keep this one-way.
+    from repro.lsm.base import ReadCost
 
 #: Utilization is clamped so the queueing factor stays bounded (max 5x).
 #: Production LSM stores rate-limit compaction I/O so foreground reads are
@@ -29,60 +36,165 @@ from repro.config import SystemConfig
 _MAX_UTILIZATION = 0.8
 
 
-@dataclass(frozen=True)
-class IOCostModel:
-    """Translates operation shapes into modeled service time (seconds)."""
+def queueing_factor(utilization: float) -> float:
+    """M/M/1-style slowdown of disk service under background traffic.
 
-    config: SystemConfig
+    ``utilization`` is the fraction of the current virtual second the
+    device already spends on compaction I/O.  The factor is
+    ``1 / (1 - u)`` with ``u`` clamped to keep it finite; at the
+    paper's steady-state compaction load (~0.2) this is a mild 1.25x,
+    during SM-tree's whole-level merges it dominates.  Reports use it to
+    split a priced disk stage into base service time (``stage / factor``)
+    and queueing delay behind compaction I/O (the rest).
+    """
+    clamped = min(max(utilization, 0.0), _MAX_UTILIZATION)
+    return 1.0 / (1.0 - clamped)
 
-    # ------------------------------------------------------------------
-    # Primitive costs.
-    # ------------------------------------------------------------------
-    def random_read_s(self, blocks: int = 1, utilization: float = 0.0) -> float:
-        """Cost of ``blocks`` independent random block reads from disk."""
-        if blocks <= 0:
-            return 0.0
-        return blocks * self.config.random_read_s * self._queueing(utilization)
 
-    def sequential_s(
-        self, size_kb: float, seeks: int = 1, utilization: float = 0.0
+class ReadPricer:
+    """Prices a :class:`~repro.lsm.base.ReadCost` in modeled seconds.
+
+    Every pricing constant is bound once at construction.  The arithmetic
+    is spelled twice here, :meth:`stage_terms` (the labeled addends) and
+    :meth:`service_seconds` (their fused sum), and once more in the point
+    loop of :meth:`~repro.sim.kernel.ReadKernel.run_tick`; all three keep
+    one expression order (float addition is not associative, and the
+    RunResult series must be bit-identical between them), including the
+    conditional structure: zero-probe bloom terms still add ``0.0``, and
+    disk terms are only added when there is disk work.
+    """
+
+    __slots__ = (
+        "ops_scale",
+        "write_s",
+        "_cache_hit_s",
+        "_block_hit_s",
+        "_os_hit_s",
+        "_scan_pair_cpu_s",
+        "_scan_table_cpu_s",
+        "_bloom_probe_s",
+        "_random_read_s",
+        "_seek_s",
+        "_fg_bandwidth",
+    )
+
+    def __init__(self, config: SystemConfig) -> None:
+        self.ops_scale = config.ops_scale
+        #: Engine ingest of one write (no read of any run is involved).
+        self.write_s = config.cache_hit_s
+        self._cache_hit_s = config.cache_hit_s
+        self._block_hit_s = config.block_hit_s
+        self._os_hit_s = config.os_hit_s
+        self._scan_pair_cpu_s = config.scan_pair_cpu_s
+        self._scan_table_cpu_s = config.scan_table_cpu_s
+        self._bloom_probe_s = config.bloom_probe_s
+        self._random_read_s = config.random_read_s
+        self._seek_s = config.seek_s
+        self._fg_bandwidth = config.foreground_bandwidth_kb_per_s
+
+    def service_seconds(
+        self,
+        cost: ReadCost,
+        pairs_returned: int,
+        utilization: float,
+        is_scan: bool = False,
     ) -> float:
-        """Cost of a sequential transfer of ``size_kb`` after ``seeks`` seeks."""
-        if size_kb <= 0 and seeks <= 0:
-            return 0.0
-        transfer = size_kb / self.config.foreground_bandwidth_kb_per_s
-        position = seeks * self.config.seek_s
-        return (transfer + position) * self._queueing(utilization)
+        """Unscaled modeled service seconds of one (simulated) read.
 
-    def cache_hit_s(self, blocks: int = 1) -> float:
-        """CPU/copy cost of serving ``blocks`` blocks from the buffer cache."""
-        return blocks * self.config.cache_hit_s
-
-    def bloom_probe_s(self, probes: int) -> float:
-        return probes * self.config.bloom_probe_s
-
-    # ------------------------------------------------------------------
-    # Contention.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def queueing_factor(utilization: float) -> float:
-        """Public view of the contention multiplier (see :meth:`_queueing`).
-
-        Reports and the serve layer use it to split a priced disk stage
-        into base service time (``stage / factor``) and queueing delay
-        behind compaction I/O (the rest).
+        This is :meth:`price` without the final ``ops_scale`` multiply
+        — the quantity the serve layer records as a request's service
+        time, and exactly the left-to-right sum of
+        :meth:`stage_terms`.
         """
-        return IOCostModel._queueing(utilization)
+        seconds = (
+            self._cache_hit_s
+            + cost.cache_hit_blocks * self._block_hit_s
+            + cost.os_hit_blocks * self._os_hit_s
+            + pairs_returned * self._scan_pair_cpu_s
+        )
+        if is_scan:
+            seconds += cost.tables_checked * self._scan_table_cpu_s
+        seconds += cost.bloom_probes * self._bloom_probe_s
+        blocks = cost.disk_random_blocks
+        seq_runs = cost.seq_runs
+        seq_kb = cost.seq_kb
+        if blocks or seq_runs or seq_kb:
+            clamped = utilization
+            if clamped < 0.0:
+                clamped = 0.0
+            elif clamped > _MAX_UTILIZATION:
+                clamped = _MAX_UTILIZATION
+            queueing = 1.0 / (1.0 - clamped)
+            if blocks:
+                seconds += blocks * self._random_read_s * queueing
+            if seq_runs or seq_kb:
+                seconds += (
+                    seq_kb / self._fg_bandwidth + seq_runs * self._seek_s
+                ) * queueing
+        return seconds
 
-    @staticmethod
-    def _queueing(utilization: float) -> float:
-        """M/M/1-style slowdown of disk service under background traffic.
+    def stage_terms(
+        self,
+        cost: ReadCost,
+        pairs_returned: int,
+        utilization: float,
+        is_scan: bool = False,
+    ) -> list[tuple[str, float]]:
+        """The labeled addends of :meth:`service_seconds`, in order.
 
-        ``utilization`` is the fraction of the current virtual second the
-        device already spends on compaction I/O.  The factor is
-        ``1 / (1 - u)`` with ``u`` clamped to keep it finite; at the
-        paper's steady-state compaction load (~0.2) this is a mild 1.25x,
-        during SM-tree's whole-level merges it dominates.
+        Exactness contract (what the tracing layer depends on): the
+        terms are exactly the addends of :meth:`service_seconds` in its
+        evaluation order, so a plain left-to-right float accumulation
+        of the returned values is *bitwise equal* to
+        ``service_seconds(...)`` — float addition isn't associative,
+        but this is the same sequence of additions.  Absent conditional
+        terms would contribute ``+0.0``, which is bitwise identity on
+        these positive partial sums, so the list may safely be filtered
+        to its nonzero entries downstream.
         """
-        clamped = min(max(utilization, 0.0), _MAX_UTILIZATION)
-        return 1.0 / (1.0 - clamped)
+        terms = [
+            ("cpu", self._cache_hit_s),
+            ("db_cache", cost.cache_hit_blocks * self._block_hit_s),
+            ("os_cache", cost.os_hit_blocks * self._os_hit_s),
+            ("scan_pairs", pairs_returned * self._scan_pair_cpu_s),
+        ]
+        if is_scan:
+            terms.append(
+                ("scan_tables", cost.tables_checked * self._scan_table_cpu_s)
+            )
+        terms.append(("bloom", cost.bloom_probes * self._bloom_probe_s))
+        blocks = cost.disk_random_blocks
+        seq_runs = cost.seq_runs
+        seq_kb = cost.seq_kb
+        if blocks or seq_runs or seq_kb:
+            clamped = utilization
+            if clamped < 0.0:
+                clamped = 0.0
+            elif clamped > _MAX_UTILIZATION:
+                clamped = _MAX_UTILIZATION
+            queueing = 1.0 / (1.0 - clamped)
+            if blocks:
+                terms.append(
+                    ("disk_random", blocks * self._random_read_s * queueing)
+                )
+            if seq_runs or seq_kb:
+                terms.append(
+                    (
+                        "disk_seq",
+                        (seq_kb / self._fg_bandwidth + seq_runs * self._seek_s)
+                        * queueing,
+                    )
+                )
+        return terms
+
+    def price(
+        self,
+        cost: ReadCost,
+        pairs_returned: int,
+        utilization: float,
+        is_scan: bool = False,
+    ) -> float:
+        """:meth:`service_seconds` of one simulated read, times ``ops_scale``
+        (what the read debits from a closed-loop thread budget)."""
+        seconds = self.service_seconds(cost, pairs_returned, utilization, is_scan)
+        return seconds * self.ops_scale

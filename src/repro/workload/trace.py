@@ -39,26 +39,29 @@ class TraceOp:
         return f"{self.op} {self.key}"
 
 
+#: Integer operands each operation takes.
+_OPERANDS = {"put": 1, "get": 1, "del": 1, "scan": 2, "tick": 0}
+
+
 def parse_line(line: str) -> TraceOp | None:
-    """Parse one trace line; returns ``None`` for blanks and comments."""
+    """Parse one trace line; returns ``None`` for blanks and comments.
+
+    Anything else that is not an operation raises :class:`WorkloadError`.
+    """
     body = line.split("#", 1)[0].strip()
     if not body:
         return None
     parts = body.split()
     op = parts[0].lower()
-    if op == "tick":
-        if len(parts) != 1:
-            raise WorkloadError(f"malformed trace line: {line!r}")
-        return TraceOp("tick")
-    if op in ("put", "get", "del"):
-        if len(parts) != 2:
-            raise WorkloadError(f"malformed trace line: {line!r}")
-        return TraceOp(op, int(parts[1]))
-    if op == "scan":
-        if len(parts) != 3:
-            raise WorkloadError(f"malformed trace line: {line!r}")
-        return TraceOp(op, int(parts[1]), int(parts[2]))
-    raise WorkloadError(f"unknown trace operation: {line!r}")
+    if op not in _OPERANDS:
+        raise WorkloadError(f"unknown trace operation: {line!r}")
+    try:
+        numbers = [int(part) for part in parts[1:]]
+    except ValueError:
+        numbers = None
+    if numbers is None or len(numbers) != _OPERANDS[op]:
+        raise WorkloadError(f"malformed trace line: {line!r}")
+    return TraceOp(op, *numbers)
 
 
 class TraceRecorder:
@@ -91,9 +94,14 @@ def save_trace(ops: list[TraceOp], path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> list[TraceOp]:
+    """Read a trace file; a bad line raises ``WorkloadError`` at
+    ``path:lineno``."""
     ops = []
-    for line in Path(path).read_text().splitlines():
-        parsed = parse_line(line)
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            parsed = parse_line(line)
+        except WorkloadError as error:
+            raise WorkloadError(f"{path}:{lineno}: {error}") from None
         if parsed is not None:
             ops.append(parsed)
     return ops

@@ -524,10 +524,15 @@ class TestTraceReplayCommand:
 
     def test_replay_rejects_malformed_trace(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"
-        path.write_text("put 1\ntick tock\n")
-        assert main(
-            ["trace", "replay", str(path), "--engine", "lsbm"]
-        ) == 2
+        for bad in ("tick tock", "put abc", "scan 1 x"):
+            path.write_text(f"put 1\n{bad}\n")
+            assert main(
+                ["trace", "replay", str(path), "--engine", "lsbm"]
+            ) == 2
+            # One line, naming the file and the line of the bad operation.
+            assert capsys.readouterr().err == (
+                f"trace replay: {path}:2: malformed trace line: {bad!r}\n"
+            )
 
     def test_replay_rejects_missing_file(self, tmp_path):
         assert main(

@@ -58,9 +58,9 @@ class TestDualCacheStack:
         driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
         from repro.lsm.base import ReadCost
 
-        db_hit = driver.price_read(ReadCost(cache_hit_blocks=1), 0, 0.0)
-        os_hit = driver.price_read(ReadCost(os_hit_blocks=1), 0, 0.0)
-        disk = driver.price_read(ReadCost(disk_random_blocks=1), 0, 0.0)
+        db_hit = driver.pricer.price(ReadCost(cache_hit_blocks=1), 0, 0.0)
+        os_hit = driver.pricer.price(ReadCost(os_hit_blocks=1), 0, 0.0)
+        disk = driver.pricer.price(ReadCost(disk_random_blocks=1), 0, 0.0)
         assert db_hit < os_hit < disk
 
     def test_dual_run_end_to_end(self):

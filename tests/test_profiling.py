@@ -10,6 +10,7 @@ traces, and the Fig. 8 LevelDB run's dips are >= 80% attributable.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import sys
@@ -50,25 +51,23 @@ from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.experiment import build_engine, preload, run_experiment, run_profiled
 from repro.sim.metrics import TimeSeries
 from repro.sim.report import mark_line, sparkline
+from repro.storage.iomodel import ReadPricer
 
 
-def _varied_costs() -> list[ReadCost]:
-    return [
-        ReadCost(),
-        ReadCost(memtable_probes=1),
-        ReadCost(index_probes=2, bloom_probes=3, cache_hit_blocks=2),
-        ReadCost(os_hit_blocks=4, disk_random_blocks=1, tables_checked=5),
-        ReadCost(seq_runs=2, seq_kb=100.0, tables_checked=7),
-        ReadCost(
-            bloom_probes=1,
-            cache_hit_blocks=1,
-            os_hit_blocks=1,
-            disk_random_blocks=2,
-            seq_runs=1,
-            seq_kb=16.0,
-            tables_checked=3,
-        ),
-    ]
+def _cost_grid():
+    """648 cost shapes: every priced counter at zero and at one or two more values."""
+    for cached, paged, bloom, blocks, runs, seq_kb, tables in itertools.product(
+        (0, 1, 7), (0, 3), (0, 2, 11), (0, 1, 5), (0, 4), (0.0, 16.0, 100.0), (0, 9)
+    ):
+        yield ReadCost(
+            cache_hit_blocks=cached,
+            os_hit_blocks=paged,
+            bloom_probes=bloom,
+            disk_random_blocks=blocks,
+            seq_runs=runs,
+            seq_kb=seq_kb,
+            tables_checked=tables,
+        )
 
 
 class TestSpanProfiler:
@@ -95,23 +94,26 @@ class TestSpanProfiler:
         assert tally.as_dict() == {"ReadSpan": 2}
 
     def test_decompose_matches_price_read(self):
-        """Stage sum == the driver's priced per-real-read latency."""
+        """A span's total is the pricer's service time, bitwise, and its
+        stages regroup the same addends."""
         config = SystemConfig.paper_scaled(2048)
-        setup = build_engine("leveldb", config)
-        driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
-        profiler = SpanProfiler(bus=setup.substrate.bus, config=config)
-        for cost in _varied_costs():
-            for utilization in (0.0, 0.5, 0.95):
+        pricer = ReadPricer(config)
+        profiler = SpanProfiler(bus=EventBus(), config=config)
+        shapes = 0
+        for cost in _cost_grid():
+            for utilization in (0.0, 0.3, 0.5, 0.95):
                 for is_scan, pairs in ((False, 0), (True, 13)):
+                    shapes += 1
                     span = profiler.decompose(
                         cost, utilization, pairs_returned=pairs, is_scan=is_scan
                     )
-                    priced = driver.price_read(cost, pairs, utilization, is_scan)
-                    assert math.isclose(
-                        span.total_s,
-                        priced / config.ops_scale,
-                        rel_tol=1e-12,
-                    ), (cost, utilization, is_scan)
+                    shape = (cost, utilization, is_scan)
+                    assert span.total_s == pricer.service_seconds(
+                        cost, pairs, utilization, is_scan
+                    ), shape
+                    assert span.total_s * config.ops_scale == pricer.price(
+                        cost, pairs, utilization, is_scan
+                    ), shape
                     stage_sum = (
                         span.cpu_s
                         + span.bloom_s
@@ -121,6 +123,7 @@ class TestSpanProfiler:
                         + span.disk_seq_s
                     )
                     assert math.isclose(span.total_s, stage_sum, rel_tol=1e-12)
+        assert shapes == 5184
 
     def test_null_profiler_is_disabled_and_emits_nothing(self):
         assert not NULL_PROFILER.enabled

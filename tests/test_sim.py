@@ -115,7 +115,7 @@ class TestDriver:
         driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
         hit = ReadCost(cache_hit_blocks=1)
         miss = ReadCost(disk_random_blocks=1)
-        assert driver.price_read(miss, 0, 0.0) > driver.price_read(hit, 0, 0.0)
+        assert driver.pricer.price(miss, 0, 0.0) > driver.pricer.price(hit, 0, 0.0)
 
     def test_price_scan_charges_tables(self):
         config = small_config()
@@ -123,18 +123,18 @@ class TestDriver:
         driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
         few = ReadCost(tables_checked=2)
         many = ReadCost(tables_checked=20)
-        assert driver.price_read(many, 0, 0.0, is_scan=True) > driver.price_read(
+        assert driver.pricer.price(many, 0, 0.0, is_scan=True) > driver.pricer.price(
             few, 0, 0.0, is_scan=True
         )
         # Point reads don't pay the iterator-positioning cost.
-        assert driver.price_read(many, 0, 0.0) == driver.price_read(few, 0, 0.0)
+        assert driver.pricer.price(many, 0, 0.0) == driver.pricer.price(few, 0, 0.0)
 
     def test_contention_slows_disk_reads(self):
         config = small_config()
         setup = build_engine("blsm", config)
         driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
         miss = ReadCost(disk_random_blocks=1)
-        assert driver.price_read(miss, 0, 0.5) > driver.price_read(miss, 0, 0.0)
+        assert driver.pricer.price(miss, 0, 0.5) > driver.pricer.price(miss, 0, 0.0)
 
     def test_ops_scale_multiplies_price(self):
         config = small_config().replace(ops_scale=4.0)
@@ -144,8 +144,8 @@ class TestDriver:
         setup2 = build_engine("blsm", base)
         driver2 = MixedReadWriteDriver(setup2.engine, base, setup2.clock)
         cost = ReadCost(cache_hit_blocks=1)
-        assert driver.price_read(cost, 0, 0.0) == pytest.approx(
-            4.0 * driver2.price_read(cost, 0, 0.0)
+        assert driver.pricer.price(cost, 0, 0.0) == pytest.approx(
+            4.0 * driver2.pricer.price(cost, 0, 0.0)
         )
 
 

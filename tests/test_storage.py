@@ -1,13 +1,18 @@
 """Unit tests for :mod:`repro.storage` (extents, disk, cost model)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.clock import VirtualClock
 from repro.config import SystemConfig
 from repro.errors import StorageError
+from repro.lsm.base import ReadCost
 from repro.storage.disk import SimulatedDisk
 from repro.storage.extent import ExtentAllocator
-from repro.storage.iomodel import IOCostModel
+from repro.storage.iomodel import ReadPricer, queueing_factor
 
 
 class TestExtentAllocator:
@@ -118,48 +123,121 @@ class TestSimulatedDisk:
             SimulatedDisk(clock, 0.0)
 
 
-class TestIOCostModel:
+class TestReadPricer:
+    """The physics, on the object that prices every read of every figure:
+    each fact is a difference of ``service_seconds`` on two ReadCosts."""
+
     @pytest.fixture
-    def model(self):
-        return IOCostModel(SystemConfig.tiny())
+    def config(self):
+        return SystemConfig.tiny()
 
-    def test_random_read_linear_in_blocks(self, model):
-        one = model.random_read_s(1)
-        assert model.random_read_s(4) == pytest.approx(4 * one)
+    @staticmethod
+    def extra_s(config, utilization=0.0, **shape):
+        """What ``shape`` adds to the price of a read that does no work."""
+        pricer = ReadPricer(config)
+        return pricer.service_seconds(
+            ReadCost(**shape), 0, utilization
+        ) - pricer.service_seconds(ReadCost(), 0, utilization)
 
-    def test_sequential_includes_seek_and_transfer(self, model):
-        config = model.config
-        cost = model.sequential_s(config.seq_bandwidth_kb_per_s, seeks=1)
+    def test_random_read_linear_in_blocks(self, config):
+        one = self.extra_s(config, disk_random_blocks=1)
+        assert one == pytest.approx(config.random_read_s)
+        assert self.extra_s(config, disk_random_blocks=4) == pytest.approx(4 * one)
+
+    def test_sequential_includes_seek_and_transfer(self, config):
+        one_second_kb = config.foreground_bandwidth_kb_per_s
+        cost = self.extra_s(config, seq_runs=1, seq_kb=one_second_kb)
         assert cost == pytest.approx(1.0 + config.seek_s)
 
     def test_random_read_much_slower_per_kb_than_sequential(self):
         """The HDD asymmetry every LSM design decision rests on (at the
         paper's real-hardware constants)."""
-        model = IOCostModel(SystemConfig.paper())
-        random_per_kb = model.random_read_s(1) / model.config.block_size_kb
-        seq_per_kb = model.sequential_s(1024.0, seeks=0) / 1024.0
+        config = SystemConfig.paper()
+        random_per_kb = (
+            self.extra_s(config, disk_random_blocks=1) / config.block_size_kb
+        )
+        seq_per_kb = self.extra_s(config, seq_kb=1024.0) / 1024.0
         assert random_per_kb > 100 * seq_per_kb
 
-    def test_contention_inflates_cost(self, model):
-        idle = model.random_read_s(1, utilization=0.0)
-        busy = model.random_read_s(1, utilization=0.5)
+    def test_contention_inflates_cost(self, config):
+        idle = self.extra_s(config, 0.0, disk_random_blocks=1)
+        busy = self.extra_s(config, 0.5, disk_random_blocks=1)
         assert busy == pytest.approx(2 * idle)
-
-    def test_contention_is_clamped(self, model):
-        assert model.random_read_s(1, utilization=5.0) < float("inf")
-        assert model.random_read_s(1, utilization=0.99) == model.random_read_s(
-            1, utilization=0.95
+        # Only the disk queues: a cached read costs the same when busy.
+        assert self.extra_s(config, 0.5, cache_hit_blocks=1) == self.extra_s(
+            config, 0.0, cache_hit_blocks=1
         )
 
-    def test_zero_work_costs_nothing(self, model):
-        assert model.random_read_s(0) == 0.0
-        assert model.sequential_s(0.0, seeks=0) == 0.0
-        assert model.bloom_probe_s(0) == 0.0
+    def test_contention_is_clamped(self, config):
+        assert queueing_factor(5.0) == queueing_factor(0.8)
+        assert queueing_factor(0.8) == pytest.approx(5.0)
+        assert queueing_factor(-1.0) == 1.0
+        idle = self.extra_s(config, 0.0, disk_random_blocks=1, seq_runs=1)
+        for utilization in (-1.0, 0.8, 0.99, 5.0):
+            busy = self.extra_s(config, utilization, disk_random_blocks=1, seq_runs=1)
+            assert busy == pytest.approx(queueing_factor(utilization) * idle)
 
-    def test_cache_hit_cost(self, model):
-        assert model.cache_hit_s(2) == pytest.approx(
-            2 * model.config.cache_hit_s
+    def test_zero_work_costs_nothing(self, config):
+        """No blocks, probes or runs: the base CPU and nothing else, at
+        any utilization."""
+        pricer = ReadPricer(config)
+        base = config.cache_hit_s
+        for utilization in (0.0, 0.5, 5.0):
+            for is_scan in (False, True):
+                shape = (ReadCost(), 0, utilization, is_scan)
+                assert pricer.service_seconds(*shape) == base
+                assert pricer.price(*shape) == base * config.ops_scale
+                charged = [term for term in pricer.stage_terms(*shape) if term[1]]
+                assert charged == [("cpu", base)]
+
+    def test_cache_hit_cost(self, config):
+        assert self.extra_s(config, cache_hit_blocks=2) == pytest.approx(
+            2 * config.block_hit_s
         )
+        assert self.extra_s(config, os_hit_blocks=2) == pytest.approx(
+            2 * config.os_hit_s
+        )
+        assert self.extra_s(config, bloom_probes=3) == pytest.approx(
+            3 * config.bloom_probe_s
+        )
+
+
+#: The SystemConfig fields (and one derived property) that enter the
+#: price of a read.
+_PRICING_CONSTANTS = frozenset(
+    {
+        "cache_hit_s",
+        "block_hit_s",
+        "os_hit_s",
+        "scan_pair_cpu_s",
+        "scan_table_cpu_s",
+        "bloom_probe_s",
+        "random_read_s",
+        "seek_s",
+        "foreground_bandwidth_kb_per_s",
+    }
+)
+
+
+def test_pricing_constants_are_read_in_one_module():
+    """Only ``config.py`` (which defines them) and ``storage/iomodel.py``
+    (which prices with them) may read a pricing constant as an attribute.
+
+    A ninth home of the formula would price some reads differently from
+    the rest and no digest would say which: every identity gate compares
+    a run with itself at another commit, never one pricing site with
+    another.
+    """
+    root = Path(repro.__file__).parent
+    allowed = {root / "config.py", root / "storage" / "iomodel.py"}
+    offenders = sorted(
+        f"{path.relative_to(root)}:{node.lineno}: .{node.attr}"
+        for path in root.rglob("*.py")
+        if path not in allowed
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in _PRICING_CONSTANTS
+    )
+    assert not offenders, offenders
 
 
 class TestVirtualClock:

@@ -40,7 +40,7 @@ class TestParsing:
         ],
     )
     def test_malformed_rejected(self, bad):
-        with pytest.raises((WorkloadError, ValueError)):
+        with pytest.raises(WorkloadError):
             parse_line(bad)
 
     @pytest.mark.parametrize(

@@ -640,21 +640,21 @@ class TestSpecSurface:
 
 
 class TestPricerEquivalence:
-    """price() duplicates service_seconds()'s body on the hot path.
+    """The pricer spells its arithmetic twice: ``stage_terms`` (the
+    labeled addends) and ``service_seconds`` (their fused sum).
 
-    The closed-loop kernel calls ``price`` per read, so it inlines the
-    arithmetic instead of delegating; this pins the two methods (and
-    ``stage_terms``) to the same addend sequence, bitwise.
+    This pins the two to the same addend sequence, bitwise, and
+    ``price`` to the scaled sum.
     """
 
     def test_price_is_scaled_service_seconds_bitwise(self):
         from repro.config import SystemConfig
         from repro.lsm.base import ReadCost
-        from repro.sim.kernel import ReadPricer
-        from repro.storage.iomodel import IOCostModel
+        from repro.storage.iomodel import ReadPricer
 
         config = SystemConfig.paper_scaled(SCALE)
-        pricer = ReadPricer(config, IOCostModel(config))
+        pricer = ReadPricer(config)
+        assert pricer.write_s == config.cache_hit_s
         shapes = [
             ReadCost(),
             ReadCost(cache_hit_blocks=3),
