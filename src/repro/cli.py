@@ -68,7 +68,7 @@ from pathlib import Path
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ReproError
-from repro.sim.experiment import ENGINE_NAMES, run_experiment, run_profiled
+from repro.sim.experiment import ENGINE_NAMES, execute_with_trace, run_experiment
 from repro.sim.metrics import RunResult
 from repro.sim.report import (
     ascii_table,
@@ -77,6 +77,7 @@ from repro.sim.report import (
     series_block,
     sparkline,
 )
+from repro.sim.spec import ExperimentSpec
 from repro.sim.sweep import expand_grid, run_sweep
 
 
@@ -200,7 +201,7 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _replicate(names: list[str], args: argparse.Namespace):
+def _replicate(names: list[str], seeds: list[int], args: argparse.Namespace):
     """Run every engine once per seed (via the sweep runner).
 
     Returns the sweep outcome plus one cell summary per engine, in the
@@ -208,7 +209,7 @@ def _replicate(names: list[str], args: argparse.Namespace):
     """
     specs = expand_grid(
         names,
-        seeds=_parse_seeds(args.seeds),
+        seeds=seeds,
         scale=args.scale,
         duration_s=args.duration,
         scan_mode=args.scan,
@@ -279,13 +280,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("--profile is per-run; use it with --seed, not --seeds",
                   file=sys.stderr)
             return 2
+        try:
+            seeds = _parse_seeds(args.seeds)
+        except ValueError as error:
+            print(f"run: {error}", file=sys.stderr)
+            return 2
         print(
             f"running {args.engine} at 1/{args.scale} scale for "
             f"{args.duration} virtual seconds ({mode}), "
             f"seeds {args.seeds}, jobs={args.jobs}",
             file=sys.stderr,
         )
-        outcome, (cell,) = _replicate([args.engine], args)
+        outcome, (cell,) = _replicate([args.engine], seeds, args)
         if args.json:
             print(json.dumps(_replica_json(outcome, cell), indent=2,
                              sort_keys=True))
@@ -356,12 +362,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"unknown engines: {unknown}; see `engines`", file=sys.stderr)
         return 2
     if args.seeds is not None:
+        try:
+            seeds = _parse_seeds(args.seeds)
+        except ValueError as error:
+            print(f"compare: {error}", file=sys.stderr)
+            return 2
         print(
             f"comparing {','.join(names)} over seeds {args.seeds}, "
             f"jobs={args.jobs} ...",
             file=sys.stderr,
         )
-        outcome, cells = _replicate(names, args)
+        outcome, cells = _replicate(names, seeds, args)
         if args.json:
             print(json.dumps(
                 [_replica_json(outcome, cell) for cell in cells],
@@ -956,54 +967,39 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Span stages summarized by ``repro report`` (field -> printed label).
-_SPAN_STAGES = (
-    ("cpu_s", "cpu"),
-    ("bloom_s", "bloom"),
-    ("db_cache_s", "db cache"),
-    ("os_cache_s", "os cache"),
-    ("disk_random_s", "disk random"),
-    ("disk_seq_s", "disk seq"),
-)
-
-
-def _span_summary(records: list[dict]) -> dict[str, object]:
-    """Mean per-stage time over a trace's sampled ReadSpan records."""
-    spans = [r for r in records if r.get("event") == "ReadSpan"]
-    summary: dict[str, object] = {"count": len(spans)}
-    if not spans:
-        return summary
-    for field, _label in _SPAN_STAGES + (("total_s", "total"),):
-        summary[f"mean_{field}"] = sum(s[field] for s in spans) / len(spans)
-    return summary
-
-
-def _queueing_decomposition(records: list[dict]) -> dict[str, object]:
-    """Queueing delay vs service time over a trace's sampled spans.
-
-    Splits every ReadSpan with :func:`repro.obs.prof.span_queueing_split`
-    and aggregates: mean/max of both components, the queueing share of
-    total sampled time, and the count of spans that queued at all.
-    Returns ``{"count": 0}`` when the trace holds no spans, so callers
-    degrade gracefully.
+def _span_summaries(records: list[dict]) -> tuple[dict, dict]:
+    """A trace's sampled ReadSpan records as two digests (``{"count": 0}``
+    without spans): mean time per stage, under the names the spans carry
+    in first-seen order, with the mean total; and the queueing delay vs
+    service time split of :func:`repro.obs.tracing.span_queueing_split`.
     """
-    from repro.obs.prof import span_queueing_split
+    from repro.obs.tracing import span_queueing_split
 
     spans = [r for r in records if r.get("event") == "ReadSpan"]
-    summary: dict[str, object] = {"count": len(spans)}
-    if not spans:
-        return summary
-    splits = [span_queueing_split(span) for span in spans]
-    total = sum(s["total_s"] for s in splits) or 1.0
-    queueing = [s["queueing_s"] for s in splits]
-    service = [s["service_s"] for s in splits]
-    summary["mean_queueing_s"] = sum(queueing) / len(splits)
-    summary["mean_service_s"] = sum(service) / len(splits)
-    summary["max_queueing_s"] = max(queueing)
-    summary["max_service_s"] = max(service)
-    summary["queueing_share"] = sum(queueing) / total
-    summary["spans_queued"] = sum(1 for q in queueing if q > 0)
-    return summary
+    count = len(spans)
+    if not count:
+        return {"count": 0}, {"count": 0}
+    sums: dict[str, float] = {}
+    for span in spans:
+        for stage in span["stages"]:
+            name = stage["stage"]
+            sums[name] = sums.get(name, 0.0) + stage["duration_s"]
+    total = sum(span["total_s"] for span in spans)
+    stages = {
+        "count": count,
+        "mean_stage_s": {name: value / count for name, value in sums.items()},
+        "mean_total_s": total / count,
+    }
+    queueing, service = zip(*(span_queueing_split(span) for span in spans))
+    return stages, {
+        "count": count,
+        "mean_queueing_s": sum(queueing) / count,
+        "mean_service_s": sum(service) / count,
+        "max_queueing_s": max(queueing),
+        "max_service_s": max(service),
+        "queueing_share": sum(queueing) / (total or 1.0),
+        "spans_queued": sum(1 for q in queueing if q > 0),
+    }
 
 
 def _render_trace_section(trace: dict) -> None:
@@ -1214,27 +1210,31 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.engine is None:
         print("report: --engine or --from FILE is required", file=sys.stderr)
         return 2
-    config = SystemConfig.paper_scaled(args.scale)
+    try:
+        spec = ExperimentSpec(
+            args.engine,
+            scale=args.scale,
+            duration_s=args.duration,
+            seed=args.seed,
+            scan_mode=args.scan,
+            profile=True,
+            sample_every=args.sample_every,
+            trace_path=args.trace_out,
+        )
+    except ConfigError as error:
+        print(f"report: {error}", file=sys.stderr)
+        return 2
     print(
         f"profiling {args.engine} at 1/{args.scale} scale for "
         f"{args.duration} virtual seconds "
         f"(one span per {args.sample_every} reads)",
         file=sys.stderr,
     )
-    result, recorder = run_profiled(
-        args.engine,
-        config,
-        duration_s=args.duration,
-        seed=args.seed,
-        scan_mode=args.scan,
-        sample_every=args.sample_every,
-        trace_path=args.trace_out,
-    )
+    result, recorder = execute_with_trace(spec)
     diagnosis = diagnose_dips(
         result.hit_ratio, recorder.records, threshold=args.dip_threshold
     )
-    spans = _span_summary(recorder.records)
-    queueing = _queueing_decomposition(recorder.records)
+    spans, queueing = _span_summaries(recorder.records)
 
     if args.json:
         payload = result.to_json_dict()
@@ -1273,8 +1273,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if spans["count"]:
         print(f"read-path spans ({spans['count']} sampled)")
         stage_rows = [
-            [label, f"{spans[f'mean_{field}'] * 1000:.3f}"]
-            for field, label in _SPAN_STAGES
+            [name, f"{seconds * 1000:.3f}"]
+            for name, seconds in spans["mean_stage_s"].items()
         ]
         stage_rows.append(["total", f"{spans['mean_total_s'] * 1000:.3f}"])
         print(ascii_table(["stage", "mean ms"], stage_rows))

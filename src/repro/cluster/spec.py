@@ -51,7 +51,8 @@ class ClusterSpec(Wire):
     """
 
     _wire_kind = "cluster"
-    #: Serve-spec keys ``to_dict()`` carries that no cluster field owns.
+    #: Serve-spec keys ``to_dict()`` carries that no cluster field owns,
+    #: and ``profile``/``sample_every``, which archived payloads still hold.
     _wire_extra = ("classes", "profile", "sample_every")
 
     engine: str

@@ -9,13 +9,13 @@ Three pieces, used together by :class:`~repro.substrate.Substrate`:
   invalidations, trim runs, buffer freezes);
 * :mod:`repro.obs.trace` — a :class:`TraceRecorder` exporting the event
   stream as a replayable, diffable JSONL log;
-* :mod:`repro.obs.prof` — a :class:`SpanProfiler` sampling per-read span
-  traces into the event stream, with a zero-cost disabled path;
 * :mod:`repro.obs.diagnose` — dip diagnosis, attributing hit-ratio dips
   to the causal events in their windows;
-* :mod:`repro.obs.tracing` — end-to-end request tracing: deterministic
-  trace ids, tail-based exemplar span trees that reconcile exactly with
-  the serve decomposition, and an anomaly-triggered flight recorder;
+* :mod:`repro.obs.tracing` — one read-span record (the pricer's stage
+  list), sampled by count in the closed loop (:class:`SpanProfiler`,
+  with a zero-cost disabled path) and inside tail/uniform exemplar span
+  trees in serve, plus deterministic trace ids and an anomaly-triggered
+  flight recorder;
 * :mod:`repro.obs.expo` — OpenMetrics-style text exposition of registry
   snapshots.
 """
@@ -58,13 +58,14 @@ from repro.obs.expo import (
     render_openmetrics_many,
     sanitize_metric_name,
 )
-from repro.obs.prof import NULL_PROFILER, SpanProfiler
 from repro.obs.trace import TraceRecorder, read_jsonl
 from repro.obs.tracing import (
+    NULL_PROFILER,
     TRACE_MODES,
     FlightPolicy,
     FlightRecorder,
     RequestTracer,
+    SpanProfiler,
     exemplar_summary,
     make_trace_id,
     reconciliation_error_s,

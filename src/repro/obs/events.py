@@ -21,7 +21,7 @@ event                     emitted when
 :class:`TrimRun`          LSbM's trim pass finished (Algorithm 2)
 :class:`BufferFrozen`     a compaction-buffer level froze (repeated data)
 :class:`BufferUnfrozen`   a frozen level rotated and resumed buffering
-:class:`ReadSpan`         the span profiler sampled one read's path
+:class:`ReadSpan`         the closed-loop span sampler kept one read's path
 :class:`RequestShed`      the service layer dropped a request (admission)
 :class:`WriteDeferred`    admission control deferred a write with retry-after
 :class:`RangeMigrated`    a cluster split moved a key range between shards
@@ -44,6 +44,10 @@ from __future__ import annotations
 from collections import Counter as _TallyCounter
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # repro.lsm.base imports repro.obs: keep this one-way.
+    from repro.lsm.base import ReadCost
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,35 +142,19 @@ class BufferUnfrozen:
 
 @dataclass(frozen=True, slots=True)
 class ReadSpan:
-    """One sampled read's span over the read path (see ``repro.obs.prof``).
+    """One sampled read's span (``repro.obs.tracing.read_stages``).
 
-    The ``*_s`` fields are modeled per-real-read virtual-time durations,
-    decomposed stage by stage exactly as the driver prices the read:
-    memtable/CPU work, Bloom probes, DB-cache block hits, OS-page-cache
-    hits, random disk blocks, sequential runs.  ``total_s`` is their sum.
-    The counters carry the read's shape (how many tables were checked per
-    level descent, how many blocks hit which cache), so a trace can say
-    *where* a slow read spent its time.
+    ``stages`` is the list a serve exemplar keeps, ``total_s`` their
+    left-to-right sum (bitwise the read's priced service time), and
+    ``cost`` the read's ``ReadCost``, every counter under its own name.
     """
 
     op: str
     sample_index: int
-    total_s: float
-    cpu_s: float
-    bloom_s: float
-    db_cache_s: float
-    os_cache_s: float
-    disk_random_s: float
-    disk_seq_s: float
-    memtable_probes: int
-    index_probes: int
-    bloom_probes: int
-    tables_checked: int
-    db_hit_blocks: int
-    os_hit_blocks: int
-    disk_blocks: int
-    seq_kb: float
     utilization: float
+    total_s: float
+    stages: list[dict]
+    cost: ReadCost
 
 
 @dataclass(frozen=True, slots=True)

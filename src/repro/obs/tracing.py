@@ -1,6 +1,8 @@
-"""End-to-end request tracing for the serve/cluster tier.
+"""Read spans and end-to-end request tracing.
 
-Three pieces, all off by default and all deterministic:
+One span record, :func:`read_stages`, sampled by count in the closed loop
+(:class:`SpanProfiler`) and tail/uniform in serve.  The serve pieces, all
+off by default and all deterministic:
 
 * **Trace identity** — :func:`make_trace_id` derives a request's trace
   id from ``(seed, seq)`` alone.  Arrival seqs are assigned on the
@@ -14,12 +16,10 @@ Three pieces, all off by default and all deterministic:
   completed request but *keeps* full span trees only for the worst
   ``tail_k`` requests by total latency (a min-heap over totals) plus a
   small uniform sample (every ``uniform_every``-th completion), or for
-  everything in ``"full"`` mode.  A kept exemplar's service stages come
-  from :meth:`~repro.storage.iomodel.ReadPricer.stage_terms` — the pricer's
-  own addends in its own expression order — so the left-to-right float
-  sum of the stages reproduces the recorded service time *bitwise* and
-  ``queue + Σstages == total`` holds with reconciliation error exactly
-  ``0.0`` (see :func:`reconciliation_error_s`).
+  everything in ``"full"`` mode.  A kept read's service stages are its
+  :func:`read_stages`, so ``queue + Σstages == total`` holds with
+  reconciliation error exactly ``0.0`` (see
+  :func:`reconciliation_error_s`).
 
 * **Flight recorder** — :class:`FlightRecorder` keeps a bounded ring of
   the most recent bus events per shard and dumps the window to JSONL
@@ -42,8 +42,19 @@ import re
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from hashlib import blake2b
+
+from repro.config import SystemConfig
+from repro.obs.events import EventBus, ReadSpan
+from repro.storage.iomodel import ReadPricer, queueing_factor
+
+if TYPE_CHECKING:  # repro.lsm.base imports repro.obs: keep this one-way.
+    from repro.lsm.base import ReadCost
+
+#: Default closed-loop sampling period: one span per this many reads.
+DEFAULT_SAMPLE_EVERY = 32
 
 #: Valid tracing modes for specs and CLI flags.
 TRACE_MODES = ("off", "exemplar", "full")
@@ -84,15 +95,110 @@ def stage_sum_s(stages: list[dict]) -> float:
     return total
 
 
+def read_stages(
+    pricer: ReadPricer, cost: ReadCost, pairs: int, utilization: float, is_scan: bool
+) -> list[dict]:
+    """One read's span: the pricer's non-zero terms as ``{"stage",
+    "duration_s"}``, in its order.
+
+    Dropping a ``+0.0`` addend from a positive left-to-right sum is
+    bitwise identity (the leading cpu term is always > 0), so
+    :func:`stage_sum_s` of the list is ``pricer.service_seconds(...)``.
+    """
+    terms = pricer.stage_terms(cost, pairs, utilization, is_scan)
+    return [
+        {"stage": name, "duration_s": seconds} for name, seconds in terms if seconds
+    ]
+
+
+def span_queueing_split(record: dict) -> tuple[float, float]:
+    """``(queueing_s, service_s)`` of one ReadSpan trace record.
+
+    The pricer inflates the ``disk_random``/``disk_seq`` stages by
+    ``f = queueing_factor(utilization)``; the base device time is the
+    stage over ``f``, the rest is time queued behind compaction I/O.  No
+    other stage queues, so the two sum to ``total_s``.
+    """
+    factor = queueing_factor(record["utilization"])
+    disk_s = 0.0
+    for stage in record["stages"]:
+        if stage["stage"] in ("disk_random", "disk_seq"):
+            disk_s += stage["duration_s"]
+    queueing_s = disk_s * (1.0 - 1.0 / factor)
+    return queueing_s, record["total_s"] - queueing_s
+
+
+class SpanProfiler:
+    """Samples every ``sample_every``-th closed-loop read into a ReadSpan.
+
+    Spans travel the event bus, so a trace recorder puts a dip and the
+    reads that suffered it on one timeline.
+    """
+
+    __slots__ = (
+        "enabled", "sample_every", "reads_seen", "spans_emitted", "_bus", "_pricer"
+    )
+
+    def __init__(
+        self,
+        bus: EventBus | None = None,
+        config: SystemConfig | None = None,
+        sample_every: int = DEFAULT_SAMPLE_EVERY,
+        enabled: bool = True,
+    ) -> None:
+        if enabled and (bus is None or config is None):
+            raise ValueError("an enabled SpanProfiler needs a bus and a config")
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+        self.enabled = enabled
+        self.sample_every = sample_every
+        self.reads_seen = 0
+        self.spans_emitted = 0
+        self._bus = bus
+        self._pricer = ReadPricer(config) if config is not None else None
+
+    def record_read(
+        self,
+        cost: ReadCost,
+        utilization: float,
+        pairs_returned: int = 0,
+        is_scan: bool = False,
+    ) -> None:
+        """Observe one completed read; emit a span if it is sampled."""
+        if not self.enabled:
+            return
+        self.reads_seen += 1
+        if self.reads_seen % self.sample_every:
+            return
+        stages = read_stages(self._pricer, cost, pairs_returned, utilization, is_scan)
+        self.spans_emitted += 1
+        self._bus.emit(
+            ReadSpan(
+                op="scan" if is_scan else "get",
+                sample_index=self.reads_seen,
+                utilization=utilization,
+                total_s=stage_sum_s(stages),
+                stages=stages,
+                cost=cost,
+            )
+        )
+
+
+#: Shared disabled profiler: the driver binds to this when nobody asked
+#: for spans, making the per-read hook one attribute check and a return.
+NULL_PROFILER = SpanProfiler(enabled=False)
+
+
 def reconciliation_error_s(exemplar: dict) -> float:
-    """|queue_delay + Σ service stages − total| for one exemplar.
+    """|queue_delay + Σ service stages − total| for one span record.
 
     Zero — exactly zero, not merely small — for every exemplar the
     tracer emits: the stage sum equals ``service_s`` bitwise and
-    ``total_s`` was computed as ``queue_delay_s + service_s``.
+    ``total_s`` was computed as ``queue_delay_s + service_s``.  A
+    closed-loop ReadSpan has no queue: its ``total_s`` is the stage sum.
     """
     service = stage_sum_s(exemplar["stages"])
-    return abs(exemplar["queue_delay_s"] + service - exemplar["total_s"])
+    return abs(exemplar.get("queue_delay_s", 0.0) + service - exemplar["total_s"])
 
 
 def span_tree(exemplar: dict) -> dict:
@@ -295,23 +401,12 @@ class RequestTracer:
         tag = self._admit(total_s, request.seq)
         if tag is None:
             return
-        # Zero-duration terms are dropped for compactness: removing a
-        # ``+0.0`` addend from a positive left-to-right sum is bitwise
-        # identity (the leading cpu term is always > 0), so the stage
-        # sum still equals service_s exactly.
-        stages = [
-            {"stage": name, "duration_s": seconds}
-            for name, seconds in self._pricer.stage_terms(
-                cost, pairs, utilization, is_scan
-            )
-            if seconds != 0.0
-        ]
         self._keep(
             request,
             queue_delay_s,
             service_s,
             total_s,
-            stages,
+            read_stages(self._pricer, cost, pairs, utilization, is_scan),
             tag,
             {"utilization": utilization},
         )
@@ -530,9 +625,7 @@ def validate_exemplar(record: dict) -> None:
     error exactly ``0.0``.
     """
 
-    def fail(message: str):
-        return ValueError(f"invalid exemplar: {message}: {record!r}")
-
+    fail = _invalid("exemplar", record)
     trace_id = record.get("trace_id")
     if not isinstance(trace_id, str) or not re.fullmatch(
         r"[0-9a-f]{16}", trace_id
@@ -546,7 +639,20 @@ def validate_exemplar(record: dict) -> None:
         raise fail("sampled must be tail|uniform|full")
     if not isinstance(record.get("klass"), str):
         raise fail("klass must be a string")
-    for key in ("arrival_s", "queue_delay_s", "service_s", "total_s"):
+    _validate_span(record, ("arrival_s", "queue_delay_s", "service_s"), fail)
+
+
+def _invalid(what: str, record: dict):
+    """The ``ValueError`` factory one record's checks raise through."""
+    return lambda message: ValueError(f"invalid {what}: {message}: {record!r}")
+
+
+def _validate_span(record: dict, numbers: tuple[str, ...], fail) -> None:
+    """The checks every span record gets, exemplar or ReadSpan: ``numbers``
+    and ``total_s`` are non-negative, ``stages`` is a non-empty list of
+    named, non-negative stages, and they reconcile with ``total_s``
+    exactly."""
+    for key in numbers + ("total_s",):
         value = record.get(key)
         if not isinstance(value, (int, float)) or value < 0:
             raise fail(f"{key} must be a non-negative number")
@@ -571,6 +677,8 @@ def validate_flight_record(record: dict) -> None:
         raise ValueError(f"flight record needs a numeric 't': {record!r}")
     if not isinstance(record.get("event"), str):
         raise ValueError(f"flight record needs an 'event' name: {record!r}")
+    if record["event"] == "ReadSpan":
+        _validate_span(record, ("utilization",), _invalid("read span", record))
     if record["event"] == "FlightDump":
         if record.get("trigger") not in (
             "slo-breach",
@@ -590,8 +698,9 @@ def validate_trace_jsonl(path: str | Path) -> int:
 
     Exemplar files hold exemplar records (keyed by ``trace_id``);
     flight files hold a ``FlightDump`` header followed by the ring
-    window's event records.  Raises ``ValueError`` on the first bad
-    line.
+    window's event records; closed-loop traces hold timestamped event
+    records, ``ReadSpan`` among them.  Raises ``ValueError`` naming
+    ``path:lineno`` on the first bad line.
     """
     count = 0
     for lineno, line in enumerate(
@@ -601,6 +710,8 @@ def validate_trace_jsonl(path: str | Path) -> int:
             continue
         try:
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"not a JSON object: {line.strip()!r}")
             if "trace_id" in record:
                 validate_exemplar(record)
             else:

@@ -46,7 +46,6 @@ from repro.cache.stats import CacheStats
 from repro.config import SystemConfig
 from repro.errors import EngineError
 from repro.obs.events import EventTally, RequestShed, WriteDeferred
-from repro.obs.prof import NULL_PROFILER, SpanProfiler
 from repro.obs.tracing import (
     FlightPolicy,
     FlightRecorder,
@@ -96,7 +95,6 @@ class ServiceSimulator:
         arrivals: list[Request],
         scheduler: Scheduler,
         admission: AdmissionController,
-        profiler: SpanProfiler | None = None,
         request_sample_every: int = 17,
         observer: DispatchObserver | None = None,
         tracer: RequestTracer | None = None,
@@ -110,7 +108,6 @@ class ServiceSimulator:
         self.scheduler = scheduler
         self.admission = admission
         self.pricer = ReadPricer(config)
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.request_sample_every = max(1, request_sample_every)
         self.observer = observer
         # Tracing off means both stay None: the dispatch loop's only
@@ -461,7 +458,6 @@ class ServiceSimulator:
                 seconds = self.pricer.service_seconds(
                     cost, pairs, utilization, is_scan
                 )
-                self.profiler.record_read(cost, utilization, pairs, is_scan)
                 budget -= seconds * config.ops_scale
                 service_s = seconds
                 result.reads_completed += 1
@@ -671,13 +667,6 @@ def prepare_serve(
             max_retries=spec.max_retries,
         )
     )
-    profiler: SpanProfiler | None = None
-    if spec.profile:
-        profiler = SpanProfiler(
-            bus=setup.substrate.bus,
-            config=config,
-            sample_every=spec.sample_every,
-        )
     tracer: RequestTracer | None = None
     flight: FlightRecorder | None = None
     if spec.trace != "off":
@@ -702,7 +691,6 @@ def prepare_serve(
         arrivals,
         scheduler,
         admission,
-        profiler=profiler,
         request_sample_every=spec.request_sample_every,
         observer=observer,
         tracer=tracer,

@@ -21,7 +21,6 @@ from repro.config import SystemConfig
 from repro.control import CONTROLLER_NAMES
 from repro.control.controller import DEFAULT_CONTROL_INTERVAL_S
 from repro.errors import ConfigError
-from repro.obs.prof import DEFAULT_SAMPLE_EVERY
 from repro.obs.tracing import TRACE_MODES
 from repro.serve.arrivals import PROCESSES, ClientClass
 from repro.serve.scheduler import SCHEDULER_NAMES
@@ -68,8 +67,6 @@ class ServiceSpec(Wire):
     #: transient (under open-loop load a cold cache saturates the queue
     #: before it can warm, drowning engine differences in backlog).
     warm_cache: bool = True
-    profile: bool = False
-    sample_every: int = DEFAULT_SAMPLE_EVERY
     request_sample_every: int = DEFAULT_REQUEST_SAMPLE_EVERY
     #: Request tracing: "off" (no tracer, no flight recorder, the bus
     #: keeps its counting-only amortization), "exemplar" (tail-biased

@@ -29,7 +29,7 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.clock import VirtualClock
 from repro.obs.events import EventTally
-from repro.obs.prof import NULL_PROFILER, SpanProfiler
+from repro.obs.tracing import NULL_PROFILER, SpanProfiler
 from repro.sim.kernel import MAX_READS_PER_TICK, ReadKernel
 from repro.sim.metrics import RunResult, TimeSeries
 from repro.storage.iomodel import ReadPricer
@@ -65,7 +65,7 @@ class MixedReadWriteDriver:
         to the engine's own :attr:`~repro.lsm.base.LSMEngine.metric_cache`
         choice (DB cache, falling back to the OS cache).  ``profiler``
         receives every completed read for span sampling; it defaults to
-        the shared disabled :data:`~repro.obs.prof.NULL_PROFILER`, whose
+        the shared disabled :data:`~repro.obs.tracing.NULL_PROFILER`, whose
         hook costs one attribute check.  ``kernel`` selects the read-loop
         implementation: ``"batched"`` (default) runs the tick through
         :class:`~repro.sim.kernel.ReadKernel`; ``"scalar"`` keeps the

@@ -30,8 +30,8 @@ from repro.lsm.leveldb import LevelDBTree
 from repro.lsm.policy import CompactionAxes
 from repro.lsm.sm_tree import SMTree
 from repro.clock import VirtualClock
-from repro.obs.prof import DEFAULT_SAMPLE_EVERY, SpanProfiler
 from repro.obs.trace import TraceRecorder
+from repro.obs.tracing import DEFAULT_SAMPLE_EVERY, SpanProfiler
 from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.metrics import RunResult
 from repro.sim.spec import ExperimentSpec
@@ -397,7 +397,7 @@ def execute_with_trace(
     A :class:`~repro.obs.trace.TraceRecorder` is attached (before the
     preload, so the file-lifecycle ledger balances) whenever the spec
     asks for profiling or a trace file; a
-    :class:`~repro.obs.prof.SpanProfiler` samples reads when
+    :class:`~repro.obs.tracing.SpanProfiler` samples reads when
     ``spec.profile`` is set.  ``spec.trace_path`` additionally writes the
     JSONL trace.
     """

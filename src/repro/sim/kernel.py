@@ -29,7 +29,7 @@ bit-identity with it.  Everything downstream of the key draw is batched.
 
 from __future__ import annotations
 
-from repro.obs.prof import NULL_PROFILER, SpanProfiler
+from repro.obs.tracing import NULL_PROFILER, SpanProfiler
 from repro.storage.iomodel import ReadPricer, queueing_factor
 
 #: Latencies accumulated before a flush to the reservoir.  Any positive

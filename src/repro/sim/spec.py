@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.codec import Wire
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.obs.prof import DEFAULT_SAMPLE_EVERY
+from repro.obs.tracing import DEFAULT_SAMPLE_EVERY
 
 #: Named configuration bases a spec can start from.  ``explicit`` means
 #: the overrides tuple carries *every* ``SystemConfig`` field (used by
@@ -72,6 +72,8 @@ class ExperimentSpec(Wire):
             raise ConfigError(
                 f"unknown config base {self.base!r}; choose from {CONFIG_BASES}"
             )
+        if self.sample_every < 1:
+            raise ConfigError("sample_every must be >= 1")
         normalized = tuple(sorted(dict(self.overrides).items()))
         unknown = [key for key, _ in normalized if key not in _CONFIG_FIELDS]
         if unknown:

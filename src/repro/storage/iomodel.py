@@ -45,10 +45,15 @@ def queueing_factor(utilization: float) -> float:
     paper's steady-state compaction load (~0.2) this is a mild 1.25x,
     during SM-tree's whole-level merges it dominates.  Reports use it to
     split a priced disk stage into base service time (``stage / factor``)
-    and queueing delay behind compaction I/O (the rest).
+    and queueing delay behind compaction I/O (the rest).  The clamp is
+    spelled here only; every disk term of the pricer calls this.
     """
-    clamped = min(max(utilization, 0.0), _MAX_UTILIZATION)
-    return 1.0 / (1.0 - clamped)
+    # Two compares rather than min(max(...)): same float, fewer calls.
+    if utilization < 0.0:
+        utilization = 0.0
+    elif utilization > _MAX_UTILIZATION:
+        utilization = _MAX_UTILIZATION
+    return 1.0 / (1.0 - utilization)
 
 
 class ReadPricer:
@@ -119,12 +124,7 @@ class ReadPricer:
         seq_runs = cost.seq_runs
         seq_kb = cost.seq_kb
         if blocks or seq_runs or seq_kb:
-            clamped = utilization
-            if clamped < 0.0:
-                clamped = 0.0
-            elif clamped > _MAX_UTILIZATION:
-                clamped = _MAX_UTILIZATION
-            queueing = 1.0 / (1.0 - clamped)
+            queueing = queueing_factor(utilization)
             if blocks:
                 seconds += blocks * self._random_read_s * queueing
             if seq_runs or seq_kb:
@@ -167,12 +167,7 @@ class ReadPricer:
         seq_runs = cost.seq_runs
         seq_kb = cost.seq_kb
         if blocks or seq_runs or seq_kb:
-            clamped = utilization
-            if clamped < 0.0:
-                clamped = 0.0
-            elif clamped > _MAX_UTILIZATION:
-                clamped = _MAX_UTILIZATION
-            queueing = 1.0 / (1.0 - clamped)
+            queueing = queueing_factor(utilization)
             if blocks:
                 terms.append(
                     ("disk_random", blocks * self._random_read_s * queueing)

@@ -143,8 +143,6 @@ SERVICE_SPEC = ServiceSpec(
     ),
     do_preload=False,
     warm_cache=False,
-    profile=True,
-    sample_every=9,
     request_sample_every=5,
     trace="exemplar",
     trace_dir="/tmp/traces",

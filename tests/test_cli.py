@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs.trace import read_jsonl
+from repro.obs.tracing import validate_trace_jsonl
 
 
 class TestParser:
@@ -195,7 +196,10 @@ class TestReportCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["engine"] == "lsbm"
-        assert payload["span_summary"]["count"] > 0
+        spans = payload["span_summary"]
+        assert set(spans) == {"count", "mean_stage_s", "mean_total_s"}
+        assert spans["count"] > 0
+        assert {"cpu", "bloom"} <= set(spans["mean_stage_s"])
         assert "fraction_explained" in payload["dip_diagnosis"]
         assert "flush" in payload["bandwidth_kb_by_cause"]
         queueing = payload["queueing_decomposition"]
@@ -205,6 +209,16 @@ class TestReportCommand:
         assert 0.0 <= queueing["queueing_share"] <= 1.0
         records = read_jsonl(trace)
         assert any(r["event"] == "ReadSpan" for r in records)
+        assert validate_trace_jsonl(trace) == len(records)
+
+    def test_report_rejects_sample_every_zero_in_one_line(self, capsys):
+        code = main(["report", "--engine", "lsbm", "--sample-every", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "report: sample_every must be >= 1"
+        ]
 
 
 class TestSeedReplication:
@@ -265,6 +279,21 @@ class TestSeedReplication:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["run", "--engine", "lsbm", "--seeds", "0,x"],
+             "run: invalid literal for int() with base 10: 'x'"),
+            (["compare", "--engines", "lsbm", "--seeds", ","],
+             "compare: no seeds in ','"),
+        ],
+    )
+    def test_malformed_seeds_exit_2_with_one_line(self, argv, line, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
 
     def test_compare_seeds_json(self, capsys):
         code = main(

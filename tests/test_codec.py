@@ -130,10 +130,13 @@ _CONSTRAINED: dict[type, dict[str, st.SearchStrategy]] = {
         "diurnal_period_s": st.floats(min_value=0.1, max_value=1e4),
         "weight": _POSITIVE,
     },
-    ExperimentSpec: {"base": st.sampled_from(CONFIG_BASES)},
+    ExperimentSpec: {
+        "base": st.sampled_from(CONFIG_BASES),
+        "sample_every": _POSITIVE,
+    },
 }
 _CONSTRAINED[ServiceSpec] = {
-    **_CONSTRAINED[ExperimentSpec],
+    "base": st.sampled_from(CONFIG_BASES),
     "policy": st.sampled_from(SCHEDULER_NAMES),
     "arrival": st.sampled_from(PROCESSES),
     "read_rate_qps": _RATE,
@@ -248,8 +251,11 @@ def _declared(cls: type) -> dict[str, object]:
 #: The two lists the hand-written copies spelled out, pinned.
 _SERVE_TO_EXPERIMENT = {
     "engine", "base", "scale", "overrides", "duration_s", "seed",
-    "do_preload", "profile", "sample_every",
+    "do_preload",
 }
+#: Keys of the retired serve span profiler, which archived cluster
+#: payloads still carry.
+_ARCHIVED_SERVE_KEYS = {"profile", "sample_every"}
 _CLUSTER_TO_SERVE = {
     "engine", "base", "scale", "overrides", "duration_s", "seed", "policy",
     "arrival", "read_rate_qps", "write_rate_qps", "queue_bound",
@@ -264,7 +270,9 @@ def test_every_serve_field_is_a_cluster_field_or_a_declared_extra():
     """Adding a serve parameter without deciding what a cluster does
     with it fails here, not in a payload."""
     serve, cluster = _declared(ServiceSpec), _declared(ClusterSpec)
-    assert set(serve) - set(cluster) == set(ClusterSpec._wire_extra)
+    assert set(serve) - set(cluster) == (
+        set(ClusterSpec._wire_extra) - _ARCHIVED_SERVE_KEYS
+    )
     assert set(serve) & set(cluster) == _CLUSTER_TO_SERVE
     drifted = {
         name for name in _CLUSTER_TO_SERVE if serve[name] != cluster[name]
@@ -306,6 +314,17 @@ def test_result_loads_with_every_defaulted_key_removed(instance):
     old = {name: full[name] for name in required}
     loaded = cls.from_dict(old)
     assert loaded == cls(**{name: getattr(instance, name) for name in required})
+
+
+def test_an_archived_cluster_payload_with_serve_profiler_keys_loads():
+    """Cluster payloads written while ``ServiceSpec`` still had
+    ``profile``/``sample_every`` carry both keys; they load unchanged."""
+    payload = json.loads(json.dumps(CLUSTER_RESULT.to_dict()))
+    assert not _ARCHIVED_SERVE_KEYS & set(payload["spec"])
+    payload["spec"].update(profile=False, sample_every=32)
+    assert ClusterResult.from_dict(payload) == CLUSTER_RESULT
+    with pytest.raises(ConfigError, match="unknown keys"):
+        ServiceSpec.from_dict({"engine": "lsbm", "profile": False})
 
 
 def test_a_partial_series_group_keeps_the_other_defaults():
@@ -402,6 +421,8 @@ MALFORMED_MORE = [
     (ClusterResult, {"spec": {"engine": "lsbm"}, "migration": {"at_s": "x"}},
      "MigrationReport.at_s"),
     (CompactionAxes, {"layout": "wide"}, "compaction layout"),
+    (ExperimentSpec, {"engine": "lsbm", "sample_every": 0},
+     "sample_every must be >= 1"),
 ]
 
 

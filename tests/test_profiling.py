@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import itertools
 import json
-import math
 import sys
 
 import pytest
@@ -45,8 +44,15 @@ from repro.obs.events import (
     ReadSpan,
     TrimRun,
 )
-from repro.obs.prof import NULL_PROFILER, SpanProfiler
 from repro.obs.trace import TraceRecorder, read_jsonl
+from repro.obs.tracing import (
+    NULL_PROFILER,
+    RequestTracer,
+    SpanProfiler,
+    read_stages,
+    stage_sum_s,
+)
+from repro.serve.arrivals import Request
 from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.experiment import build_engine, preload, run_experiment, run_profiled
 from repro.sim.metrics import TimeSeries
@@ -93,37 +99,63 @@ class TestSpanProfiler:
         assert profiler.spans_emitted == 2  # At reads 4 and 8.
         assert tally.as_dict() == {"ReadSpan": 2}
 
-    def test_decompose_matches_price_read(self):
-        """A span's total is the pricer's service time, bitwise, and its
-        stages regroup the same addends."""
+    def test_read_stages_match_price_read(self):
+        """A span's stage sum is the pricer's service time, bitwise."""
         config = SystemConfig.paper_scaled(2048)
         pricer = ReadPricer(config)
-        profiler = SpanProfiler(bus=EventBus(), config=config)
         shapes = 0
         for cost in _cost_grid():
             for utilization in (0.0, 0.3, 0.5, 0.95):
                 for is_scan, pairs in ((False, 0), (True, 13)):
                     shapes += 1
-                    span = profiler.decompose(
-                        cost, utilization, pairs_returned=pairs, is_scan=is_scan
+                    stages = read_stages(
+                        pricer, cost, pairs, utilization, is_scan
                     )
+                    total_s = stage_sum_s(stages)
                     shape = (cost, utilization, is_scan)
-                    assert span.total_s == pricer.service_seconds(
+                    assert total_s == pricer.service_seconds(
                         cost, pairs, utilization, is_scan
                     ), shape
-                    assert span.total_s * config.ops_scale == pricer.price(
+                    assert total_s * config.ops_scale == pricer.price(
                         cost, pairs, utilization, is_scan
                     ), shape
-                    stage_sum = (
-                        span.cpu_s
-                        + span.bloom_s
-                        + span.db_cache_s
-                        + span.os_cache_s
-                        + span.disk_random_s
-                        + span.disk_seq_s
-                    )
-                    assert math.isclose(span.total_s, stage_sum, rel_tol=1e-12)
+                    assert all(stage["duration_s"] for stage in stages), shape
         assert shapes == 5184
+
+    def test_span_carries_the_exemplar_stage_list(self):
+        """For one read, the closed-loop span keeps exactly the stages a
+        serve exemplar keeps, its total is their sum, and its cost is
+        the read's own ReadCost."""
+        config = SystemConfig.paper_scaled(2048)
+        bus = EventBus()
+        spans: list[ReadSpan] = []
+        bus.subscribe(ReadSpan, spans.append)
+        profiler = SpanProfiler(bus=bus, config=config, sample_every=1)
+        tracer = RequestTracer(mode="full", seed=0)
+        tracer.bind_pricer(ReadPricer(config))
+        for seq, cost in enumerate(_cost_grid()):
+            for utilization, is_scan, pairs in (
+                (0.0, False, 0), (0.5, True, 13), (0.95, True, 0),
+            ):
+                profiler.record_read(cost, utilization, pairs, is_scan)
+                request = Request(
+                    seq=seq,
+                    klass="readers",
+                    op="scan" if is_scan else "read",
+                    key=0,
+                    arrival_s=0.0,
+                )
+                tracer.offer_read(
+                    request, 0.0, 0.0, 0.0, cost, pairs, utilization, is_scan
+                )
+        exemplars = tracer.exemplars()
+        assert len(spans) == len(exemplars) == 648 * 3
+        for span, exemplar in zip(spans, exemplars):
+            assert span.stages == exemplar["stages"]
+            assert span.total_s == stage_sum_s(exemplar["stages"])
+            assert span.op == ("scan" if exemplar["op"] == "scan" else "get")
+            assert span.utilization == exemplar["utilization"]
+        assert isinstance(spans[0].cost, ReadCost)
 
     def test_null_profiler_is_disabled_and_emits_nothing(self):
         assert not NULL_PROFILER.enabled
@@ -322,22 +354,21 @@ class TestGoldenTrace:
             ReadSpan(
                 op="get",
                 sample_index=32,
-                total_s=0.0155,
-                cpu_s=0.0004,
-                bloom_s=1e-6,
-                db_cache_s=0.0,
-                os_cache_s=0.0001,
-                disk_random_s=0.015,
-                disk_seq_s=0.0,
-                memtable_probes=1,
-                index_probes=2,
-                bloom_probes=2,
-                tables_checked=3,
-                db_hit_blocks=0,
-                os_hit_blocks=1,
-                disk_blocks=1,
-                seq_kb=0.0,
                 utilization=0.25,
+                total_s=0.0155,
+                stages=[
+                    {"stage": "cpu", "duration_s": 0.0004},
+                    {"stage": "os_cache", "duration_s": 0.0001},
+                    {"stage": "disk_random", "duration_s": 0.015},
+                ],
+                cost=ReadCost(
+                    memtable_probes=1,
+                    index_probes=2,
+                    bloom_probes=2,
+                    os_hit_blocks=1,
+                    disk_random_blocks=1,
+                    tables_checked=3,
+                ),
             ),
         ]
         for event in events:
@@ -353,6 +384,10 @@ class TestGoldenTrace:
         span = records[-2]
         assert span["total_s"] == pytest.approx(0.0155)
         assert span["utilization"] == pytest.approx(0.25)
+        assert [stage["stage"] for stage in span["stages"]] == [
+            "cpu", "os_cache", "disk_random",
+        ]
+        assert span["cost"]["disk_random_blocks"] == 1
         # Every causal type the dip diagnoser filters on round-trips.
         assert set(CAUSAL_EVENT_TYPES) <= set(names)
 

@@ -594,6 +594,39 @@ class TestJsonlRoundTrips:
         with pytest.raises(ValueError, match="empty"):
             validate_trace_jsonl(empty)
 
+    @pytest.mark.parametrize("line", ["5", "[1, 2]"])
+    def test_a_line_that_is_not_an_object_names_its_place(
+        self, tmp_path, line
+    ):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="odd.jsonl:1: not a JSON object"):
+            validate_trace_jsonl(path)
+
+    def test_read_span_records_get_the_exemplar_stage_checks(self, tmp_path):
+        stages = [
+            {"stage": "cpu", "duration_s": 0.00045},
+            {"stage": "disk_random", "duration_s": 0.015},
+        ]
+        span = {
+            "t": 12, "event": "ReadSpan", "op": "get", "sample_index": 8,
+            "utilization": 0.0, "total_s": stage_sum_s(stages),
+            "stages": stages, "cost": {"disk_random_blocks": 1},
+        }
+        path = tmp_path / "spans.jsonl"
+        path.write_text(json.dumps(span) + "\n")
+        assert validate_trace_jsonl(path) == 1
+        for bad in (
+            {key: value for key, value in span.items() if key != "stages"},
+            dict(span, stages=[]),
+            dict(span, stages=[{"duration_s": 0.1}]),
+            dict(span, stages=[{"stage": "cpu", "duration_s": -1.0}]),
+            dict(span, total_s=span["total_s"] + 1e-12),
+        ):
+            path.write_text(json.dumps(span) + "\n" + json.dumps(bad) + "\n")
+            with pytest.raises(ValueError, match="spans.jsonl:2: invalid read"):
+                validate_trace_jsonl(path)
+
     def test_serve_result_transports_trace_fields_losslessly(self):
         result = execute_serve(serve_spec(trace="exemplar"))
         clone = type(result).from_dict(result.to_dict())
