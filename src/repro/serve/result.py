@@ -1,9 +1,10 @@
 """SLO accounting for serve runs.
 
 A serve run keeps everything a closed-loop :class:`~repro.sim.metrics.RunResult`
-keeps (the per-second series, the latency reservoir, event counts,
-per-cause bandwidth) *plus* the open-loop quantities that only exist
-with timestamped arrivals: per-class queueing delay vs service time,
+keeps (the per-second series, the latency reservoir, event counts and
+per-cause bandwidth totals, written by the same
+:class:`~repro.sim.metrics.RunRecorder`) *plus* the open-loop quantities
+that only exist with timestamped arrivals: per-class queueing delay vs service time,
 shed/deferred counters, queue depth and offered load over time, and a
 sampled set of individual requests whose delay components reconcile
 with their totals — the audit trail behind every percentile reported.

@@ -42,10 +42,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from repro.cache.stats import CacheStats
 from repro.config import SystemConfig
 from repro.errors import EngineError
-from repro.obs.events import EventTally, RequestShed, WriteDeferred
+from repro.obs.events import RequestShed, WriteDeferred
 from repro.obs.tracing import (
     FlightPolicy,
     FlightRecorder,
@@ -59,8 +58,8 @@ from repro.serve.arrivals import Request, generate_arrivals
 from repro.serve.result import ClassStats, ServeResult
 from repro.serve.scheduler import Scheduler, make_scheduler
 from repro.serve.spec import ServiceSpec
-from repro.sim.driver import HIT_RATIO_WINDOW_S
 from repro.sim.kernel import MAX_READS_PER_TICK
+from repro.sim.metrics import RunRecorder
 from repro.sstable.entry import Entry
 from repro.storage.iomodel import ReadPricer
 from repro.workload.ycsb import RangeHotWorkload
@@ -121,8 +120,9 @@ class ServiceSimulator:
         # the step loop's only added cost is a None check, keeping the
         # uncontrolled path bit-identical to pre-controller builds.
         self.controller = controller
-        self.metric_cache = engine.metric_cache
-        self.event_tally = EventTally(engine.bus)
+        self.recorder = RunRecorder(engine, config.ops_scale)
+        #: The recorder's tally; the controller reads its deferral count.
+        self.event_tally = self.recorder.event_tally
         #: Deferred writes waiting to re-offer: (retry_at_s, seq, request).
         self._retry_heap: list[tuple[float, int, Request]] = []
         #: (tick, stall seconds accrued that tick) for the admission window.
@@ -130,18 +130,9 @@ class ServiceSimulator:
         self._read_debt = 0.0
         self._arrival_cursor = 0
         self._completed_count = 0
-        self._last_cache_stats: CacheStats | None = None
-        self._last_hit_sample_tick: int | None = None
         # Per-run loop state, created by begin().
         self._result: ServeResult | None = None
-        self._sample_every = 1
         self._start_tick = 0
-        self._events_before: dict[str, int] = {}
-        self._stall_baseline = 0.0
-        self._stall_last = 0.0
-        self._bw_baseline: dict[str, dict[str, float]] = {}
-        self._arrived_window = 0
-        self._last_sample_tick = 0
         # Bound last: the controller snapshots loop-state baselines.
         if controller is not None:
             controller.bind(self)
@@ -149,21 +140,15 @@ class ServiceSimulator:
     # ------------------------------------------------------------------
     # The run loop: begin / step×duration / finish.
     # ------------------------------------------------------------------
-    def begin(self, duration_s: int, sample_every: int = 1) -> ServeResult:
+    def begin(self, duration_s: int) -> ServeResult:
         """Open a run: allocate the result, snapshot the baselines."""
         result = ServeResult(engine=self.engine.name, duration_s=duration_s)
         for klass_name, op in self._class_ops():
             result.class_stats[klass_name] = ClassStats(op=op)
-        self._events_before = dict(self.event_tally.counts)
-        self._stall_baseline = self.engine.stats.stall_seconds
-        self._stall_last = self._stall_baseline
-        self._bw_baseline = self._snapshot_cause_totals()
-        self._arrived_window = 0
-        self._last_sample_tick = 0
+        self.recorder.begin(result)
         # Arrival timestamps are relative to the run's first tick; the
         # engine keeps its own absolute clock (it may have ticked before).
         self._start_tick = self.clock.now
-        self._sample_every = sample_every
         self._result = result
         return result
 
@@ -173,16 +158,15 @@ class ServiceSimulator:
         if result is None:
             raise EngineError("step() before begin()")
         now = self.clock.now - self._start_tick
-        self._arrived_window += self._ingest(now, result)
+        arrived = self._ingest(now, result)
         self.engine.tick(self.clock.now)
         utilization = self.engine.disk.utilization()
         reads = self._dispatch(now, utilization, result)
-        stall_total = self.engine.stats.stall_seconds
-        stall_tick = stall_total - self._stall_last
-        self._stall_last = stall_total
-        self._stall_window.append((now, stall_tick))
+        recorder = self.recorder
+        stall = recorder.stall_tick()
+        self._stall_window.append((now, stall))
         if self.flight is not None:
-            self.flight.observe_stall(now, stall_tick)
+            self.flight.observe_stall(now, stall)
         cutoff = now - self.admission.policy.stall_window_s
         while self._stall_window and self._stall_window[0][0] <= cutoff:
             self._stall_window.popleft()
@@ -195,14 +179,13 @@ class ServiceSimulator:
             decisions = controller.tick(now)
             if decisions:
                 result.control_decisions.extend(decisions)
-        if now % self._sample_every == 0:
-            dt = max(1, now - self._last_sample_tick) if now else 1
-            self._sample(
-                now, reads, utilization, stall_tick,
-                self._arrived_window / dt, result,
-            )
-            self._arrived_window = 0
-            self._last_sample_tick = now
+        # Sampled after the controller tick: a resize it makes shows in
+        # this tick's cache_usage point.
+        result.queue_depth.add(now, float(len(self.scheduler)))
+        result.offered_qps.add(now, float(arrived) * self.config.ops_scale)
+        ratio = recorder.sample(now, reads, utilization, stall)
+        if ratio is not None and self.flight is not None:
+            self.flight.observe_hit_ratio(now, ratio)
         self.clock.advance(1)
 
     def finish(self) -> ServeResult:
@@ -210,15 +193,7 @@ class ServiceSimulator:
         result = self._result
         if result is None:
             raise EngineError("finish() before begin()")
-        result.event_counts = {
-            name: count - self._events_before.get(name, 0)
-            for name, count in self.event_tally.counts.items()
-            if count - self._events_before.get(name, 0)
-        }
-        result.bandwidth_kb_by_cause = self._cause_window(self._bw_baseline)
-        result.stall_seconds = (
-            self.engine.stats.stall_seconds - self._stall_baseline
-        )
+        self.recorder.finish()
         if self.tracer is not None:
             result.trace_mode = self.tracer.mode
             result.exemplars = self.tracer.exemplars()
@@ -227,8 +202,8 @@ class ServiceSimulator:
         self._result = None
         return result
 
-    def run(self, duration_s: int, sample_every: int = 1) -> ServeResult:
-        self.begin(duration_s, sample_every)
+    def run(self, duration_s: int) -> ServeResult:
+        self.begin(duration_s)
         for _ in range(duration_s):
             self.step()
         return self.finish()
@@ -521,68 +496,6 @@ class ServiceSimulator:
                     "retries": request.retries,
                 }
             )
-
-    # ------------------------------------------------------------------
-    # Sampling (same series the closed-loop driver keeps, plus serve's).
-    # ------------------------------------------------------------------
-    def _sample(
-        self,
-        now: int,
-        reads: int,
-        utilization: float,
-        stall_tick: float,
-        arrived_per_s: float,
-        result: ServeResult,
-    ) -> None:
-        config = self.config
-        result.throughput_qps.add(now, reads * config.ops_scale)
-        result.queue_depth.add(now, float(len(self.scheduler)))
-        result.offered_qps.add(now, arrived_per_s * config.ops_scale)
-        result.stall.add(now, stall_tick)
-        if self.metric_cache is not None:
-            stats = self.metric_cache.stats
-            due = (
-                self._last_hit_sample_tick is None
-                or now - self._last_hit_sample_tick >= HIT_RATIO_WINDOW_S
-            )
-            if due:
-                if self._last_cache_stats is None:
-                    ratio = stats.hit_ratio
-                else:
-                    ratio = stats.interval_hit_ratio(self._last_cache_stats)
-                self._last_cache_stats = stats.snapshot()
-                self._last_hit_sample_tick = now
-                result.hit_ratio.add(now, ratio)
-                if self.flight is not None:
-                    self.flight.observe_hit_ratio(now, ratio)
-            result.cache_usage.add(now, self.metric_cache.usage)
-        disk = self.engine.disk
-        size_kb = disk.live_kb + disk.tick_temp_space_kb()
-        result.db_size_mb.add(now, size_kb * config.ops_scale / 1024.0)
-        result.disk_utilization.add(now, utilization)
-        buffer_kb = self.engine.compaction_buffer_kb
-        if buffer_kb is not None:
-            result.buffer_size_mb.add(
-                now, buffer_kb * config.ops_scale / 1024.0
-            )
-
-    def _snapshot_cause_totals(self) -> dict[str, dict[str, float]]:
-        return {
-            cause: dict(kinds)
-            for cause, kinds in self.engine.disk.cause_totals().items()
-        }
-
-    def _cause_window(
-        self, baseline: dict[str, dict[str, float]]
-    ) -> dict[str, dict[str, float]]:
-        window: dict[str, dict[str, float]] = {}
-        for cause, kinds in self._snapshot_cause_totals().items():
-            before = baseline.get(cause, {"read_kb": 0.0, "write_kb": 0.0})
-            window[cause] = {
-                "read_kb": kinds["read_kb"] - before["read_kb"],
-                "write_kb": kinds["write_kb"] - before["write_kb"],
-            }
-        return window
 
 
 @dataclass

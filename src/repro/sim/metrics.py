@@ -3,10 +3,15 @@
 Every figure in the paper's evaluation is either a per-second time series
 (hit ratio, throughput, database size) or an average of one over the run.
 :class:`TimeSeries` stores one sampled quantity; :class:`RunResult` bundles
-the standard set the driver collects, with the averaging helpers the
+the standard set every driver collects, with the averaging helpers the
 summary figures (9, 11, 13) need.  Per-read latencies are kept in a
 :class:`LatencyReservoir` — a paper-length run completes tens of millions
 of reads, far too many to hold as individual floats.
+
+:class:`RunRecorder` is the one writer of that standard set: the
+closed-loop, YCSB and serve drivers each own one and call its
+``begin``/``sample``/``finish``, so a series means the same thing
+whichever driver wrote it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.codec import LOAD_ERRORS, Wire, load_error
+from repro.obs.events import EventTally
 from repro.obs.metrics import Reservoir
+
+#: Hit-ratio points are computed over windows of this many ticks so each
+#: point aggregates enough reads to be a meaningful ratio (a per-tick
+#: ratio over a handful of reads is dominated by sampling noise and,
+#: averaged, biased low: miss ticks complete few reads).
+HIT_RATIO_WINDOW_S = 20
 
 #: The driver's per-read latency sample is the one shared reservoir
 #: implementation (Vitter's Algorithm R) from :mod:`repro.obs.metrics` —
@@ -122,11 +134,14 @@ class RunResult(Wire):
     ``to_dict()`` (from :class:`~repro.codec.Wire`) is the *complete*
     run state, unlike :meth:`to_json_dict` (a human-oriented summary):
     every time series, the latency reservoir's retained sample, event
-    counts, per-cause bandwidth and the metrics snapshot round-trip
-    exactly through ``from_dict()`` — it is how sweep workers ship
-    results across the process boundary.
+    counts, per-cause bandwidth totals and the metrics snapshot
+    round-trip exactly through ``from_dict()`` — it is how sweep workers
+    ship results across the process boundary.
     """
 
+    #: Archived payloads still carry the per-cause KB/s series that no
+    #: reader used; they load, and the key is ignored.
+    _wire_extra = ("bandwidth_by_cause",)
     #: The per-second series every saved payload nests under "series".
     _wire_groups = {
         "series": (
@@ -170,11 +185,8 @@ class RunResult(Wire):
     read_latencies_s: LatencyReservoir = field(default_factory=LatencyReservoir)
     #: Engine events observed during the run, counted by type name.
     event_counts: dict[str, int] = field(default_factory=dict)
-    #: Per-cause background+foreground disk bandwidth (KB/s of combined
-    #: read+write traffic), one series per attribution cause ("flush",
-    #: "compaction:L1", "wal", "query", ...), sampled every driver tick.
-    bandwidth_by_cause: dict[str, TimeSeries] = field(default_factory=dict)
-    #: Per-cause disk traffic totals over this run's window, as
+    #: Per-cause disk traffic totals over this run's window ("flush",
+    #: "compaction:L1", "wal", "query", ...), as
     #: ``{cause: {"read_kb": x, "write_kb": y}}`` — these sum-reconcile
     #: with the DiskStats sequential counters (the bandwidth-attribution
     #: invariant).
@@ -257,3 +269,141 @@ class RunResult(Wire):
                 )
             )
         return rows
+
+
+class RunRecorder:
+    """The run window every driver records through.
+
+    :meth:`begin` binds a result and takes the run's baselines (event
+    counts, per-cause disk totals, stall seconds); :meth:`sample`
+    appends one point to each shared series per tick; :meth:`finish`
+    writes the event, bandwidth and stall totals over the window.  A
+    hit-ratio point is taken at the run's first sample and then every
+    :data:`HIT_RATIO_WINDOW_S` ticks.
+    """
+
+    def __init__(self, engine, ops_scale: float) -> None:
+        self.engine = engine
+        #: The cache whose hit ratio and usage form the reported series:
+        #: the engine's own choice (DB cache, falling back to the OS cache).
+        self.metric_cache = engine.metric_cache
+        #: Counts every event the engine publishes while this recorder
+        #: exists; each run reports the delta over its own window.
+        self.event_tally = EventTally(engine.bus)
+        self._ops_scale = ops_scale
+        self._result: RunResult | None = None
+        self._appends: tuple = ()
+        self._events_before: dict[str, int] = {}
+        self._causes_before: dict[str, dict[str, float]] = {}
+        self._stall_baseline = 0.0
+        self._stall_last = 0.0
+        self._last_cache_stats = None
+        self._last_hit_tick: int | None = None
+
+    def begin(self, result: RunResult) -> None:
+        """Bind ``result`` for this run and take the baselines."""
+        engine = self.engine
+        self._result = result
+        self._events_before = dict(self.event_tally.counts)
+        self._causes_before = engine.disk.cause_totals()
+        self._stall_baseline = self._stall_last = engine.stats.stall_seconds
+        self._last_cache_stats = None
+        self._last_hit_tick = None
+        # Prebound per-tick series appends: ``result`` is fixed for the
+        # whole run, so sample() pays one tuple unpack instead of three
+        # attribute lookups per series per tick.
+        self._appends = tuple(
+            append
+            for series in (
+                result.throughput_qps,
+                result.cache_usage,
+                result.db_size_mb,
+                result.disk_utilization,
+                result.stall,
+                result.buffer_size_mb,
+            )
+            for append in (series.times.append, series.values.append)
+        )
+
+    def stall_tick(self) -> float:
+        """Write-stall seconds accrued since the last call (or begin)."""
+        total = self.engine.stats.stall_seconds
+        accrued = total - self._stall_last
+        self._stall_last = total
+        return accrued
+
+    def sample(
+        self, now: int, reads: int, utilization: float, stall: float
+    ) -> float | None:
+        """Append tick ``now`` to every shared series.
+
+        Returns the hit ratio when a hit-ratio point was due, else None.
+        """
+        ops_scale = self._ops_scale
+        (
+            tp_time,
+            tp_value,
+            cu_time,
+            cu_value,
+            db_time,
+            db_value,
+            du_time,
+            du_value,
+            st_time,
+            st_value,
+            bf_time,
+            bf_value,
+        ) = self._appends
+        tp_time(now)
+        tp_value(reads * ops_scale)
+        ratio = None
+        cache = self.metric_cache
+        if cache is not None:
+            last = self._last_hit_tick
+            if last is None or now - last >= HIT_RATIO_WINDOW_S:
+                stats = cache.stats
+                earlier = self._last_cache_stats
+                if earlier is None:
+                    ratio = stats.hit_ratio
+                else:
+                    ratio = stats.interval_hit_ratio(earlier)
+                self._last_cache_stats = stats.snapshot()
+                self._last_hit_tick = now
+                self._result.hit_ratio.add(now, ratio)
+            cu_time(now)
+            cu_value(cache.usage)
+        engine = self.engine
+        disk = engine.disk
+        size_kb = disk.live_kb + disk.tick_temp_space_kb()
+        db_time(now)
+        db_value(size_kb * ops_scale / 1024.0)
+        du_time(now)
+        du_value(utilization)
+        st_time(now)
+        st_value(stall)
+        buffer_kb = engine.compaction_buffer_kb
+        if buffer_kb is not None:
+            bf_time(now)
+            bf_value(buffer_kb * ops_scale / 1024.0)
+        return ratio
+
+    def finish(self) -> None:
+        """Write the event, bandwidth and stall windows onto the result."""
+        result, self._result = self._result, None
+        engine = self.engine
+        before = self._events_before
+        result.event_counts = {
+            name: count - before.get(name, 0)
+            for name, count in self.event_tally.counts.items()
+            if count - before.get(name, 0)
+        }
+        zero = {"read_kb": 0.0, "write_kb": 0.0}
+        window: dict[str, dict[str, float]] = {}
+        for cause, kinds in engine.disk.cause_totals().items():
+            base = self._causes_before.get(cause, zero)
+            window[cause] = {
+                "read_kb": kinds["read_kb"] - base["read_kb"],
+                "write_kb": kinds["write_kb"] - base["write_kb"],
+            }
+        result.bandwidth_kb_by_cause = window
+        result.stall_seconds = engine.stats.stall_seconds - self._stall_baseline

@@ -5,7 +5,8 @@ specific measurement (one paced writer + saturating readers on RangeHot).
 This driver generalizes it: any :class:`~repro.workload.ycsb.YCSBWorkload`
 operation mix (reads, updates, inserts, scans, read-modify-writes) is
 executed by a fixed number of modeled client threads, each operation
-priced through the same cost model, with the same per-second metrics.
+priced through the same cost model, with the same per-second metrics:
+both drivers record through one :class:`~repro.sim.metrics.RunRecorder`.
 
 This is what turns the reproduction into a general LSM workbench: YCSB
 core workloads A-F run against any engine with three lines of code (see
@@ -25,10 +26,8 @@ import random
 from repro.check.oracle import KVOracle
 from repro.config import SystemConfig
 from repro.clock import VirtualClock
-from repro.obs.events import EventTally
-from repro.sim.driver import HIT_RATIO_WINDOW_S
 from repro.sim.kernel import MAX_READS_PER_TICK
-from repro.sim.metrics import RunResult
+from repro.sim.metrics import RunRecorder, RunResult
 from repro.storage.iomodel import ReadPricer
 from repro.workload.ycsb import OpKind, YCSBWorkload
 
@@ -56,8 +55,7 @@ class YCSBDriver:
         )
         self._pricer = ReadPricer(config)
         self._write_price = self._pricer.write_s * config.ops_scale
-        self._metric_cache = engine.metric_cache
-        self._event_tally = EventTally(engine.bus)
+        self.recorder = RunRecorder(engine, config.ops_scale)
         self._debt = 0.0
         self.ops_by_kind: dict[OpKind, int] = {kind: 0 for kind in OpKind}
         self.oracle = oracle
@@ -130,9 +128,8 @@ class YCSBDriver:
     # ------------------------------------------------------------------
     def run(self, duration_s: int) -> RunResult:
         result = RunResult(engine=self.engine.name, duration_s=duration_s)
-        metric_cache = self._metric_cache
-        events_before = dict(self._event_tally.counts)
-        last_stats = None
+        recorder = self.recorder
+        recorder.begin(result)
         for _ in range(duration_s):
             now = self.clock.now
             self.engine.tick(now)
@@ -146,28 +143,7 @@ class YCSBDriver:
                 ops += 1
             self._debt = -budget if budget < 0.0 else 0.0
             result.reads_completed += ops
-            result.throughput_qps.add(now, ops * self.config.ops_scale)
-            result.db_size_mb.add(
-                now,
-                (self.engine.disk.live_kb + self.engine.disk.tick_temp_space_kb())
-                * self.config.ops_scale
-                / 1024.0,
-            )
-            result.disk_utilization.add(now, utilization)
-            if metric_cache is not None and now % HIT_RATIO_WINDOW_S == 0:
-                stats = metric_cache.stats
-                ratio = (
-                    stats.hit_ratio
-                    if last_stats is None
-                    else stats.interval_hit_ratio(last_stats)
-                )
-                last_stats = stats.snapshot()
-                result.hit_ratio.add(now, ratio)
+            recorder.sample(now, ops, utilization, recorder.stall_tick())
             self.clock.advance(1)
-        tally = self._event_tally.counts
-        result.event_counts = {
-            name: count - events_before.get(name, 0)
-            for name, count in tally.items()
-            if count - events_before.get(name, 0)
-        }
+        recorder.finish()
         return result

@@ -144,10 +144,10 @@ class SimulatedDisk:
         # runtime); rebinding re-registers the causes seen so far.
         self._m_cause: dict[tuple[str, str], object] = {}
         self._m_cause_offsets: dict[tuple[str, str], float] = {}
-        for cause in self.cause_read_kb:
-            self._cause_counter("read", cause)
-        for cause in self.cause_write_kb:
-            self._cause_counter("write", cause)
+        for cause, total in self.cause_read_kb.items():
+            self._cause_counter("read", cause, total)
+        for cause, total in self.cause_write_kb.items():
+            self._cause_counter("write", cause, total)
         registry.register_flush(self._publish_metrics)
 
     def _publish_metrics(self) -> None:
@@ -303,18 +303,17 @@ class SimulatedDisk:
     # ------------------------------------------------------------------
     # Per-cause bandwidth attribution.
     # ------------------------------------------------------------------
-    def _cause_counter(self, kind: str, cause: str):
+    def _cause_counter(self, kind: str, cause: str, bound_kb: float = 0.0):
         key = (kind, cause)
         counter = self._m_cause.get(key)
         if counter is None:
             counter = self._registry.counter(f"disk.bw.{cause}.{kind}_kb")
             self._m_cause[key] = counter
             # The counter may pre-exist with a value (rebind); the offset
-            # keeps deferred publication from double-counting.
-            totals = (
-                self.cause_read_kb if kind == "read" else self.cause_write_kb
-            )
-            self._m_cause_offsets[key] = counter.value - totals.get(cause, 0.0)
+            # keeps deferred publication from double-counting the
+            # ``bound_kb`` the cause had booked when the registry was
+            # bound.  A cause first seen after bind had booked nothing.
+            self._m_cause_offsets[key] = counter.value - bound_kb
         return counter
 
     def _attribute(self, kind: str, cause: str, size_kb: float) -> None:

@@ -62,10 +62,6 @@ def _fill_run(result: RunResult) -> RunResult:
     result.stall = _series("stall", (1, 0.0), (2, 0.75))
     result.read_latencies_s = _reservoir(4, 0.001, 0.25, 0.0005, 0.002, 0.015)
     result.event_counts = {"FlushEnd": 3, "CompactionEnd": 2}
-    result.bandwidth_by_cause = {
-        "query": _series("query", (1, 64.0), (2, 32.5)),
-        "flush": _series("flush", (1, 0.0), (2, 2048.0)),
-    }
     result.bandwidth_kb_by_cause = {
         "query": {"read_kb": 96.5, "write_kb": 0.0},
         "flush": {"read_kb": 0.0, "write_kb": 2048.0},

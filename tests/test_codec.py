@@ -327,6 +327,20 @@ def test_an_archived_cluster_payload_with_serve_profiler_keys_loads():
         ServiceSpec.from_dict({"engine": "lsbm", "profile": False})
 
 
+@pytest.mark.parametrize(
+    "instance", [RUN_RESULT, SERVE_RESULT], ids=lambda i: type(i).__name__
+)
+def test_an_archived_run_payload_with_the_bandwidth_series_loads(instance):
+    """Run payloads written while ``RunResult`` kept per-cause KB/s
+    series carry ``bandwidth_by_cause``; they load, and it is ignored."""
+    payload = json.loads(json.dumps(instance.to_dict()))
+    assert "bandwidth_by_cause" not in payload
+    payload["bandwidth_by_cause"] = {
+        "flush": {"name": "bandwidth.flush", "times": [1], "values": [2.0]}
+    }
+    assert type(instance).from_dict(payload) == instance
+
+
 def test_a_partial_series_group_keeps_the_other_defaults():
     payload = {"engine": "lsbm", "series": {"stall": {
         "name": "stall", "times": [1], "values": [0.5]}}}

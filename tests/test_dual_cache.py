@@ -71,4 +71,4 @@ class TestDualCacheStack:
         result = driver.run(60)
         assert result.reads_completed > 0
         # The metric cache is the DB cache (primary tier).
-        assert driver.metric_cache is setup.db_cache
+        assert driver.recorder.metric_cache is setup.db_cache

@@ -227,20 +227,6 @@ class TestBandwidthAttribution:
         assert not checker.ok
         assert any("unattributed" in v for v in checker.violations)
 
-    def test_bandwidth_series_sampled_per_cause(self):
-        config = SystemConfig.paper_scaled(8192)
-        setup = build_engine("leveldb", config)
-        preload(setup)
-        driver = MixedReadWriteDriver(setup.engine, config, setup.clock, seed=1)
-        result = driver.run(300)
-        assert "flush" in result.bandwidth_by_cause
-        series = result.bandwidth_by_cause["flush"]
-        assert len(series) > 0
-        # KB/s integrated over the sampled window stays within the
-        # window's total flush traffic.
-        total = sum(series.values)
-        assert total <= result.bandwidth_kb_by_cause["flush"]["write_kb"] + 1e-9
-
 
 class TestDipDiagnosis:
     def _series(self, values, spacing=20):

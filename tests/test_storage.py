@@ -122,6 +122,27 @@ class TestSimulatedDisk:
         with pytest.raises(StorageError):
             SimulatedDisk(clock, 0.0)
 
+    def test_cause_counters_publish_the_disk_totals(self):
+        """Every ``disk.bw.*`` counter equals the disk's own cause total,
+        including causes first booked after the registry was bound
+        (``preload``, the compactions), which used to publish 0."""
+        from repro.sim.driver import MixedReadWriteDriver
+        from repro.sim.experiment import build_engine, preload
+
+        config = SystemConfig.paper_scaled(8192)
+        setup = build_engine("lsbm", config)
+        preload(setup)
+        MixedReadWriteDriver(setup.engine, config, setup.clock).run(300)
+        totals = setup.disk.cause_totals()
+        published = {
+            tuple(name[len("disk.bw."):].rsplit(".", 1)): value
+            for name, value in setup.substrate.registry.snapshot().items()
+            if name.startswith("disk.bw.")
+        }
+        assert ("preload", "write_kb") in published
+        for (cause, kind), value in published.items():
+            assert value == totals[cause][kind], (cause, kind)
+
 
 class TestReadPricer:
     """The physics, on the object that prices every read of every figure:

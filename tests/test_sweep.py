@@ -187,7 +187,6 @@ def _run_results(draw) -> RunResult:
     for cause in draw(
         st.lists(st.sampled_from(["flush", "wal", "query"]), unique=True)
     ):
-        result.bandwidth_by_cause[cause] = draw(_series(cause))
         result.bandwidth_kb_by_cause[cause] = {
             "read_kb": draw(_FINITE),
             "write_kb": draw(_FINITE),
