@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 from hashlib import blake2b
 
-from repro.config import SystemConfig
+from repro.config import ConfigError, SystemConfig
 from repro.obs.events import EventBus, ReadSpan
 from repro.storage.iomodel import ReadPricer, queueing_factor
 
@@ -699,8 +699,8 @@ def validate_trace_jsonl(path: str | Path) -> int:
     Exemplar files hold exemplar records (keyed by ``trace_id``);
     flight files hold a ``FlightDump`` header followed by the ring
     window's event records; closed-loop traces hold timestamped event
-    records, ``ReadSpan`` among them.  Raises ``ValueError`` naming
-    ``path:lineno`` on the first bad line.
+    records, ``ReadSpan`` among them.  Raises ``ConfigError`` naming
+    ``path:lineno`` on the first bad line, and for a file with no record.
     """
     count = 0
     for lineno, line in enumerate(
@@ -717,8 +717,8 @@ def validate_trace_jsonl(path: str | Path) -> int:
             else:
                 validate_flight_record(record)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         count += 1
     if count == 0:
-        raise ValueError(f"{path}: empty trace file")
+        raise ConfigError(f"{path}: empty trace file")
     return count

@@ -11,11 +11,13 @@ grid's jobs=1 ≡ jobs=N determinism guarantee.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
+from repro.serve import arrivals
 from repro.serve.admission import ADMIT, DEFER, SHED, AdmissionController, AdmissionPolicy
 from repro.serve.arrivals import ClientClass, Request, generate_arrivals
 from repro.serve.result import ServeResult
@@ -126,6 +128,36 @@ class TestArrivals:
     def test_rate_guard(self):
         with pytest.raises(ConfigError):
             self._generate(_tiny_classes(rate_qps=5_000.0), duration=500)
+
+    def test_rate_guard_refuses_before_any_rng_is_built(self, monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("an oversized spec drew a random number")
+
+        monkeypatch.setattr(arrivals, "random", SimpleNamespace(Random=no_rng))
+        with pytest.raises(ConfigError, match="exceeds"):
+            self._generate(_tiny_classes(rate_qps=5_000.0), duration=500)
+
+    def test_rate_guard_still_counts_what_was_drawn(self, monkeypatch):
+        # Expected 50 arrivals under a cap of 100, but the draw yields 101.
+        monkeypatch.setattr(arrivals, "_MAX_TOTAL_ARRIVALS", 100)
+        monkeypatch.setattr(
+            arrivals, "_arrival_times", lambda *args: [0.5] * 101
+        )
+        with pytest.raises(ConfigError, match="exceeds"):
+            self._generate(_tiny_classes(rate_qps=1.0), duration=50)
+
+    def test_rate_guard_refuses_an_expected_count_over_the_cap(
+        self, monkeypatch
+    ):
+        # The declared edge: 101 expected against a cap of 100 is refused
+        # even though this draw would have produced only 50.
+        monkeypatch.setattr(arrivals, "_MAX_TOTAL_ARRIVALS", 100)
+        monkeypatch.setattr(
+            arrivals, "_arrival_times", lambda *args: [0.5] * 50
+        )
+        with pytest.raises(ConfigError, match="exceeds"):
+            self._generate(_tiny_classes(rate_qps=1.0), duration=101)
+        assert len(self._generate(_tiny_classes(rate_qps=1.0), duration=100)) == 50
 
 
 def _request(seq, klass="readers", op="read", arrival=0.0, retries=0):

@@ -30,6 +30,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.cluster import ClusterSpec, run_cluster, run_coordinated
+from repro.errors import ConfigError
 from repro.obs.diagnose import (
     CAUSAL_EVENT_TYPES,
     diagnose_shard_dips,
@@ -587,11 +588,11 @@ class TestJsonlRoundTrips:
             validate_exemplar(skewed)
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(skewed) + "\n")
-        with pytest.raises(ValueError, match="bad.jsonl:1"):
+        with pytest.raises(ConfigError, match="bad.jsonl:1"):
             validate_trace_jsonl(path)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ConfigError, match="empty"):
             validate_trace_jsonl(empty)
 
     @pytest.mark.parametrize("line", ["5", "[1, 2]"])
@@ -600,7 +601,13 @@ class TestJsonlRoundTrips:
     ):
         path = tmp_path / "odd.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(ValueError, match="odd.jsonl:1: not a JSON object"):
+        with pytest.raises(ConfigError, match="odd.jsonl:1: not a JSON object"):
+            validate_trace_jsonl(path)
+
+    def test_a_line_that_is_not_json_names_its_place(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"t": 1, "event": "FlushDone"}\n{"t": 2, "ev\n')
+        with pytest.raises(ConfigError, match="torn.jsonl:2: "):
             validate_trace_jsonl(path)
 
     def test_read_span_records_get_the_exemplar_stage_checks(self, tmp_path):
@@ -624,7 +631,7 @@ class TestJsonlRoundTrips:
             dict(span, total_s=span["total_s"] + 1e-12),
         ):
             path.write_text(json.dumps(span) + "\n" + json.dumps(bad) + "\n")
-            with pytest.raises(ValueError, match="spans.jsonl:2: invalid read"):
+            with pytest.raises(ConfigError, match="spans.jsonl:2: invalid read"):
                 validate_trace_jsonl(path)
 
     def test_serve_result_transports_trace_fields_losslessly(self):
@@ -641,8 +648,6 @@ class TestJsonlRoundTrips:
 
 class TestSpecSurface:
     def test_spec_validates_trace_fields(self):
-        from repro.errors import ConfigError
-
         with pytest.raises(ConfigError):
             serve_spec(trace="loud")
         with pytest.raises(ConfigError):
