@@ -19,6 +19,7 @@ from repro.config import SystemConfig
 from repro.lsm.blsm import BLSMTree
 from repro.sim.report import ascii_table
 from repro.storage.disk import SimulatedDisk
+from repro.substrate import Substrate
 
 from .common import once, write_bench, write_report
 
@@ -34,7 +35,9 @@ def _measure(size_ratio: int) -> float:
     config = base.replace(size_ratio=size_ratio, unique_keys=keyspace)
     clock = VirtualClock()
     disk = SimulatedDisk(clock, config.seq_bandwidth_kb_per_s)
-    engine = BLSMTree(config, clock, disk, db_cache=DBBufferCache(config.cache_blocks))
+    engine = BLSMTree(
+        Substrate(config, clock, disk, db_cache=DBBufferCache(config.cache_blocks))
+    )
     rng = random.Random(42)
     for _ in range(PAIRS):
         engine.put(rng.randrange(keyspace))

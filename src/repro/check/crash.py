@@ -29,7 +29,6 @@ from repro.check.schedule import Op, ScheduleSpec, apply_op, generate_schedule
 from repro.config import SystemConfig
 from repro.sim.experiment import build_engine
 from repro.sstable.entry import value_for
-from repro.variants.kv_store import unwrap
 
 #: Every registered crash point, in rough write-path order.
 CRASH_POINTS = (
@@ -71,10 +70,9 @@ class FaultInjector:
 
 def attach_injector(engine, injector: FaultInjector) -> None:
     """Install ``injector`` as the fault hook of an engine's disk and WAL."""
-    inner = unwrap(engine)
-    inner.disk.fault_hook = injector
-    if inner.wal is not None:
-        inner.wal.fault_hook = injector
+    engine.disk.fault_hook = injector
+    if engine.wal is not None:
+        engine.wal.fault_hook = injector
 
 
 @dataclass
@@ -152,7 +150,7 @@ class CrashRecoveryHarness:
                 detail="crash point never reached by this schedule",
             )
         # The durable log image the crashed process left behind.
-        captured = unwrap(setup.engine).wal.replay()
+        captured = setup.engine.wal.replay()
 
         # Pass 2: reconstruct the pre-crash on-disk state by replaying
         # the schedule prefix, then splice in the captured log and
@@ -166,7 +164,7 @@ class CrashRecoveryHarness:
             elif op.name == "delete":
                 oracle.delete(op.key)
         pre_seq = setup2.engine.last_seq
-        unwrap(setup2.engine).wal.restore_records(captured)
+        setup2.engine.wal.restore_records(captured)
         setup2.engine.simulate_crash()
         setup2.engine.recover()
 

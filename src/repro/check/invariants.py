@@ -37,7 +37,6 @@ from repro.check.reflect import live_files
 from repro.errors import EngineError
 from repro.obs.events import FileCreated, FileDiscarded, TrimRun
 from repro.validation import check_engine
-from repro.variants.kv_store import unwrap
 
 
 class InvariantChecker:
@@ -184,8 +183,7 @@ class TrimBoundChecker(InvariantChecker):
 
     def _on_trim(self, event: TrimRun) -> None:
         self.trim_runs += 1
-        engine = unwrap(self._engine)
-        buffer_levels = getattr(engine, "buffer", None)
+        buffer_levels = getattr(self._engine, "buffer", None)
         if buffer_levels is None or self._cache is None:
             return
         for level in buffer_levels[1:]:

@@ -11,7 +11,6 @@ knows no engine class.
 from __future__ import annotations
 
 from repro.sstable.sstable import SSTableFile
-from repro.variants.kv_store import unwrap
 
 
 def live_files(engine) -> dict[int, SSTableFile]:
@@ -20,14 +19,13 @@ def live_files(engine) -> dict[int, SSTableFile]:
     Files carrying LSbM's removed marker are excluded — their blocks are
     gone and queries treat them as absent (Algorithm 3's fallback).
     """
-    e = unwrap(engine)
     files: dict[int, SSTableFile] = {}
-    for group in e._run_groups():
+    for group in engine._run_groups():
         for run in group:
             for file in run:
                 if not file.removed:
                     files[file.file_id] = file
-    for buffer_level in e._buffer_levels:
+    for buffer_level in engine._buffer_levels:
         for file in buffer_level.live_files():
             files[file.file_id] = file
     return files

@@ -94,19 +94,8 @@ class LSbMTree(BLSMTree):
 
     name = "lsbm"
 
-    def __init__(
-        self,
-        config=None,
-        clock=None,
-        disk=None,
-        db_cache=None,
-        os_cache=None,
-        *,
-        substrate=None,
-    ) -> None:
-        super().__init__(
-            config, clock, disk, db_cache, os_cache, substrate=substrate
-        )
+    def __init__(self, substrate) -> None:
+        super().__init__(substrate)
         #: Same gear control flow as bLSM, but the hooks below adopt
         #: merge inputs into the compaction buffer: the data-movement
         #: axis flips to lazy adoption.

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 
 from repro.cache.db_cache import BlockKey, DBBufferCache
 from repro.cache.os_cache import OSBufferCache
-from repro.config import SystemConfig
 from repro.errors import EngineError
 from repro.lsm.memtable import Memtable
 from repro.lsm.policy import CompactionAxes, CompactionPolicy
@@ -39,7 +38,6 @@ from repro.obs.events import (
 )
 from repro.sstable.entry import Kind
 from repro.bloom.hashing import probe_mask
-from repro.clock import VirtualClock
 from repro.sstable.block import Block, _shared_filter
 from repro.sstable.builder import TableBuilder
 from repro.sstable.entry import Entry
@@ -186,36 +184,8 @@ class LSMEngine(ABC):
     #: Human-readable engine name, overridden by subclasses.
     name = "lsm"
 
-    def __init__(
-        self,
-        config: SystemConfig | None = None,
-        clock: VirtualClock | None = None,
-        disk=None,
-        db_cache: DBBufferCache | None = None,
-        os_cache: OSBufferCache | None = None,
-        *,
-        substrate: Substrate | None = None,
-    ) -> None:
-        """Wire the engine over ``substrate``.
-
-        Callers either pass a ready :class:`~repro.substrate.Substrate`
-        (the :mod:`repro.sim.experiment` path) or the loose
-        ``(config, clock, disk, caches)`` pieces, from which a substrate —
-        with its own registry and event bus — is assembled here.
-        """
-        if substrate is None:
-            if config is None or clock is None or disk is None:
-                raise EngineError(
-                    "engine construction requires a Substrate or "
-                    "(config, clock, disk)"
-                )
-            substrate = Substrate(
-                config=config,
-                clock=clock,
-                disk=disk,
-                db_cache=db_cache,
-                os_cache=os_cache,
-            )
+    def __init__(self, substrate: Substrate) -> None:
+        """Wire the engine over ``substrate``, the stack it is built from."""
         self.substrate = substrate
         self.config = substrate.config
         self.clock = substrate.clock

@@ -29,19 +29,8 @@ class BLSMTree(LSMEngine):
 
     name = "blsm"
 
-    def __init__(
-        self,
-        config=None,
-        clock=None,
-        disk=None,
-        db_cache=None,
-        os_cache=None,
-        *,
-        substrate=None,
-    ) -> None:
-        super().__init__(
-            config, clock, disk, db_cache, os_cache, substrate=substrate
-        )
+    def __init__(self, substrate) -> None:
+        super().__init__(substrate)
         self.num_levels = self.config.num_disk_levels
         #: C[1..k] — the receiving run of each on-disk level.
         self.c: list[SortedTable] = [

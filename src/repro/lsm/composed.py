@@ -60,20 +60,8 @@ class ComposedTree(LSMEngine):
 
     name = "design"
 
-    def __init__(
-        self,
-        config=None,
-        clock=None,
-        disk=None,
-        db_cache=None,
-        os_cache=None,
-        axes: CompactionAxes | None = None,
-        *,
-        substrate=None,
-    ) -> None:
-        super().__init__(
-            config, clock, disk, db_cache, os_cache, substrate=substrate
-        )
+    def __init__(self, substrate, axes: CompactionAxes | None = None) -> None:
+        super().__init__(substrate)
         #: The design point; defaults to the config's four axis fields.
         self.axes = axes if axes is not None else CompactionAxes.from_config(
             self.config

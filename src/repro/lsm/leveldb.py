@@ -27,19 +27,7 @@ class LevelDBTree(ComposedTree):
 
     name = "leveldb"
 
-    def __init__(
-        self,
-        config=None,
-        clock=None,
-        disk=None,
-        db_cache=None,
-        os_cache=None,
-        *,
-        substrate=None,
-    ) -> None:
+    def __init__(self, substrate) -> None:
         # The axes are pinned, not read from the config: a sweep over
         # ``compaction_*`` fields must never alter the ``leveldb`` baseline.
-        super().__init__(
-            config, clock, disk, db_cache, os_cache,
-            axes=CompactionAxes(), substrate=substrate,
-        )
+        super().__init__(substrate, axes=CompactionAxes())

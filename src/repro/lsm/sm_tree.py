@@ -31,19 +31,8 @@ class SMTree(LSMEngine):
 
     name = "sm"
 
-    def __init__(
-        self,
-        config=None,
-        clock=None,
-        disk=None,
-        db_cache=None,
-        os_cache=None,
-        *,
-        substrate=None,
-    ) -> None:
-        super().__init__(
-            config, clock, disk, db_cache, os_cache, substrate=substrate
-        )
+    def __init__(self, substrate) -> None:
+        super().__init__(substrate)
         self.num_levels = self.config.num_disk_levels
         #: levels[1..k]: newest table last.
         self.levels: list[list[SortedTable]] = [

@@ -12,7 +12,6 @@ from repro.sim.experiment import (
     execute_with_trace,
     preload,
     run_experiment,
-    run_profiled,
 )
 from repro.sim.metrics import RunResult, TimeSeries
 from repro.sim.report import ascii_table, mark_line, series_block, sparkline
@@ -47,7 +46,6 @@ __all__ = [
     "mark_line",
     "preload",
     "run_experiment",
-    "run_profiled",
     "run_sweep",
     "series_block",
     "sparkline",

@@ -12,9 +12,10 @@ Here one virtual second is one driver tick:
 2. let the engine run its compaction work and housekeeping (``tick``);
 3. read the disk's background utilization for this second — compaction
    traffic slows foreground I/O through the queueing factor;
-4. spend ``read_threads`` thread-seconds issuing reads, pricing each one
-   from its :class:`~repro.lsm.base.ReadCost` via
-   :class:`~repro.storage.iomodel.ReadPricer`
+4. spend ``read_threads`` thread-seconds issuing reads through
+   :class:`~repro.sim.kernel.ReadKernel`, pricing each one from its
+   :class:`~repro.lsm.base.ReadCost` with the
+   :class:`~repro.storage.iomodel.ReadPricer` formula
    (each simulated read stands for ``ops_scale`` real reads, so reported
    throughput is paper-comparable);
 5. sample the per-second metrics through the driver's
@@ -27,10 +28,9 @@ from __future__ import annotations
 import random
 
 from repro.config import SystemConfig
-from repro.errors import ConfigError
 from repro.clock import VirtualClock
 from repro.obs.tracing import NULL_PROFILER, SpanProfiler
-from repro.sim.kernel import MAX_READS_PER_TICK, ReadKernel
+from repro.sim.kernel import ReadKernel
 from repro.sim.metrics import RunRecorder, RunResult
 from repro.storage.iomodel import ReadPricer
 from repro.workload.ycsb import RangeHotWorkload
@@ -48,20 +48,13 @@ class MixedReadWriteDriver:
         seed: int = 0,
         scan_mode: bool = False,
         profiler: SpanProfiler | None = None,
-        kernel: str = "batched",
-        batch_size: int | None = None,
     ) -> None:
         """``scan_mode`` switches readers from point reads (Fig. 8/9) to
         the paper's 100 KB range queries (Fig. 10/11).  ``profiler``
         receives every completed read for span sampling; it defaults to
         the shared disabled :data:`~repro.obs.tracing.NULL_PROFILER`, whose
-        hook costs one attribute check.  ``kernel`` selects the read-loop
-        implementation: ``"batched"`` (default) runs the tick through
-        :class:`~repro.sim.kernel.ReadKernel`; ``"scalar"`` keeps the
-        original per-op chain as the executable reference the
-        differential tests compare against.  ``batch_size`` tunes the
-        batched kernel's flush granularity (results are identical for
-        any value)."""
+        hook costs one attribute check.  Each tick's reads run through a
+        :class:`~repro.sim.kernel.ReadKernel`."""
         self.engine = engine
         self.config = config
         self.clock = clock
@@ -70,15 +63,7 @@ class MixedReadWriteDriver:
         self.scan_mode = scan_mode
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.pricer = ReadPricer(config)
-        if kernel == "batched":
-            kernel_args = {} if batch_size is None else {"batch_size": batch_size}
-            self._kernel: ReadKernel | None = ReadKernel(
-                engine, self.workload, self.pricer, scan_mode, **kernel_args
-            )
-        elif kernel == "scalar":
-            self._kernel = None
-        else:
-            raise ConfigError(f"unknown read kernel {kernel!r}")
+        self._kernel = ReadKernel(engine, self.workload, self.pricer, scan_mode)
         self.recorder = RunRecorder(engine, config.ops_scale)
         self._write_credit = 0.0
         self._read_debt = 0.0
@@ -131,38 +116,9 @@ class MixedReadWriteDriver:
         # conserved over the run (threads blocked on a long disk read are
         # simply unavailable).
         budget = float(self.config.read_threads) - self._read_debt
-        if self._kernel is not None:
-            reads, budget = self._kernel.run_tick(
-                self.rng, budget, utilization, result, self.profiler
-            )
-        else:
-            reads, budget = self._apply_reads_scalar(budget, utilization, result)
+        reads, budget = self._kernel.run_tick(
+            self.rng, budget, utilization, result, self.profiler
+        )
         self._read_debt = -budget if budget < 0.0 else 0.0
         result.reads_completed += reads
         return reads
-
-    def _apply_reads_scalar(
-        self, budget: float, utilization: float, result: RunResult
-    ) -> tuple[int, float]:
-        """The original per-op read chain.
-
-        Kept as the executable reference the batched kernel is proven
-        against: the differential tests run every pinned seed through
-        both paths and require bit-identical results.
-        """
-        reads = 0
-        while budget > 0.0 and reads < MAX_READS_PER_TICK:
-            if self.scan_mode:
-                low, high = self.workload.next_scan_range(self.rng)
-                scan = self.engine.scan(low, high)
-                cost, pairs = scan.cost, len(scan.entries)
-            else:
-                key = self.workload.next_read_key(self.rng)
-                got = self.engine.get(key)
-                cost, pairs = got.cost, 0
-            priced = self.pricer.price(cost, pairs, utilization, self.scan_mode)
-            self.profiler.record_read(cost, utilization, pairs, self.scan_mode)
-            budget -= priced
-            result.read_latencies_s.append(priced / self.config.ops_scale)
-            reads += 1
-        return reads, budget

@@ -3,8 +3,8 @@
 Each of the paper's tests is "pick an engine variant, preload the 20 GB
 data set, run the RangeHot workload for 20,000 s while writing at 1,000
 OPS".  The declarative core is :func:`execute`, which materializes one
-:class:`~repro.sim.spec.ExperimentSpec`; :func:`run_experiment` and
-:func:`run_profiled` are thin imperative wrappers over it.
+:class:`~repro.sim.spec.ExperimentSpec`; :func:`run_experiment` is a
+thin imperative wrapper over it.
 
 Engine variants are declared in :data:`ENGINE_SPECS` — one
 :class:`EngineSpec` per variant, naming its constructor and cache wiring
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.cache.db_cache import DBBufferCache
@@ -24,6 +25,7 @@ from repro.cache.os_cache import OSBufferCache
 from repro.config import SystemConfig
 from repro.core.lsbm import LSbMTree
 from repro.errors import ConfigError
+from repro.lsm.base import LSMEngine
 from repro.lsm.blsm import BLSMTree
 from repro.lsm.composed import ComposedTree
 from repro.lsm.leveldb import LevelDBTree
@@ -31,7 +33,7 @@ from repro.lsm.policy import CompactionAxes
 from repro.lsm.sm_tree import SMTree
 from repro.clock import VirtualClock
 from repro.obs.trace import TraceRecorder
-from repro.obs.tracing import DEFAULT_SAMPLE_EVERY, SpanProfiler
+from repro.obs.tracing import SpanProfiler
 from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.metrics import RunResult
 from repro.sim.spec import ExperimentSpec
@@ -39,7 +41,7 @@ from repro.sstable.entry import Entry
 from repro.storage.disk import SimulatedDisk
 from repro.substrate import Substrate
 from repro.variants.hbase import HBaseStyleStore
-from repro.variants.kv_store import KVCachedBLSM
+from repro.variants.kv_store import KVCachedBLSM, block_cache_blocks
 from repro.variants.warmup import WarmupBLSMTree
 from repro.workload.ycsb import RangeHotWorkload
 
@@ -62,9 +64,13 @@ class EngineSpec:
     * ``"db"``   — a DB block cache sized to ``config.cache_blocks``;
     * ``"os"``   — an OS page cache only (the Fig. 2 configuration);
     * ``"dual"`` — DB cache plus a quarter-budget OS page cache;
-    * ``"self"`` — no caches up front: the engine carves its own cache
-      hierarchy out of a bare substrate (the K-V cached variant) and the
-      setup adopts the engine's ``db_cache``/``substrate``.
+    * ``"kv"``   — a DB block cache holding what the K-V row cache leaves
+      of the budget (:func:`~repro.variants.kv_store.block_cache_blocks`).
+
+    ``factory`` builds the engine, an
+    :class:`~repro.lsm.base.LSMEngine`, from the substrate: the class
+    itself for a fixed point, a ``partial`` naming the axes for a
+    composed one.
 
     ``axes`` names the variant's point in the compaction design space.
     Legacy engines are *fixed* points (their policies hardcode the
@@ -75,13 +81,13 @@ class EngineSpec:
     """
 
     name: str
-    factory: Callable[[Substrate], object]
+    factory: Callable[[Substrate], LSMEngine]
     wiring: str = "db"
     summary: str = ""
     axes: CompactionAxes | None = None
 
 
-#: Fixed design-space points of the legacy families (the wrapper
+#: Fixed design-space points of the legacy families (the cache
 #: variants — warm-up, K-V cache, dual wiring — share their base
 #: engine's point; what differs is the cache stack, not compaction).
 _LEVELED_CURSOR = CompactionAxes(
@@ -128,64 +134,64 @@ ENGINE_SPECS: dict[str, EngineSpec] = {
     for spec in (
         EngineSpec(
             "leveldb",
-            lambda substrate: LevelDBTree(substrate=substrate),
+            LevelDBTree,
             "db",
             "LevelDB-style leveled tree with a DB block cache",
             _LEVELED_CURSOR,
         ),
         EngineSpec(
             "leveldb-oscache",
-            lambda substrate: LevelDBTree(substrate=substrate),
+            LevelDBTree,
             "os",
             "LevelDB on an OS page cache only (Fig. 2 configuration)",
             _LEVELED_CURSOR,
         ),
         EngineSpec(
             "blsm",
-            lambda substrate: BLSMTree(substrate=substrate),
+            BLSMTree,
             "db",
             "bLSM: gear-scheduled leveled tree",
             _LEVELED_CURSOR,
         ),
         EngineSpec(
             "blsm-dual",
-            lambda substrate: BLSMTree(substrate=substrate),
+            BLSMTree,
             "dual",
             "bLSM with DB cache + quarter-budget OS page cache",
             _LEVELED_CURSOR,
         ),
         EngineSpec(
             "sm",
-            lambda substrate: SMTree(substrate=substrate),
+            SMTree,
             "db",
             "Stepped-merge tree: lazy multi-table levels",
             _STEPPED_MERGE,
         ),
         EngineSpec(
             "lsbm",
-            lambda substrate: LSbMTree(substrate=substrate),
+            LSbMTree,
             "db",
             "LSbM-tree: bLSM plus the compaction buffer",
             _LEVELED_ADOPTING,
         ),
         EngineSpec(
             "lsbm-dual",
-            lambda substrate: LSbMTree(substrate=substrate),
+            LSbMTree,
             "dual",
             "LSbM with DB cache + quarter-budget OS page cache",
             _LEVELED_ADOPTING,
         ),
         EngineSpec(
             "blsm+warmup",
-            lambda substrate: WarmupBLSMTree(substrate=substrate),
+            WarmupBLSMTree,
             "db",
             "bLSM with incremental cache warm-up after compactions",
             _LEVELED_CURSOR,
         ),
         EngineSpec(
             "blsm+kvcache",
-            lambda substrate: KVCachedBLSM(substrate=substrate),
-            "self",
+            KVCachedBLSM,
+            "kv",
             "bLSM behind a key-value row cache (half the cache budget)",
             _LEVELED_CURSOR,
         ),
@@ -194,7 +200,7 @@ ENGINE_SPECS: dict[str, EngineSpec] = {
             # The major-compaction period comes from the config so it is
             # sweepable (``--set major_interval_s=...``); 0 disables.
             lambda substrate: HBaseStyleStore(
-                substrate=substrate,
+                substrate,
                 major_interval_s=substrate.config.major_interval_s or None,
             ),
             "db",
@@ -203,9 +209,7 @@ ENGINE_SPECS: dict[str, EngineSpec] = {
         ),
         EngineSpec(
             "hbase-nomajor",
-            lambda substrate: HBaseStyleStore(
-                substrate=substrate, major_interval_s=None
-            ),
+            partial(HBaseStyleStore, major_interval_s=None),
             "db",
             "HBase-style store with major compactions disabled",
             _FLAT_STORE,
@@ -215,40 +219,34 @@ ENGINE_SPECS: dict[str, EngineSpec] = {
             # The dynamic point: axes come from the config's
             # ``compaction_*`` fields, so every axis is sweepable
             # (``--set compaction_layout=tiering,lazy-leveling``).
-            lambda substrate: ComposedTree(substrate=substrate),
+            ComposedTree,
             "db",
             "Composed engine; axes read from the config's compaction_*",
         ),
         EngineSpec(
             "tiering",
-            lambda substrate: ComposedTree(substrate=substrate, axes=_TIERING),
+            partial(ComposedTree, axes=_TIERING),
             "db",
             "Size-tiered levels, incremental oldest-pair merges",
             _TIERING,
         ),
         EngineSpec(
             "tiering+buffer",
-            lambda substrate: ComposedTree(
-                substrate=substrate, axes=_TIERING_BUFFERED
-            ),
+            partial(ComposedTree, axes=_TIERING_BUFFERED),
             "db",
             "Tiering with merge inputs adopted into a compaction buffer",
             _TIERING_BUFFERED,
         ),
         EngineSpec(
             "lazy-leveling",
-            lambda substrate: ComposedTree(
-                substrate=substrate, axes=_LAZY_LEVELING
-            ),
+            partial(ComposedTree, axes=_LAZY_LEVELING),
             "db",
             "Tiered upper levels over a single-run last level (Dostoevsky)",
             _LAZY_LEVELING,
         ),
         EngineSpec(
             "lazy-leveling+buffer",
-            lambda substrate: ComposedTree(
-                substrate=substrate, axes=_LAZY_LEVELING_BUFFERED
-            ),
+            partial(ComposedTree, axes=_LAZY_LEVELING_BUFFERED),
             "db",
             "Lazy-leveling with the LSbM compaction buffer on top",
             _LAZY_LEVELING_BUFFERED,
@@ -291,6 +289,8 @@ def build_engine(name: str, config: SystemConfig) -> ExperimentSetup:
     os_cache: OSBufferCache | None = None
     if spec.wiring in ("db", "dual"):
         db_cache = DBBufferCache(config.cache_blocks)
+    elif spec.wiring == "kv":
+        db_cache = DBBufferCache(block_cache_blocks(config))
     if spec.wiring == "os":
         os_cache = OSBufferCache(
             capacity_pages=config.cache_blocks, page_size_kb=config.block_size_kb
@@ -302,13 +302,8 @@ def build_engine(name: str, config: SystemConfig) -> ExperimentSetup:
         )
 
     substrate = Substrate.create(config, db_cache=db_cache, os_cache=os_cache)
-    engine = spec.factory(substrate)
-    if spec.wiring == "self":
-        db_cache = engine.db_cache
-        substrate = engine.substrate  # The cache-bound sibling.
-
     return ExperimentSetup(
-        engine,
+        spec.factory(substrate),
         config,
         substrate.clock,
         substrate.disk,
@@ -463,35 +458,3 @@ def run_experiment(
     )
     return execute(spec)
 
-
-def run_profiled(
-    engine_name: str,
-    config: SystemConfig,
-    duration_s: int | None = None,
-    seed: int = 0,
-    scan_mode: bool = False,
-    do_preload: bool = True,
-    sample_every: int = DEFAULT_SAMPLE_EVERY,
-    trace_path: str | None = None,
-) -> tuple[RunResult, TraceRecorder]:
-    """Like :func:`run_experiment`, with the causal profiling layer on.
-
-    Thin wrapper over :func:`execute_with_trace` with ``profile=True``.
-    Returns the run result *and* the finalized recorder, whose records
-    feed :func:`repro.obs.diagnose.diagnose_dips` and the ``repro
-    report`` command; ``trace_path`` additionally writes the JSONL file.
-    """
-    spec = ExperimentSpec.from_config(
-        engine_name,
-        config,
-        duration_s=duration_s,
-        seed=seed,
-        scan_mode=scan_mode,
-        do_preload=do_preload,
-        profile=True,
-        sample_every=sample_every,
-        trace_path=trace_path,
-    )
-    result, recorder = execute_with_trace(spec)
-    assert recorder is not None  # profile=True always attaches one.
-    return result, recorder

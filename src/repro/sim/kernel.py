@@ -17,8 +17,8 @@ Scans are priced by :class:`~repro.storage.iomodel.ReadPricer`; the
 point loop is the one place outside that class that spells its
 arithmetic, with the constants as locals and the queueing factor hoisted
 per tick.  ``tests/test_kernel_differential.py`` holds it bit-identical
-to the scalar per-op chain of :mod:`repro.sim.driver`, which prices
-through the pricer.
+to the scalar per-op chain the driver ran before this kernel, kept in
+``tests/scalar_reference.py``, which prices through the pricer.
 
 The kernel is deliberately *not* speculative: the thread budget decides
 after each read whether another starts, and the workload draws one key
@@ -38,17 +38,15 @@ from repro.storage.iomodel import ReadPricer, queueing_factor
 DEFAULT_BATCH_SIZE = 256
 
 #: Hard cap on simulated reads per tick, guarding against a degenerate
-#: (near-zero) priced cost making a tick spin forever.  Shared with the
-#: scalar path in :mod:`repro.sim.driver`.
+#: (near-zero) priced cost making a tick spin forever.
 MAX_READS_PER_TICK = 50_000
 
 
 class ReadKernel:
     """Executes one tick's thread-budgeted reads as a batched loop.
 
-    Owned by :class:`~repro.sim.driver.MixedReadWriteDriver` when it is
-    constructed with ``kernel="batched"`` (the default).  The driver
-    keeps the budget/debt bookkeeping; the kernel runs the loop.
+    Owned by :class:`~repro.sim.driver.MixedReadWriteDriver`.  The
+    driver keeps the budget/debt bookkeeping; the kernel runs the loop.
     """
 
     __slots__ = ("engine", "workload", "pricer", "scan_mode", "batch_size")

@@ -11,8 +11,7 @@ output records exactly what produced every number.
 
 The executable counterpart lives in :mod:`repro.sim.experiment`:
 ``execute(spec)`` builds the engine stack and drives it;
-``run_experiment``/``run_profiled`` are thin wrappers that construct a
-spec first.
+``run_experiment`` is a thin wrapper that constructs a spec first.
 """
 
 from __future__ import annotations

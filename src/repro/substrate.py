@@ -1,14 +1,12 @@
 """The typed substrate every engine stack is built from.
 
-Before this existed, each engine's ``__init__`` took a loose
-``(config, clock, disk, db_cache, os_cache)`` tuple and the driver had to
-duck-probe engines for whatever else it needed.  :class:`Substrate`
-bundles the full shared environment — configuration, virtual clock,
-simulated disk, the cache hierarchy, and the observability core
-(:class:`~repro.obs.metrics.MetricsRegistry` +
-:class:`~repro.obs.events.EventBus`) — into one typed object that
-:class:`~repro.lsm.base.LSMEngine` and :mod:`repro.sim.experiment` build
-from.
+:class:`Substrate` bundles the shared environment below an engine —
+configuration, virtual clock, simulated disk, the cache hierarchy, and
+the observability core (:class:`~repro.obs.metrics.MetricsRegistry` +
+:class:`~repro.obs.events.EventBus`) — into one typed object.  Every
+engine is built from one (``LSMEngine(substrate)``), and
+:mod:`repro.sim.experiment` creates one per registered engine with the
+cache stack that engine's spec declares.
 
 Constructing a substrate *binds* its disk and caches to the registry and
 bus, so every layer publishes through one spine without each call site
@@ -67,25 +65,4 @@ class Substrate:
             os_cache=os_cache,
             registry=registry if registry is not None else MetricsRegistry(),
             bus=bus if bus is not None else EventBus(),
-        )
-
-    def with_caches(
-        self,
-        db_cache: DBBufferCache | None,
-        os_cache: OSBufferCache | None = None,
-    ) -> "Substrate":
-        """A sibling substrate sharing everything but the cache stack.
-
-        Composite engines (the K-V cached variant) carve their own cache
-        hierarchy out of the same DRAM budget while reusing the clock,
-        disk, registry and bus of the enclosing stack.
-        """
-        return Substrate(
-            config=self.config,
-            clock=self.clock,
-            disk=self.disk,
-            db_cache=db_cache,
-            os_cache=os_cache,
-            registry=self.registry,
-            bus=self.bus,
         )

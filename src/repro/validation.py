@@ -16,7 +16,6 @@ from repro.lsm.base import LSMEngine
 from repro.lsm.blsm import BLSMTree
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
-from repro.variants.kv_store import unwrap
 
 
 def _check_run(table: SortedTable, label: str) -> None:
@@ -186,7 +185,6 @@ def _check_file_shapes(
 
 def check_engine(engine) -> None:
     """Verify every structural invariant of ``engine``'s current state."""
-    engine = unwrap(engine)
     if not isinstance(engine, LSMEngine):
         raise EngineError(f"no integrity checks for {type(engine).__name__}")
     runs = _labelled_runs(engine)

@@ -41,20 +41,12 @@ class HBaseStyleStore(LSMEngine):
 
     def __init__(
         self,
-        config=None,
-        clock=None,
-        disk=None,
-        db_cache=None,
-        os_cache=None,
+        substrate,
         max_store_files: int = 6,
         minor_merge_files: int = 3,
         major_interval_s: int | None = 5_000,
-        *,
-        substrate=None,
     ) -> None:
-        super().__init__(
-            config, clock, disk, db_cache, os_cache, substrate=substrate
-        )
+        super().__init__(substrate)
         if minor_merge_files < 2:
             raise ValueError("minor compactions must merge at least 2 files")
         #: Sorted tables, oldest first (newest flushed last).

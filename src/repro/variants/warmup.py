@@ -39,19 +39,8 @@ class WarmupBLSMTree(BLSMTree):
 
     name = "blsm+warmup"
 
-    def __init__(
-        self,
-        config=None,
-        clock=None,
-        disk=None,
-        db_cache=None,
-        os_cache=None,
-        *,
-        substrate=None,
-    ) -> None:
-        super().__init__(
-            config, clock, disk, db_cache, os_cache, substrate=substrate
-        )
+    def __init__(self, substrate) -> None:
+        super().__init__(substrate)
         #: Sticky Hot marks: file_id -> block indices ever loaded by reads
         #: (or warmed); survives eviction, dies with the file.
         self._hot_marks: dict[int, set[int]] = {}

@@ -16,6 +16,7 @@ from repro.lsm.leveldb import LevelDBTree
 from repro.lsm.sm_tree import SMTree
 from repro.sstable.sstable import SSTableFile
 from repro.storage.disk import SimulatedDisk
+from repro.substrate import Substrate
 from repro.variants.hbase import HBaseStyleStore
 from repro.variants.warmup import WarmupBLSMTree
 
@@ -69,7 +70,7 @@ def make_engine(name: str, config: SystemConfig | None = None):
     clock = VirtualClock()
     disk = SimulatedDisk(clock, config.seq_bandwidth_kb_per_s)
     cache = DBBufferCache(config.cache_blocks)
-    engine = ENGINE_CLASSES[name](config, clock, disk, db_cache=cache)
+    engine = ENGINE_CLASSES[name](Substrate(config, clock, disk, db_cache=cache))
     return engine, clock, disk, cache
 
 

@@ -79,7 +79,6 @@ def run_digests(
         workload=RangeHotWorkload(config),
         seed=seed,
         scan_mode=scan_mode,
-        kernel="batched",
     )
     result = driver.run(duration_s)
     result_json = json.dumps(result.to_dict(), sort_keys=True)

@@ -145,11 +145,12 @@ def test_eager_wal_truncation_is_caught(monkeypatch, seed_corpus):
 def test_direct_crash_and_recover_roundtrip(tiny_config):
     from repro.clock import VirtualClock
     from repro.storage.disk import SimulatedDisk
+    from repro.substrate import Substrate
 
     config = tiny_config.replace(wal_enabled=True)
     clock = VirtualClock()
     disk = SimulatedDisk(clock, config.seq_bandwidth_kb_per_s)
-    engine = LevelDBTree(config, clock, disk)
+    engine = LevelDBTree(Substrate(config, clock, disk))
     for key in range(40):
         engine.put(key)
     engine.delete(3)

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from repro.config import SystemConfig
+from repro.errors import EngineError
+from repro.sim.experiment import ENGINE_NAMES, build_engine
 from repro.sstable.entry import Entry, value_for
 
 from .conftest import make_engine
@@ -159,12 +162,25 @@ class TestEngineLifecycle:
     def test_closed_engine_rejects_ops(self, any_engine):
         engine, *_ = any_engine
         engine.close()
-        from repro.errors import EngineError
-
         with pytest.raises(EngineError):
             engine.put(1)
         with pytest.raises(EngineError):
             engine.get(1)
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_every_registered_engine_rejects_ops_once_closed(self, name):
+        engine = build_engine(name, SystemConfig.tiny()).engine
+        engine.put(1)
+        engine.get(1)  # Installs the row in a K-V cache, if any.
+        engine.close()
+        for op in (
+            lambda: engine.put(2),
+            lambda: engine.delete(1),
+            lambda: engine.get(1),
+            lambda: engine.scan(0, 9),
+        ):
+            with pytest.raises(EngineError):
+                op()
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from repro.clock import VirtualClock
 from repro.config import SystemConfig
 from repro.sstable.entry import Entry, value_for
 from repro.storage.disk import SimulatedDisk
+from repro.substrate import Substrate
 from repro.variants.hbase import HBaseStyleStore
 
 
@@ -18,10 +19,7 @@ def make_store(major_interval_s=None, **kwargs):
     disk = SimulatedDisk(clock, config.seq_bandwidth_kb_per_s)
     cache = DBBufferCache(config.cache_blocks)
     store = HBaseStyleStore(
-        config,
-        clock,
-        disk,
-        db_cache=cache,
+        Substrate(config, clock, disk, db_cache=cache),
         major_interval_s=major_interval_s,
         **kwargs,
     )

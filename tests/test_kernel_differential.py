@@ -1,9 +1,9 @@
 """Differential proof that the batched read kernel is the scalar path.
 
-The driver's ``kernel="batched"`` hot loop (:mod:`repro.sim.kernel`) is
-only admissible because it is *bit-identical* to the scalar reference
-loop it replaced: same RNG consumption, same float expression order,
-same event stream.  These tests run both kernels over the pinned
+The driver's hot loop (:mod:`repro.sim.kernel`) is only admissible
+because it is *bit-identical* to the scalar reference loop it replaced
+(``tests/scalar_reference.py``): same RNG consumption, same float
+expression order, same event stream.  These tests run both over the pinned
 differential seeds (``tests/seeds.json``) and require the lossless
 :meth:`~repro.sim.metrics.RunResult.to_dict` payloads — every time
 series value, latency reservoir sample, event count and bandwidth total
@@ -28,7 +28,9 @@ from hypothesis import strategies as st
 from repro.config import SystemConfig
 from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.experiment import build_engine, preload
+from repro.sim.kernel import ReadKernel
 from repro.workload.ycsb import RangeHotWorkload
+from tests.scalar_reference import ScalarReads
 
 _SEED_CORPUS = json.loads(
     (Path(__file__).parent / "seeds.json").read_text()
@@ -51,7 +53,11 @@ def _run(
     scan_mode: bool = False,
     record_events: bool = False,
 ):
-    """One driver run; returns (lossless result dict, ordered events)."""
+    """One driver run; returns (lossless result dict, ordered events).
+
+    ``kernel`` is ``"scalar"`` for the reference chain or ``"batched"``
+    for the driver's own kernel, rebuilt when ``batch_size`` is given.
+    """
     config = SystemConfig.paper_scaled(2048)
     setup = build_engine(engine_name, config)
     preload(setup)
@@ -68,9 +74,14 @@ def _run(
         workload=RangeHotWorkload(config),
         seed=seed,
         scan_mode=scan_mode,
-        kernel=kernel,
-        batch_size=batch_size,
     )
+    if kernel == "scalar":
+        driver._kernel = ScalarReads(driver)
+    elif batch_size is not None:
+        driver._kernel = ReadKernel(
+            setup.engine, driver.workload, driver.pricer, scan_mode,
+            batch_size=batch_size,
+        )
     result = driver.run(duration_s)
     return result.to_dict(), events
 

@@ -13,6 +13,7 @@ from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 from repro.storage.disk import SimulatedDisk
 from repro.storage.extent import Extent
+from repro.substrate import Substrate
 
 
 def make_lsbm(config=None):
@@ -20,7 +21,7 @@ def make_lsbm(config=None):
     clock = VirtualClock()
     disk = SimulatedDisk(clock, config.seq_bandwidth_kb_per_s)
     cache = DBBufferCache(config.cache_blocks)
-    return LSbMTree(config, clock, disk, db_cache=cache), clock, disk, cache
+    return LSbMTree(Substrate(config, clock, disk, db_cache=cache)), clock, disk, cache
 
 
 def churn(engine, rng, ops, keyspace=4096):

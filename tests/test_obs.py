@@ -8,7 +8,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.config import SystemConfig
-from repro.errors import EngineError
+from repro.lsm.base import LSMEngine
 from repro.lsm.blsm import BLSMTree
 from repro.obs.events import (
     CompactionEnd,
@@ -20,6 +20,7 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import NULL_REGISTRY, Counter, MetricsRegistry
 from repro.obs.trace import TraceRecorder, read_jsonl
+from repro.sim.experiment import ENGINE_NAMES, build_engine
 from repro.sim.metrics import LatencyReservoir
 from repro.substrate import Substrate
 
@@ -218,27 +219,19 @@ class TestSubstrate:
 
     def test_engine_from_substrate(self):
         substrate = Substrate.create(SystemConfig.tiny())
-        engine = BLSMTree(substrate=substrate)
+        engine = BLSMTree(substrate)
         assert engine.substrate is substrate
         assert engine.clock is substrate.clock
         assert engine.bus is substrate.bus
         engine.close()
 
-    def test_legacy_construction_builds_substrate(self, tiny_config, clock, disk):
-        engine = BLSMTree(tiny_config, clock, disk)
-        assert engine.substrate.config is tiny_config
-        assert engine.substrate.disk is disk
-        assert engine.metric_cache is None
-        engine.close()
-
-    def test_construction_requires_config_or_substrate(self):
-        with pytest.raises(EngineError):
-            BLSMTree()
-
-    def test_with_caches_shares_everything_else(self):
-        substrate = Substrate.create(SystemConfig.tiny())
-        sibling = substrate.with_caches(None)
-        assert sibling.clock is substrate.clock
-        assert sibling.disk is substrate.disk
-        assert sibling.registry is substrate.registry
-        assert sibling.bus is substrate.bus
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_every_engine_is_built_from_the_setups_substrate(self, name):
+        setup = build_engine(name, SystemConfig.tiny())
+        engine, substrate = setup.engine, setup.substrate
+        assert isinstance(engine, LSMEngine)
+        assert engine.substrate is substrate
+        assert engine.clock is setup.clock is substrate.clock
+        assert engine.disk is setup.disk is substrate.disk
+        assert engine.db_cache is setup.db_cache is substrate.db_cache
+        assert engine.bus is substrate.bus

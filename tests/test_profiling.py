@@ -54,8 +54,14 @@ from repro.obs.tracing import (
 )
 from repro.serve.arrivals import Request
 from repro.sim.driver import MixedReadWriteDriver
-from repro.sim.experiment import build_engine, preload, run_experiment, run_profiled
+from repro.sim.experiment import (
+    build_engine,
+    execute_with_trace,
+    preload,
+    run_experiment,
+)
 from repro.sim.metrics import TimeSeries
+from repro.sim.spec import ExperimentSpec
 from repro.sim.report import mark_line, sparkline
 from repro.storage.iomodel import ReadPricer
 
@@ -282,8 +288,11 @@ class TestDipDiagnosis:
     def test_fig08_leveldb_dips_mostly_attributed(self):
         """Acceptance: >= 80% of the Fig. 8 LevelDB run's dips explained."""
         config = SystemConfig.paper_scaled(2048)
-        result, recorder = run_profiled(
-            "leveldb", config, duration_s=12_000, seed=1, sample_every=256
+        result, recorder = execute_with_trace(
+            ExperimentSpec.from_config(
+                "leveldb", config, duration_s=12_000, seed=1,
+                profile=True, sample_every=256,
+            )
         )
         warm = max(1, len(result.hit_ratio) // 10)
         report = diagnose_dips(
@@ -300,8 +309,11 @@ class TestGoldenTrace:
         config = SystemConfig.paper_scaled(8192)
         traces = []
         for _ in range(2):
-            result, recorder = run_profiled(
-                "lsbm", config, duration_s=400, seed=3, sample_every=8
+            result, recorder = execute_with_trace(
+                ExperimentSpec.from_config(
+                    "lsbm", config, duration_s=400, seed=3,
+                    profile=True, sample_every=8,
+                )
             )
             traces.append(recorder.to_jsonl())
         assert traces[0], "trace must not be empty"
@@ -391,13 +403,16 @@ class TestRunProfiled:
     def test_trace_path_written_and_balanced(self, tmp_path):
         config = SystemConfig.paper_scaled(8192)
         path = tmp_path / "prof.jsonl"
-        result, recorder = run_profiled(
-            "leveldb",
-            config,
-            duration_s=300,
-            seed=1,
-            sample_every=1,
-            trace_path=str(path),
+        result, recorder = execute_with_trace(
+            ExperimentSpec.from_config(
+                "leveldb",
+                config,
+                duration_s=300,
+                seed=1,
+                profile=True,
+                sample_every=1,
+                trace_path=str(path),
+            )
         )
         records = read_jsonl(path)
         assert records[-1]["event"] == "TraceEnd"

@@ -33,24 +33,33 @@ from hypothesis import strategies as st
 from repro.config import SystemConfig
 from repro.core.lsbm import LSbMTree
 from repro.lsm.base import GetResult, LSMEngine, ReadCost, ScanResult
+from repro.lsm.blsm import BLSMTree
 from repro.lsm.composed import ComposedTree
 from repro.sim.experiment import ENGINE_NAMES, build_engine
 from repro.sstable.entry import Entry, Kind
 from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
-from repro.variants.kv_store import unwrap
+from repro.variants.kv_store import KVCachedBLSM
 from tests.eager_reference import blocks_overlapping, entries_in_range
 
 
-def _inner(engine_name: str):
-    """One freshly built, unwrapped engine and its clock."""
+def _fresh(engine_name: str):
+    """One freshly built engine and its clock."""
     setup = build_engine(engine_name, SystemConfig.tiny())
-    return unwrap(setup.engine), setup.clock
+    return setup.engine, setup.clock
+
+
+def _descent(engine):
+    """The engine's on-disk ``get``: the K-V variant's row cache sits in
+    front of the bLSM descent it inherits."""
+    if isinstance(engine, KVCachedBLSM):
+        return BLSMTree.get
+    return type(engine).get
 
 
 def _reads_through_base(engine) -> bool:
-    get = type(engine).get
+    get = _descent(engine)
     return get is LSMEngine.get or (
         get is ComposedTree.get and not engine._buffer_levels
     )
@@ -67,9 +76,9 @@ BASE_GET_ENGINES = [
 
 @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
 def test_read_path_has_one_owner_per_kind(engine_name):
-    engine, _ = _inner(engine_name)
+    engine, _ = _fresh(engine_name)
     kind = type(engine)
-    assert kind.get in (LSMEngine.get, LSbMTree.get, ComposedTree.get)
+    assert _descent(engine) in (LSMEngine.get, LSbMTree.get, ComposedTree.get)
     assert kind.scan in (LSMEngine.scan, LSbMTree.scan)
     # Only the paper's engine and the buffered points leave the base.
     if not isinstance(engine, LSbMTree) and not engine._buffer_levels:
@@ -79,7 +88,7 @@ def test_read_path_has_one_owner_per_kind(engine_name):
 
 def test_base_get_covers_every_unbuffered_engine():
     assert BASE_GET_ENGINES == [
-        name for name in ENGINE_NAMES if _reads_through_base(_inner(name)[0])
+        name for name in ENGINE_NAMES if _reads_through_base(_fresh(name)[0])
     ]
 
 
@@ -144,8 +153,8 @@ twin_settings = settings(
 def _run_twins(engine_name, ops, compare):
     """Feed ``ops`` to two engines; ``compare`` maps an op to the pair of
     calls ``(on the fused engine, on the reference engine)`` it checks."""
-    fused, fused_clock = _inner(engine_name)
-    plain, plain_clock = _inner(engine_name)
+    fused, fused_clock = _fresh(engine_name)
+    plain, plain_clock = _fresh(engine_name)
     for op, key in ops:
         if op in compare:
             run_fused, run_reference = compare[op]
@@ -179,7 +188,9 @@ def test_fused_get_equals_reference_descent(engine_name, ops):
     """Same answer, same cost in every field, same cache state after
     every read — so the two descents touch the same blocks in the same
     order, which is all the fusion is allowed to preserve."""
-    compare = {"get": (lambda engine, key: engine.get(key), reference_get)}
+    compare = {
+        "get": (lambda engine, key: _descent(engine)(engine, key), reference_get)
+    }
     for outcome in _run_twins(engine_name, ops, compare):
         _assert_same_get(*outcome)
 

@@ -27,7 +27,6 @@ from repro.sstable.sstable import FileIdSource, SSTableFile
 from repro.sstable.superfile import SuperFileIdSource, group_into_superfiles
 from repro.storage.disk import SimulatedDisk
 from repro.storage.extent import Extent
-from repro.variants.kv_store import unwrap
 from tests.eager_reference import (
     blocks_overlapping,
     eager_blocks,
@@ -511,7 +510,7 @@ def test_writes_and_scans_build_no_block(engine_name, blocks_built):
     engine, clock = setup.engine, setup.clock
     rng = random.Random(11)
     puts = 0
-    while unwrap(engine).stats.compactions < 20:
+    while engine.stats.compactions < 20:
         engine.put(rng.randrange(2048))
         puts += 1
         if puts % 16 == 0:
@@ -531,7 +530,7 @@ def test_writes_and_scans_build_no_block(engine_name, blocks_built):
     key = next(
         file.min_key
         for file in files.values()
-        if unwrap(engine).memtable.get(file.min_key) is None
+        if engine.memtable.get(file.min_key) is None
     )
     assert engine.get(key).found
     reached = [file for file in files.values() if file.materialised]
@@ -565,7 +564,7 @@ def test_only_a_point_read_materialises(engine_name, materialised):
             clock.advance(1)
             engine.tick(clock.now)
         assert len(materialised) == cut, (op, step)
-    assert materialised and unwrap(engine).stats.compactions > 4
+    assert materialised and engine.stats.compactions > 4
 
 
 def test_mark_removed_frees_the_data():

@@ -8,9 +8,10 @@ from repro.cache.db_cache import DBBufferCache
 from repro.check.reflect import live_files
 from repro.clock import VirtualClock
 from repro.config import SystemConfig
+from repro.sim.experiment import build_engine
 from repro.sstable.entry import Entry, value_for
 from repro.storage.disk import SimulatedDisk
-from repro.variants.kv_store import KVCachedBLSM
+from repro.substrate import Substrate
 from repro.variants.warmup import WarmupBLSMTree
 
 
@@ -19,14 +20,11 @@ def make_warmup(config=None):
     clock = VirtualClock()
     disk = SimulatedDisk(clock, config.seq_bandwidth_kb_per_s)
     cache = DBBufferCache(config.cache_blocks)
-    return WarmupBLSMTree(config, clock, disk, db_cache=cache), cache
+    return WarmupBLSMTree(Substrate(config, clock, disk, db_cache=cache)), cache
 
 
 def make_kv(config=None):
-    config = config or SystemConfig.tiny()
-    clock = VirtualClock()
-    disk = SimulatedDisk(clock, config.seq_bandwidth_kb_per_s)
-    return KVCachedBLSM(config, clock, disk)
+    return build_engine("blsm+kvcache", config or SystemConfig.tiny()).engine
 
 
 class TestWarmup:
@@ -135,6 +133,13 @@ class TestKVCachedBLSM:
         stack.delete(5)
         assert not stack.get(5).found
 
+    def test_adopted_entries_replace_cached_rows(self):
+        stack = make_kv()
+        seq = stack.put(5)
+        stack.get(5)  # Install in the row cache.
+        stack.adopt_entries([Entry(5, seq + 10)])
+        assert stack.get(5).value == value_for(5, seq + 10)
+
     def test_memory_budget_split(self):
         config = SystemConfig.tiny()
         stack = make_kv(config)
@@ -152,13 +157,6 @@ class TestKVCachedBLSM:
         result = stack.scan(0, 49)
         assert len(result.entries) == 50
         assert stack.kv_cache.stats.hits == hits_before
-
-    def test_invalid_fraction_rejected(self):
-        config = SystemConfig.tiny()
-        clock = VirtualClock()
-        disk = SimulatedDisk(clock, config.seq_bandwidth_kb_per_s)
-        with pytest.raises(ValueError):
-            KVCachedBLSM(config, clock, disk, kv_fraction=1.5)
 
     def test_engine_passthroughs(self):
         stack = make_kv()
