@@ -1,18 +1,19 @@
-"""Buffer caches: DB block cache, OS page cache, K-V row cache."""
+"""Buffer caches: DB block cache, OS page cache, K-V row cache.
+
+Each is an exact LRU (:class:`LRUCache`) indexed its own way.
+"""
 
 from repro.cache.db_cache import BlockKey, DBBufferCache
 from repro.cache.kv_cache import KVStoreCache
+from repro.cache.lru import LRUCache
 from repro.cache.os_cache import OSBufferCache
-from repro.cache.policy import ClockPolicy, LRUPolicy, ReplacementPolicy
 from repro.cache.stats import CacheStats
 
 __all__ = [
     "BlockKey",
     "CacheStats",
-    "ClockPolicy",
     "DBBufferCache",
     "KVStoreCache",
-    "LRUPolicy",
+    "LRUCache",
     "OSBufferCache",
-    "ReplacementPolicy",
 ]

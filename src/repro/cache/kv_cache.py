@@ -11,104 +11,33 @@ paper's Fig. 11 quantifies (68 QPS for range scans).
 
 from __future__ import annotations
 
-from repro.cache.policy import LRUPolicy, ReplacementPolicy
-from repro.cache.stats import CacheStats
-from repro.obs.events import EventBus
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.cache.lru import LRUCache
 
 
-class KVStoreCache:
-    """Bounded key→value LRU cache."""
+class KVStoreCache(LRUCache):
+    """Bounded key→value LRU cache.
 
-    def __init__(
-        self,
-        capacity_pairs: int,
-        policy: ReplacementPolicy | None = None,
-    ) -> None:
-        if capacity_pairs < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity_pairs}")
-        self._capacity = capacity_pairs
-        self._policy = policy if policy is not None else LRUPolicy()
-        self._values: dict[int, object] = {}
-        self.stats = CacheStats()
-        self.bind_observability(NULL_REGISTRY, None, "kv")
+    The residency order maps each key to its row, so the order is the
+    whole store.  The row cache is keyed by key, not file, so compactions
+    never invalidate it.
+    """
 
-    def bind_observability(
-        self,
-        registry: MetricsRegistry,
-        bus: EventBus | None,
-        name: str,
-    ) -> None:
-        """Publish row-cache counters through ``registry``.
-
-        The row cache is keyed by key, not file, so compactions never
-        invalidate it — there are no file events to put on ``bus``.
-
-        Publication is deferred (see
-        :meth:`~repro.cache.db_cache.DBBufferCache.bind_observability`):
-        the hot paths bump plain ints, flushed into the counters on every
-        registry flush/snapshot.
-        """
-        self._m_hits = registry.counter(f"cache.{name}.hits")
-        self._m_misses = registry.counter(f"cache.{name}.misses")
-        self._m_evictions = registry.counter(f"cache.{name}.evictions")
-        self._m_offsets = (
-            self._m_hits.value - self.stats.hits,
-            self._m_misses.value - self.stats.misses,
-            self._m_evictions.value - self.stats.evictions,
-        )
-        registry.register_flush(self._publish_metrics)
-
-    def _publish_metrics(self) -> None:
-        """Copy the hot-path ``stats`` ints into the registry counters."""
-        stats = self.stats
-        hits, misses, evictions = self._m_offsets
-        self._m_hits.value = hits + stats.hits
-        self._m_misses.value = misses + stats.misses
-        self._m_evictions.value = evictions + stats.evictions
+    def __init__(self, capacity_pairs: int) -> None:
+        super().__init__(capacity_pairs, "kv")
 
     @property
     def capacity_pairs(self) -> int:
         return self._capacity
 
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def usage(self) -> float:
-        return len(self._values) / self._capacity
-
     def get(self, key: int) -> tuple[bool, object | None]:
         """Look up ``key``; returns ``(hit, value)``."""
-        if key in self._values:
-            self._policy.touch(key)
+        order = self._order
+        if key in order:
+            order.move_to_end(key)
             self.stats.hits += 1
-            return True, self._values[key]
+            return True, order[key]
         self.stats.misses += 1
         return False, None
-
-    def get_many(self, keys: list[int]) -> list[tuple[bool, object | None]]:
-        """Look up a batch of keys; one ``(hit, value)`` per key in order.
-
-        Identical to calling :meth:`get` per key (same LRU touches, same
-        stats), with per-call dispatch hoisted for batched readers.
-        """
-        values = self._values
-        touch = self._policy.touch
-        stats = self.stats
-        out: list[tuple[bool, object | None]] = []
-        append = out.append
-        hits = 0
-        for key in keys:
-            if key in values:
-                touch(key)
-                hits += 1
-                append((True, values[key]))
-            else:
-                stats.misses += 1
-                append((False, None))
-        stats.hits += hits
-        return out
 
     def put(self, key: int, value: object) -> None:
         """Install or refresh ``key``.
@@ -116,29 +45,21 @@ class KVStoreCache:
         Used both to fill on read miss and to keep a written row coherent
         (a write-through update, as Cassandra's row cache does).
         """
-        if key in self._values:
-            self._values[key] = value
-            self._policy.touch(key)
+        order = self._order
+        if key in order:
+            order[key] = value
+            order.move_to_end(key)
             return
-        while len(self._values) >= self._capacity:
-            victim = self._policy.evict()
-            del self._values[victim]  # type: ignore[arg-type]
-            self.stats.evictions += 1
-        self._policy.insert(key)
-        self._values[key] = value
-        self.stats.insertions += 1
+        self._insert(key, value)
 
     def invalidate(self, key: int) -> bool:
         """Drop ``key`` if resident (alternative write policy)."""
-        if key not in self._values:
+        if key not in self._order:
             return False
-        self._policy.remove(key)
-        del self._values[key]
+        del self._order[key]
         self.stats.invalidations += 1
         return True
 
     def clear(self) -> None:
         """Drop everything (crash simulation: the row cache is DRAM)."""
-        for key in list(self._values):
-            self._policy.remove(key)
-        self._values.clear()
+        self._order.clear()

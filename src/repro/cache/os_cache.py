@@ -14,128 +14,33 @@ that a compaction rewrites to a new extent is, correctly, a different page.
 
 from __future__ import annotations
 
-from repro.cache.policy import LRUPolicy, ReplacementPolicy
-from repro.cache.stats import CacheStats
-from repro.obs.events import CacheResized, EventBus
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.cache.lru import LRUCache
 
 
-class OSBufferCache:
-    """Bounded page cache keyed by physical page address."""
+class OSBufferCache(LRUCache):
+    """Bounded LRU page cache keyed by physical page address."""
 
-    def __init__(
-        self,
-        capacity_pages: int,
-        page_size_kb: int = 4,
-        policy: ReplacementPolicy | None = None,
-    ) -> None:
-        if capacity_pages < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity_pages}")
+    _counter_names = ("hits", "misses", "evictions", "compaction_pages")
+
+    def __init__(self, capacity_pages: int, page_size_kb: int = 4) -> None:
         if page_size_kb < 1:
             raise ValueError(f"page size must be >= 1, got {page_size_kb}")
-        self._capacity = capacity_pages
         self._page_size_kb = page_size_kb
-        self._policy = policy if policy is not None else LRUPolicy()
-        self.stats = CacheStats()
         #: Pages touched by compaction streams (pollution traffic), kept
-        #: as a plain int on the hot path and published on flush.
+        #: as a plain int on the hot path and published on flush.  The
+        #: page cache is keyed by physical address, not file, so it has no
+        #: file-level invalidations; compaction churn shows up in its
+        #: eviction counter instead.
         self._compaction_pages = 0
-        self.bind_observability(NULL_REGISTRY, None, "os")
+        super().__init__(capacity_pages, "os")
 
-    def bind_observability(
-        self,
-        registry: MetricsRegistry,
-        bus: EventBus | None,
-        name: str,
-    ) -> None:
-        """Publish page-cache counters through ``registry``.
-
-        The page cache is keyed by physical address, not file, so it has
-        no file-level invalidations to report on ``bus``; compaction churn
-        shows up in its eviction counter instead.
-
-        Publication is deferred (see
-        :meth:`~repro.cache.db_cache.DBBufferCache.bind_observability`):
-        the hot paths bump plain ints, flushed into the counters on every
-        registry flush/snapshot.
-        """
-        self._obs_name = name
-        self._bus = bus
-        self._m_hits = registry.counter(f"cache.{name}.hits")
-        self._m_misses = registry.counter(f"cache.{name}.misses")
-        self._m_evictions = registry.counter(f"cache.{name}.evictions")
-        self._m_compaction_pages = registry.counter(
-            f"cache.{name}.compaction_pages"
-        )
-        self._m_offsets = (
-            self._m_hits.value - self.stats.hits,
-            self._m_misses.value - self.stats.misses,
-            self._m_evictions.value - self.stats.evictions,
-            self._m_compaction_pages.value - self._compaction_pages,
-        )
-        registry.register_flush(self._publish_metrics)
-
-    def _publish_metrics(self) -> None:
-        """Copy the hot-path ints into the registry counters."""
+    def _counts(self) -> tuple[int, ...]:
         stats = self.stats
-        hits, misses, evictions, compaction_pages = self._m_offsets
-        self._m_hits.value = hits + stats.hits
-        self._m_misses.value = misses + stats.misses
-        self._m_evictions.value = evictions + stats.evictions
-        self._m_compaction_pages.value = (
-            compaction_pages + self._compaction_pages
-        )
+        return (stats.hits, stats.misses, stats.evictions, self._compaction_pages)
 
     @property
     def capacity_pages(self) -> int:
         return self._capacity
-
-    @property
-    def page_size_kb(self) -> int:
-        return self._page_size_kb
-
-    def __len__(self) -> int:
-        return len(self._policy)
-
-    @property
-    def usage(self) -> float:
-        return len(self._policy) / self._capacity
-
-    def _page_of(self, address_kb: int) -> int:
-        return address_kb // self._page_size_kb
-
-    def resize(self, capacity_pages: int) -> int:
-        """Change the page cache's capacity; returns pages evicted.
-
-        Same contract as :meth:`DBBufferCache.resize`: a shrink evicts
-        victims immediately (ordinary evictions), a grow only raises the
-        bound and fills through normal inserts.
-        """
-        if capacity_pages < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity_pages}")
-        old = self._capacity
-        if capacity_pages == old:
-            return 0
-        self._capacity = capacity_pages
-        evicted = 0
-        while len(self._policy) > self._capacity:
-            self._policy.evict()
-            self.stats.evictions += 1
-            evicted += 1
-        bus = self._bus
-        if bus is not None and bus.active:
-            if bus.counting_only:
-                bus.count(CacheResized)
-            else:
-                bus.emit(
-                    CacheResized(
-                        cache=self._obs_name,
-                        old_capacity=old,
-                        new_capacity=capacity_pages,
-                        evicted=evicted,
-                    )
-                )
-        return evicted
 
     # ------------------------------------------------------------------
     # Access paths.
@@ -146,37 +51,15 @@ class OSBufferCache:
         Returns ``True`` on a hit; on a miss the page is loaded and
         inserted (the caller charges the disk).
         """
-        page = self._page_of(address_kb)
-        if page in self._policy:
-            self._policy.touch(page)
+        page = address_kb // self._page_size_kb
+        order = self._order
+        if page in order:
+            order.move_to_end(page)
             self.stats.hits += 1
             return True
         self.stats.misses += 1
         self._insert(page)
         return False
-
-    def read_many(self, addresses_kb: list[int]) -> int:
-        """Query-read a batch of addresses; returns the hit count.
-
-        Identical to calling :meth:`read` per address in order (same
-        eviction sequence, same stats), with per-call dispatch hoisted.
-        """
-        page_size = self._page_size_kb
-        policy = self._policy
-        touch = policy.touch
-        insert = self._insert
-        stats = self.stats
-        hits = 0
-        for address_kb in addresses_kb:
-            page = address_kb // page_size
-            if page in policy:
-                touch(page)
-                hits += 1
-            else:
-                stats.misses += 1
-                insert(page)
-        stats.hits += hits
-        return hits
 
     def read_for_compaction(self, address_kb: int, size_kb: int) -> None:
         """A compaction streaming read of ``size_kb`` starting at ``address_kb``.
@@ -186,22 +69,17 @@ class OSBufferCache:
         hits/misses: the hit-ratio series must reflect query traffic only,
         as in the paper's measurement.
         """
-        first = self._page_of(address_kb)
-        last = self._page_of(address_kb + max(size_kb - 1, 0))
+        page_size = self._page_size_kb
+        first = address_kb // page_size
+        last = (address_kb + max(size_kb - 1, 0)) // page_size
         self._compaction_pages += last + 1 - first
+        order = self._order
         for page in range(first, last + 1):
-            if page in self._policy:
-                self._policy.touch(page)
+            if page in order:
+                order.move_to_end(page)
             else:
                 self._insert(page)
 
     def write_allocate(self, address_kb: int, size_kb: int) -> None:
         """A compaction write; pages are populated as they are written."""
         self.read_for_compaction(address_kb, size_kb)
-
-    def _insert(self, page: int) -> None:
-        while len(self._policy) >= self._capacity:
-            self._policy.evict()
-            self.stats.evictions += 1
-        self._policy.insert(page)
-        self.stats.insertions += 1

@@ -27,7 +27,7 @@ from repro.cache.db_cache import BlockKey, DBBufferCache
 from repro.cache.os_cache import OSBufferCache
 from repro.errors import EngineError
 from repro.lsm.memtable import Memtable
-from repro.lsm.policy import CompactionAxes, CompactionPolicy
+from repro.lsm.policy import CompactionPolicy
 from repro.lsm.wal import WriteAheadLog
 from repro.obs.events import (
     CompactionEnd,
@@ -93,14 +93,6 @@ class ReadCost:
     @property
     def block_reads(self) -> int:
         return self.cache_hit_blocks + self.os_hit_blocks + self.disk_random_blocks
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Block-level hit ratio of this single operation."""
-        total = self.block_reads
-        if not total:
-            return 1.0  # Served entirely from memory structures.
-        return self.cache_hit_blocks / total
 
 
 class GetResult:
@@ -579,11 +571,6 @@ class LSMEngine(ABC):
                 f"{type(self).__name__} assigned no compaction policy"
             )
         policy.run(self)
-
-    @property
-    def compaction_axes(self) -> CompactionAxes | None:
-        """The design-space point this engine realizes (None if unset)."""
-        return self.policy.axes if self.policy is not None else None
 
     @abstractmethod
     def bulk_load(self, entries: list[Entry]) -> None:

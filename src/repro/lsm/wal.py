@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.sstable.entry import Entry, Kind
+from repro.sstable.entry import Kind
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class LogRecord:
     seq: int
     kind: Kind
 
-    def to_entry(self) -> Entry:
-        return Entry(self.key, self.seq, self.kind)
-
 
 class WriteAheadLog:
     """Sequential redo log with truncate-on-flush semantics."""
@@ -42,7 +39,6 @@ class WriteAheadLog:
         self._disk = disk
         self._pair_size_kb = pair_size_kb
         self._records: list[LogRecord] = []
-        self._truncated_through_seq = 0
         self.bytes_logged_kb = 0.0
         #: Crash-point hook (see :mod:`repro.check.crash`): called with a
         #: point name at instrumented instants; an armed injector raises.
@@ -70,7 +66,6 @@ class WriteAheadLog:
         """
         before = len(self._records)
         self._records = [r for r in self._records if r.seq > seq]
-        self._truncated_through_seq = max(self._truncated_through_seq, seq)
         return before - len(self._records)
 
     # ------------------------------------------------------------------
@@ -93,7 +88,3 @@ class WriteAheadLog:
     @property
     def tail_records(self) -> int:
         return len(self._records)
-
-    @property
-    def truncated_through_seq(self) -> int:
-        return self._truncated_through_seq

@@ -278,24 +278,12 @@ class EventBus:
     Handlers run inline on ``emit`` in subscription order, type-specific
     subscribers before catch-all ones.  Handlers must not raise: an engine
     mid-compaction is in no position to unwind observer errors.
-
-    Buffered publication: a driver tick may bracket its work in
-    :meth:`begin_buffer`/:meth:`flush_buffer` to deliver the tick's
-    events in one amortized pass instead of one call chain per emit.
-    Delivery order is preserved exactly (the buffer is a FIFO drained
-    through the normal dispatch).  Buffering only engages when *every*
-    subscriber declared itself deferrable (``deferrable=True`` at
-    subscription): handlers that inspect engine state at emit time —
-    invariant checkers, trace recorders — keep their synchronous
-    delivery, and the bus silently stays synchronous for everyone.
     """
 
     __slots__ = (
         "_by_type",
         "_all",
         "active",
-        "_buffer",
-        "_sync_subscribers",
         "_tallies",
         "counting_only",
     )
@@ -306,8 +294,6 @@ class EventBus:
         #: True once anything subscribed; emitters may skip building
         #: events entirely while this is False.
         self.active = False
-        self._buffer: list[Event] | None = None
-        self._sync_subscribers = 0
         self._tallies: list["EventTally"] = []
         #: True while every subscriber is an :class:`EventTally`.  Tallies
         #: only look at an event's *type*, so emit sites may then skip
@@ -315,21 +301,13 @@ class EventBus:
         #: with the class instead — the observable counts are identical.
         self.counting_only = False
 
-    def subscribe(
-        self, event_type: type, handler: Handler, deferrable: bool = False
-    ) -> None:
-        """Receive every future event of exactly ``event_type``.
-
-        ``deferrable`` promises the handler does not read emitter state
-        at delivery time, so end-of-tick batched delivery is equivalent.
-        """
+    def subscribe(self, event_type: type, handler: Handler) -> None:
+        """Receive every future event of exactly ``event_type``."""
         self._by_type.setdefault(event_type, []).append(handler)
         self.active = True
         self.counting_only = False
-        if not deferrable:
-            self._sync_subscribers += 1
 
-    def subscribe_all(self, handler: Handler, deferrable: bool = False) -> None:
+    def subscribe_all(self, handler: Handler) -> None:
         """Receive every future event of any type (trace recorders)."""
         self._all.append(handler)
         self.active = True
@@ -340,8 +318,6 @@ class EventBus:
             )
         else:
             self.counting_only = False
-        if not deferrable:
-            self._sync_subscribers += 1
 
     def count(self, event_type: type, times: int = 1) -> None:
         """Tally ``times`` occurrences of ``event_type`` without a payload.
@@ -349,9 +325,7 @@ class EventBus:
         Only meaningful while :attr:`counting_only` is true; emit sites
         use it to skip event construction when nobody would read the
         fields (a build or a discard counts all its files in one call).
-        Delivery timing does not matter to a tally, so counting happens
-        immediately even inside a buffered tick.  ``times=0`` tallies
-        nothing, not a zero entry.
+        ``times=0`` tallies nothing, not a zero entry.
         """
         if times <= 0:
             return
@@ -359,41 +333,9 @@ class EventBus:
         for tally in self._tallies:
             tally.counts[name] += times
 
-    @property
-    def deferrable(self) -> bool:
-        """True when every subscriber accepts end-of-tick delivery."""
-        return self._sync_subscribers == 0
-
-    def begin_buffer(self) -> bool:
-        """Start queueing emits for one batched :meth:`flush_buffer`.
-
-        Returns ``False`` — and stays fully synchronous — if any
-        subscriber requires emit-time delivery or a buffer is already
-        open; callers flush only when this returned ``True``.
-        """
-        if self._sync_subscribers or self._buffer is not None:
-            return False
-        self._buffer = []
-        return True
-
-    def flush_buffer(self) -> None:
-        """Deliver every queued event in emit order and close the buffer."""
-        buffer = self._buffer
-        if buffer is None:
-            return
-        self._buffer = None
-        for event in buffer:
-            self._dispatch(event)
-
     def emit(self, event: Event) -> None:
         if not self.active:
             return
-        if self._buffer is not None:
-            self._buffer.append(event)
-            return
-        self._dispatch(event)
-
-    def _dispatch(self, event: Event) -> None:
         for handler in self._by_type.get(type(event), ()):
             handler(event)
         for handler in self._all:
@@ -406,9 +348,7 @@ class EventTally:
     def __init__(self, bus: EventBus | None = None) -> None:
         self.counts: _TallyCounter[str] = _TallyCounter()
         if bus is not None:
-            # Counting is order- and time-insensitive, so the tally never
-            # forces the bus out of buffered delivery.
-            bus.subscribe_all(self, deferrable=True)
+            bus.subscribe_all(self)
 
     def __call__(self, event: Event) -> None:
         self.counts[type(event).__name__] += 1

@@ -77,27 +77,13 @@ class MixedReadWriteDriver:
         result = RunResult(engine=self.engine.name, duration_s=duration)
         recorder = self.recorder
         recorder.begin(result)
-        bus = self.engine.bus
-        # Tally-only buses count events immediately and never construct
-        # them, so the per-tick buffer bracket would only shuttle an
-        # always-empty list; skip it for the whole run (subscriptions
-        # cannot change mid-drive).
-        counting_only = bus.counting_only
         for _ in range(duration):
             now = self.clock.now
-            # When every subscriber tolerates end-of-tick delivery the
-            # tick's events go out in one batched flush; otherwise the
-            # bus stays synchronous and this is a no-op pair.
-            buffering = False if counting_only else bus.begin_buffer()
-            try:
-                self._apply_writes(result)
-                self.engine.tick(now)
-                utilization = self.engine.disk.utilization()
-                reads = self._apply_reads(utilization, result)
-                recorder.sample(now, reads, utilization, recorder.stall_tick())
-            finally:
-                if buffering:
-                    bus.flush_buffer()
+            self._apply_writes(result)
+            self.engine.tick(now)
+            utilization = self.engine.disk.utilization()
+            reads = self._apply_reads(utilization, result)
+            recorder.sample(now, reads, utilization, recorder.stall_tick())
             self.clock.advance(1)
         recorder.finish()
         return result

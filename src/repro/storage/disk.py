@@ -402,11 +402,6 @@ class SimulatedDisk:
         )
         return min(pending / self._bandwidth, 1.0)
 
-    @property
-    def backlog_kb(self) -> float:
-        """Background work carried over from previous seconds."""
-        return self._backlog_kb
-
     def tick_temp_space_kb(self) -> float:
         """Peak transient compaction space recorded this second."""
         if self._tick.second != self._clock.now:

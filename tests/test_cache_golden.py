@@ -1,4 +1,4 @@
-"""Golden tests: exact eviction orders and invalidation hook sequences.
+"""Golden tests: exact eviction orders and invalidation sequences.
 
 Replacement behaviour is load-bearing for the whole reproduction — the
 trim process keys off per-file residency counts, and Fig. 8's churn
@@ -9,106 +9,169 @@ aggregate counts.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cache.db_cache import DBBufferCache
-from repro.cache.policy import ClockPolicy, LRUPolicy
+from repro.cache.kv_cache import KVStoreCache
+from repro.cache.os_cache import OSBufferCache
 from repro.obs.events import CacheInvalidated, EventBus
 from repro.obs.metrics import NULL_REGISTRY
 
 # ----------------------------------------------------------------------
-# LRU policy: exact victim order.
+# LRU: exact victim order, through each cache's own access path.
 # ----------------------------------------------------------------------
+
+
+class _Script:
+    """Drives one cache with letter keys; ``order()`` reads ``_order`` back.
+
+    Letter ``a`` is key 1, ``b`` key 2, ...: the DB cache's file id (one
+    block per file), the OS cache's page, the K-V cache's key.
+    """
+
+    def __init__(self, kind: str, capacity: int) -> None:
+        self.kind = kind
+        if kind == "db":
+            self.cache = DBBufferCache(capacity)
+        elif kind == "os":
+            self.cache = OSBufferCache(capacity, page_size_kb=4)
+        else:
+            self.cache = KVStoreCache(capacity)
+
+    def _read(self, letter: str) -> bool:
+        key = ord(letter) - ord("a") + 1
+        if self.kind == "db":
+            return self.cache.access(key, 0)
+        if self.kind == "os":
+            return self.cache.read(key * 4)
+        hit, _ = self.cache.get(key)
+        if not hit:
+            self.cache.put(key, letter)
+        return hit
+
+    def insert(self, letter: str) -> None:
+        assert self._read(letter) is False
+
+    def touch(self, letter: str) -> None:
+        assert self._read(letter) is True
+
+    def remove(self, letter: str) -> None:
+        key = ord(letter) - ord("a") + 1
+        if self.kind == "db":
+            assert self.cache.invalidate_file(key) == 1
+        else:
+            assert self.cache.invalidate(key) is True
+
+    def order(self) -> str:
+        keys = [k[0] if self.kind == "db" else k for k in self.cache._order]
+        return "".join(chr(ord("a") + key - 1) for key in keys)
+
+
+def _run(script: _Script, steps) -> None:
+    """Apply ``(op, letter, order_after)`` steps, checking every order."""
+    for op, letter, order_after in steps:
+        getattr(script, op)(letter)
+        assert script.order() == order_after, (op, letter)
+
+
+ALL_CACHES = pytest.mark.parametrize("kind", ["db", "os", "kv"])
 
 
 class TestLRUGolden:
-    def test_plain_insertion_order_evicts_fifo(self):
-        lru = LRUPolicy()
-        for key in ("a", "b", "c", "d"):
-            lru.insert(key)
-        assert [lru.evict() for _ in range(4)] == ["a", "b", "c", "d"]
+    @ALL_CACHES
+    def test_plain_insertion_order_evicts_fifo(self, kind):
+        script = _Script(kind, 4)
+        _run(script, [
+            ("insert", "a", "a"),
+            ("insert", "b", "ab"),
+            ("insert", "c", "abc"),
+            ("insert", "d", "abcd"),
+            ("insert", "e", "bcde"),
+            ("insert", "f", "cdef"),
+            ("insert", "g", "defg"),
+            ("insert", "h", "efgh"),
+        ])
+        assert script.cache.stats.evictions == 4
 
-    def test_touch_moves_to_mru(self):
-        lru = LRUPolicy()
-        for key in ("a", "b", "c", "d"):
-            lru.insert(key)
-        lru.touch("a")
-        lru.touch("c")
-        assert [lru.evict() for _ in range(4)] == ["b", "d", "a", "c"]
+    @ALL_CACHES
+    def test_touch_moves_to_mru(self, kind):
+        script = _Script(kind, 4)
+        _run(script, [
+            ("insert", "a", "a"),
+            ("insert", "b", "ab"),
+            ("insert", "c", "abc"),
+            ("insert", "d", "abcd"),
+            ("touch", "a", "bcda"),
+            ("touch", "c", "bdac"),
+            ("insert", "e", "dace"),
+            ("insert", "f", "acef"),
+            ("insert", "g", "cefg"),
+            ("insert", "h", "efgh"),
+        ])
+        assert script.cache.stats.evictions == 4
 
-    def test_remove_is_not_an_eviction(self):
-        lru = LRUPolicy()
-        for key in ("a", "b", "c"):
-            lru.insert(key)
-        lru.remove("b")
-        assert "b" not in lru
-        assert [lru.evict() for _ in range(2)] == ["a", "c"]
+    # The OS page cache is keyed by address, not by file or key: nothing
+    # ever removes a page except eviction, so it has no remove script.
+    @pytest.mark.parametrize("kind", ["db", "kv"])
+    def test_remove_is_not_an_eviction(self, kind):
+        script = _Script(kind, 3)
+        _run(script, [
+            ("insert", "a", "a"),
+            ("insert", "b", "ab"),
+            ("insert", "c", "abc"),
+            ("remove", "b", "ac"),
+            ("insert", "d", "acd"),
+        ])
+        assert script.cache.stats.evictions == 0
+        assert script.cache.stats.invalidations == 1
+        _run(script, [("insert", "e", "cde")])
+        assert script.cache.stats.evictions == 1
 
-    def test_interleaved_script(self):
-        lru = LRUPolicy()
-        lru.insert("a")
-        lru.insert("b")
-        lru.touch("a")  # Order: b, a
-        lru.insert("c")  # Order: b, a, c
-        assert lru.evict() == "b"
-        lru.insert("d")  # Order: a, c, d
-        lru.touch("c")  # Order: a, d, c
-        assert [lru.evict() for _ in range(3)] == ["a", "d", "c"]
+    @ALL_CACHES
+    def test_interleaved_script(self, kind):
+        script = _Script(kind, 3)
+        _run(script, [
+            ("insert", "a", "a"),
+            ("insert", "b", "ab"),
+            ("touch", "a", "ba"),
+            ("insert", "c", "bac"),
+            ("insert", "d", "acd"),  # Evicts b.
+            ("touch", "c", "adc"),
+            ("insert", "e", "dce"),
+            ("insert", "f", "cef"),
+            ("insert", "g", "efg"),
+        ])
+        assert script.cache.stats.evictions == 4
 
 
 # ----------------------------------------------------------------------
-# CLOCK policy: second-chance golden sequence.
-# ----------------------------------------------------------------------
-
-
-class TestClockGolden:
-    def test_unreferenced_evict_in_insertion_order(self):
-        clock = ClockPolicy()
-        for key in ("a", "b", "c"):
-            clock.insert(key)
-        assert [clock.evict() for _ in range(3)] == ["a", "b", "c"]
-
-    def test_second_chance(self):
-        clock = ClockPolicy()
-        for key in ("a", "b", "c"):
-            clock.insert(key)
-        clock.touch("a")
-        # Hand passes a (bit set -> cleared, re-queued), evicts b.
-        assert clock.evict() == "b"
-        # a's bit is now clear and it sits behind c: c was inserted
-        # before a's re-queue position — next victims are c then a.
-        assert clock.evict() == "c"
-        assert clock.evict() == "a"
-
-
-# ----------------------------------------------------------------------
-# DB buffer cache: eviction hooks and invalidation events.
+# DB buffer cache: evictions, per-file counters and invalidation events.
 # ----------------------------------------------------------------------
 
 
 class TestDBCacheGolden:
-    def test_eviction_hook_sequence_under_interleaving(self):
+    def test_eviction_sequence_under_interleaving(self):
         cache = DBBufferCache(capacity_blocks=3)
-        evicted: list[tuple[int, int]] = []
-        cache.eviction_hook = lambda f, b: evicted.append((f, b))
-
         cache.access(1, 0)  # miss, insert (1,0)
         cache.access(1, 1)  # miss, insert (1,1)
         cache.access(2, 0)  # miss, insert (2,0) — full
         cache.access(1, 0)  # hit: (1,0) becomes MRU
         cache.access(3, 0)  # miss: evicts LRU (1,1)
-        assert evicted == [(1, 1)]
+        assert list(cache._order) == [(2, 0), (1, 0), (3, 0)]
+        assert cache.stats.evictions == 1
         cache.access(4, 0)  # miss: evicts (2,0)
-        assert evicted == [(1, 1), (2, 0)]
+        assert list(cache._order) == [(1, 0), (3, 0), (4, 0)]
+        assert cache.stats.evictions == 2
 
-    def test_invalidation_bypasses_eviction_hook(self):
+    def test_invalidation_is_not_an_eviction(self):
         cache = DBBufferCache(capacity_blocks=4)
-        evicted: list[tuple[int, int]] = []
-        cache.eviction_hook = lambda f, b: evicted.append((f, b))
         cache.access(1, 0)
         cache.access(1, 1)
         cache.access(2, 0)
         dropped = cache.invalidate_file(1)
         assert dropped == 2
-        assert evicted == []  # Invalidation is not an eviction decision.
+        assert list(cache._order) == [(2, 0)]
+        assert cache.stats.evictions == 0
         assert cache.cached_blocks(1) == 0
         assert cache.cached_blocks(2) == 1
 

@@ -1,51 +1,41 @@
-"""Unit tests for :mod:`repro.cache` — DB, OS and K-V caches, policies."""
+"""Unit tests for :mod:`repro.cache` — DB, OS and K-V caches and the
+registry counters they publish."""
+
+import random
 
 import pytest
 
 from repro.cache.db_cache import DBBufferCache
 from repro.cache.kv_cache import KVStoreCache
 from repro.cache.os_cache import OSBufferCache
-from repro.cache.policy import ClockPolicy, LRUPolicy
 from repro.cache.stats import CacheStats
+from repro.config import SystemConfig
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.experiment import build_engine
 
 
 class TestLRUPolicy:
-    def test_evicts_least_recent(self):
-        lru = LRUPolicy()
-        for key in "abc":
-            lru.insert(key)
-        lru.touch("a")
-        assert lru.evict() == "b"
+    """The one replacement rule (:class:`repro.cache.lru.LRUCache`),
+    driven through the K-V cache's public ``get``/``put``/``invalidate``."""
 
-    def test_double_insert_rejected(self):
-        lru = LRUPolicy()
-        lru.insert("a")
-        with pytest.raises(KeyError):
-            lru.insert("a")
+    def test_evicts_least_recent(self):
+        cache = KVStoreCache(3)
+        for key in (1, 2, 3):
+            cache.put(key, key)
+        assert cache.get(1) == (True, 1)
+        cache.put(4, 4)  # Evicts 2: 1 was touched after it.
+        assert cache.get(2) == (False, None)
+        assert list(cache._order) == [3, 1, 4]
+        assert cache.stats.evictions == 1
 
     def test_remove_is_not_eviction(self):
-        lru = LRUPolicy()
-        lru.insert("a")
-        lru.insert("b")
-        lru.remove("a")
-        assert "a" not in lru
-        assert len(lru) == 1
-
-
-class TestClockPolicy:
-    def test_second_chance(self):
-        clock = ClockPolicy()
-        for key in "abc":
-            clock.insert(key)
-        clock.touch("a")  # Referenced: survives one sweep.
-        assert clock.evict() == "b"
-        assert "a" in clock
-
-    def test_unreferenced_evicted_in_order(self):
-        clock = ClockPolicy()
-        for key in "ab":
-            clock.insert(key)
-        assert clock.evict() == "a"
+        cache = KVStoreCache(2)
+        cache.put(1, 1)
+        cache.put(2, 2)
+        assert cache.invalidate(1) is True
+        assert cache.get(1) == (False, None)
+        assert len(cache) == 1
+        assert cache.stats.evictions == 0
 
 
 class TestCacheStats:
@@ -123,13 +113,21 @@ class TestDBBufferCache:
         cache.insert(2, 0)  # Evicts (1, 1).
         assert cache.contains(1, 0)
 
-    def test_eviction_hook_fires(self):
+    def test_eviction_drops_the_lru_block(self):
         cache = DBBufferCache(1)
-        evicted = []
-        cache.eviction_hook = lambda f, b: evicted.append((f, b))
         cache.access(1, 0)
         cache.access(2, 0)
-        assert evicted == [(1, 0)]
+        assert list(cache._order) == [(2, 0)]
+        assert cache.stats.evictions == 1
+        assert cache.resident_file_ids() == [2]
+
+    def test_access_many_matches_per_key_access(self):
+        keys = [(1, 0), (2, 0), (1, 0), (3, 0), (2, 0), (4, 0), (1, 0), (3, 0)]
+        one, batch = DBBufferCache(3), DBBufferCache(3)
+        hits = sum(one.access(*key) for key in keys)
+        assert batch.access_many(keys) == hits
+        assert list(batch._order) == list(one._order)
+        assert batch.stats == one.stats
 
     def test_usage(self):
         cache = DBBufferCache(4)
@@ -141,13 +139,6 @@ class TestDBBufferCache:
         cache.access(3, 1)
         cache.access(3, 2)
         assert cache.resident_blocks(3) == frozenset({1, 2})
-
-    def test_clear(self):
-        cache = DBBufferCache(4)
-        cache.access(1, 0)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.cached_blocks(1) == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -226,3 +217,73 @@ class TestKVStoreCache:
     def test_validation(self):
         with pytest.raises(ValueError):
             KVStoreCache(0)
+
+
+#: Every registry counter each cache publishes, in registration order.
+_CACHE_COUNTERS = {
+    "db": ("hits", "misses", "evictions", "invalidations"),
+    "os": ("hits", "misses", "evictions", "compaction_pages"),
+    "kv": ("hits", "misses", "evictions"),
+}
+
+
+def _cache_counts(caches) -> dict[str, float]:
+    """What each cache's registry counters must read, from its own ints."""
+    out = {}
+    for name, cache in caches.items():
+        for counter in _CACHE_COUNTERS[name]:
+            if counter == "compaction_pages":
+                value = cache._compaction_pages
+            else:
+                value = getattr(cache.stats, counter)
+            out[f"cache.{name}.{counter}"] = value
+    return out
+
+
+def _drive(setup, ops: int, seed: int) -> None:
+    engine, clock = setup.engine, setup.substrate.clock
+    rng = random.Random(seed)
+    for op in range(ops):
+        engine.put(rng.randrange(2000))
+        if op % 3 == 0:
+            engine.get(rng.randrange(2000))
+        if op % 100 == 0:
+            clock.advance(1)
+            engine.tick(clock.now)
+
+
+class TestCounterPublication:
+    @pytest.mark.parametrize(
+        "engine_name", ["leveldb-oscache", "lsbm-dual", "blsm+kvcache"]
+    )
+    def test_registry_counters_mirror_cache_ints(self, engine_name):
+        setup = build_engine(engine_name, SystemConfig.tiny())
+        engine = setup.engine
+        caches = {
+            name: cache
+            for name, cache in (
+                ("db", engine.db_cache),
+                ("os", engine.os_cache),
+                ("kv", getattr(engine, "kv_cache", None)),
+            )
+            if cache is not None
+        }
+        _drive(setup, 3000, seed=0)
+        snapshot = setup.substrate.registry.snapshot()
+        published = {k: v for k, v in snapshot.items() if k.startswith("cache.")}
+        expected = _cache_counts(caches)
+        # Same names, same registration order, same values.
+        assert list(published) == list(expected)
+        assert published == expected
+        assert all(expected[f"cache.{name}.evictions"] for name in caches)
+
+        # A rebind to a fresh registry counts from the rebind on: nothing
+        # the cache saw before it is published twice.
+        fresh = MetricsRegistry()
+        for name, cache in caches.items():
+            cache.bind_observability(fresh, setup.substrate.bus, name)
+        _drive(setup, 1000, seed=1)
+        after = _cache_counts(caches)
+        assert fresh.snapshot() == {
+            key: after[key] - expected[key] for key in expected
+        }

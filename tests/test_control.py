@@ -87,24 +87,46 @@ def run_with_events(spec: ServiceSpec) -> tuple[list[str], ServeResult]:
 # ----------------------------------------------------------------------
 # Actuators.
 # ----------------------------------------------------------------------
-class TestCacheResize:
-    def test_db_cache_shrink_evicts_to_new_capacity(self):
-        cache = DBBufferCache(8)
-        for block in range(8):
+def _filled_cache(kind: str, capacity: int, keys: int):
+    """A DB or OS cache holding ``keys`` blocks/pages of file 1 in order."""
+    if kind == "db":
+        cache = DBBufferCache(capacity)
+        for block in range(keys):
             cache.insert(file_id=1, block_index=block)
+    else:
+        cache = OSBufferCache(capacity_pages=capacity, page_size_kb=4)
+        cache.read_for_compaction(address_kb=0, size_kb=4 * keys)
+    assert len(cache) == keys
+    return cache
+
+
+class TestCacheResize:
+    @pytest.mark.parametrize("kind", ["db", "os"])
+    def test_shrink_evicts_to_new_capacity(self, kind):
+        cache = _filled_cache(kind, 8, 8)
+        resident = list(cache._order)
         evicted = cache.resize(3)
         assert evicted == 5
-        assert cache.capacity_blocks == 3
         assert len(cache) == 3
-        assert cache.stats.evictions >= 5
+        assert cache.stats.evictions == 5
+        assert list(cache._order) == resident[5:]  # The LRU five left.
+        if kind == "db":
+            assert cache.capacity_blocks == 3
+            assert cache.cached_blocks(1) == 3
+        else:
+            assert cache.capacity_pages == 3
 
-    def test_db_cache_grow_evicts_nothing(self):
-        cache = DBBufferCache(4)
-        for block in range(4):
-            cache.insert(file_id=1, block_index=block)
+    @pytest.mark.parametrize("kind", ["db", "os"])
+    def test_grow_evicts_nothing(self, kind):
+        cache = _filled_cache(kind, 4, 4)
+        resident = list(cache._order)
         assert cache.resize(16) == 0
-        assert cache.capacity_blocks == 16
-        assert len(cache) == 4
+        assert list(cache._order) == resident
+        if kind == "db":
+            assert cache.capacity_blocks == 16
+            assert cache.cached_blocks(1) == 4
+        else:
+            assert cache.capacity_pages == 16
 
     def test_db_cache_noop_resize(self):
         cache = DBBufferCache(4)
@@ -114,14 +136,6 @@ class TestCacheResize:
         cache = DBBufferCache(4)
         with pytest.raises(ValueError):
             cache.resize(0)
-
-    def test_os_cache_shrink_evicts_to_new_capacity(self):
-        cache = OSBufferCache(capacity_pages=8, page_size_kb=4)
-        cache.read_for_compaction(address_kb=0, size_kb=32)
-        assert len(cache) == 8
-        evicted = cache.resize(2)
-        assert evicted == 6
-        assert cache.capacity_pages == 2
 
     def test_resize_emits_cache_resized_event(self):
         config = SystemConfig.tiny()

@@ -243,7 +243,7 @@ def test_cache_counters_consistent(writes, reads):
             for key2 in reads:
                 engine.get(key2)
     by_file: dict[int, int] = {}
-    for file_id, _block in list(cache._policy):
+    for file_id, _block in list(cache._order):
         by_file[file_id] = by_file.get(file_id, 0) + 1
     for file_id, count in by_file.items():
         assert cache.cached_blocks(file_id) == count

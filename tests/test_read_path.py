@@ -440,7 +440,7 @@ def reference_scan(engine: LSMEngine, low: int, high: int) -> ScanResult:
 
 def _resident_order(engine) -> list:
     cache = engine.db_cache
-    return list(cache._policy) if cache is not None else []
+    return list(cache._order) if cache is not None else []
 
 
 @twin_settings
