@@ -56,6 +56,24 @@ Usage (installed or via ``python -m repro.cli``):
 
     # list available engines
     python -m repro.cli engines
+
+How the module is laid out:
+
+* every option is declared once, in :data:`_OPTIONS`; a command names
+  the options it takes and passes its own defaults (:func:`_declare`);
+* every comma-separated value (``--engines``, ``--seeds``, ``--rate``,
+  ``--shards``, ``--policy``, ``--partitioner``, ``--set`` values) goes
+  through :func:`_parse_list`;
+* a command reports bad input by raising
+  :class:`~repro.errors.ReproError`; :func:`main` turns it, or an
+  :class:`OSError` from a file the command reads or writes, into one
+  stderr line ``<command>: <message>`` and exit status 2;
+* ``run``, ``compare`` and ``sweep`` describe their runs with
+  :func:`~repro.sim.sweep.expand_grid` and execute them with
+  :func:`~repro.sim.sweep.run_sweep`; ``trace`` and ``report`` build one
+  :class:`~repro.sim.spec.ExperimentSpec` each;
+* files a command writes go through :func:`_write`, which creates
+  missing parent directories.
 """
 
 from __future__ import annotations
@@ -63,12 +81,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from repro.config import SystemConfig
+from repro.control.controller import CONTROLLER_NAMES
 from repro.errors import ConfigError, ReproError
-from repro.sim.experiment import ENGINE_NAMES, execute_with_trace, run_experiment
+from repro.obs.tracing import TRACE_MODES
+from repro.serve.arrivals import PROCESSES
+from repro.sim.experiment import ENGINE_NAMES, ENGINE_SPECS, execute_with_trace
 from repro.sim.metrics import RunResult
 from repro.sim.report import (
     ascii_table,
@@ -78,332 +100,289 @@ from repro.sim.report import (
     sparkline,
 )
 from repro.sim.spec import ExperimentSpec
-from repro.sim.sweep import expand_grid, run_sweep
+from repro.sim.sweep import SweepOutcome, expand_grid, run_sweep
+from repro.sim.tune import OBJECTIVES
 
+# ----------------------------------------------------------------------
+# The option vocabulary.
+# ----------------------------------------------------------------------
 
-def _add_replication(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seeds",
-        help="comma-separated seeds; replicate each run and report "
-        "mean ± std instead of a single-seed point",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
+#: A per-command default that makes the option required instead.
+_REQUIRED = object()
+
+#: Every option the commands take, declared once as its argparse
+#: keywords.  A command overrides only the default (see :func:`_declare`).
+_OPTIONS: dict[str, dict] = {
+    # What to run.
+    "--engine": dict(choices=ENGINE_NAMES, help="engine variant"),
+    "--engines": dict(
+        help="comma-separated engine names (default %(default)s)"
+    ),
+    "--scale": dict(
+        default=2048,
+        help="linear size scale vs the paper's setup (default %(default)s)",
+    ),
+    "--duration": dict(
+        default=8000,
+        help="virtual seconds per run (default %(default)s; paper: 20000)",
+    ),
+    "--seed": dict(default=1, help="workload seed (default %(default)s)"),
+    "--scan": dict(
+        action="store_true",
+        help="drive range queries instead of point reads",
+    ),
+    "--seeds": dict(
+        help="comma-separated seeds, each run replicated once per seed "
+        "(run/compare: report mean ± std instead of one point)",
+    ),
+    "--jobs": dict(
         default=1,
-        help="worker processes for replicated runs (default 1)",
-    )
-
-
-def _add_tracing(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
+        help="worker processes (default 1 = serial, same results)",
+    ),
+    "--set": dict(
+        action="append",
+        metavar="FIELD=V1,V2",
+        help="add a SystemConfig axis, e.g. --set trim_interval_s=10,30 "
+        "or --set compaction_layout=tiering,lazy-leveling "
+        "(repeatable; axes multiply)",
+    ),
+    "--objective": dict(
+        default="hit-stability",
+        choices=tuple(OBJECTIVES),
+        help="SLO to optimize: open-loop read p99 (min) or the "
+        "hit-ratio floor (max; default)",
+    ),
+    # Open-loop serving and clusters.
+    "--rate": dict(
+        help="offered read rate in paper-scale QPS, cluster-wide for a "
+        "cluster; comma-separated where the command sweeps rates "
+        "(default %(default)s)",
+    ),
+    "--write-rate": dict(
+        type=float,
+        help="cluster-wide offered write rate (default: config write OPS)",
+    ),
+    "--policy": dict(
+        default="fifo",
+        help="scheduling policy (fifo, read-priority, weighted-fair); "
+        "comma-separated for serve (default %(default)s)",
+    ),
+    "--arrival": dict(
+        default="poisson",
+        choices=PROCESSES,
+        help="arrival process for all client classes (default %(default)s)",
+    ),
+    "--queue-bound": dict(
+        default=64,
+        help="request-queue depth bound, per shard (default %(default)s)",
+    ),
+    "--shards": dict(
+        help="shard count; comma-separated for cluster (default %(default)s)"
+    ),
+    "--partitioner": dict(
+        default="hash",
+        help="hash or range; comma-separated for cluster "
+        "(default %(default)s)",
+    ),
+    "--split-at": dict(
+        type=int,
+        help="migrate a key range mid-run at this virtual second "
+        "(range partitioner only; forces coordinated execution)",
+    ),
+    "--split-source": dict(
+        default=0, help="shard whose range the split cuts (default 0)"
+    ),
+    "--split-target": dict(
+        default=1, help="shard that adopts the migrated range (default 1)"
+    ),
+    "--split-fraction": dict(
+        default=0.5,
+        help="upper fraction of the source range to migrate (default 0.5)",
+    ),
+    "--verify": dict(
+        action="store_true",
+        help="shadow every dispatch with a cluster-wide KV oracle "
+        "(forces coordinated execution)",
+    ),
+    "--trace": dict(
         default="off",
-        choices=("off", "exemplar", "full"),
+        choices=TRACE_MODES,
         help="end-to-end request tracing: tail-biased exemplars "
         "('exemplar') or every completed request ('full'); default off",
-    )
-    parser.add_argument(
-        "--trace-dir",
+    ),
+    "--trace-dir": dict(
         help="write exemplar span trees and flight-recorder dumps as "
         "JSONL files under this directory",
-    )
-    parser.add_argument(
-        "--trace-slo",
-        type=float,
+    ),
+    "--trace-slo": dict(
         default=1.0,
         metavar="SECONDS",
         help="flight-recorder SLO-breach trigger: total request latency "
         "over this many seconds (default 1.0)",
-    )
-    parser.add_argument(
-        "--trace-stall-spike",
-        type=float,
+    ),
+    "--trace-stall-spike": dict(
         default=0.25,
         metavar="SECONDS",
         help="flight-recorder stall-spike trigger: one engine stall "
         "over this many seconds (default 0.25)",
-    )
-    parser.add_argument(
-        "--trace-dip",
-        type=float,
+    ),
+    "--trace-dip": dict(
         default=0.7,
         metavar="RATIO",
         help="flight-recorder hit-ratio-dip trigger threshold, same "
         "family as repro diagnose (default 0.7)",
-    )
-
-
-def _add_control(parser: argparse.ArgumentParser) -> None:
-    from repro.control import CONTROLLER_NAMES
-
-    parser.add_argument(
-        "--controller",
+    ),
+    "--controller": dict(
         default="off",
         choices=CONTROLLER_NAMES,
         help="runtime feedback controller: 'static' (inert anchor), "
         "'rules' (banded hysteresis) or 'gradient' (hill-climb); "
         "default off",
-    )
-    parser.add_argument(
-        "--control-interval",
-        type=int,
+    ),
+    "--control-interval": dict(
         default=30,
         metavar="SECONDS",
         help="virtual seconds between control ticks (default 30)",
-    )
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale",
-        type=int,
-        default=2048,
-        help="linear size scale vs the paper's setup (default 2048)",
-    )
-    parser.add_argument(
-        "--duration",
-        type=int,
-        default=8000,
-        help="virtual seconds to run (paper: 20000)",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--scan",
+    ),
+    "--refresh": dict(
+        default=20, help="virtual seconds between frames (default 20)"
+    ),
+    "--plain": dict(
         action="store_true",
-        help="drive range queries instead of point reads",
-    )
+        help="append frames instead of redrawing (the non-tty default)",
+    ),
+    # Profiling, tracing and replay of closed-loop runs.
+    "--profile": dict(
+        action="store_true",
+        help="run under cProfile: print the top functions and dump "
+        "a .pstats file (single-seed runs only)",
+    ),
+    "--profile-out": dict(
+        help="cProfile dump path (default results/profile_<engine>.pstats)"
+    ),
+    "--profile-top": dict(
+        default=25,
+        help="rows in the printed cumulative-time table (default 25)",
+    ),
+    "--sample-every": dict(
+        default=32,
+        help="emit one read span per this many reads (default 32)",
+    ),
+    "--dip-threshold": dict(
+        default=0.7,
+        help="hit-ratio threshold whose downward crossings are diagnosed",
+    ),
+    "file": dict(help="trace file (one operation per line)"),
+    "--preload": dict(
+        action="store_true",
+        help="bulk-load the unique data set before replaying",
+    ),
+    # The differential harness.
+    "--ops": dict(
+        default=5000, help="schedule length per engine (default 5000)"
+    ),
+    "--key-space": dict(
+        default=2000, help="distinct keys in the schedule (default 2000)"
+    ),
+    "--crash": dict(
+        action="store_true",
+        help="also run crash/recovery fault injection at every crash point",
+    ),
+    "--crash-ops": dict(
+        default=2500,
+        help="schedule length for crash experiments (default 2500)",
+    ),
+    # Outputs.
+    "--json": dict(action="store_true", help="print JSON instead of tables"),
+    "--name": dict(help="payload name (default %(default)s)"),
+    "--out": dict(
+        help="write the bench-schema payload (trace: the JSONL trace) "
+        "to this file"
+    ),
+    "--out-dir": dict(
+        help="write the payload plus one lossless JSON per run here"
+    ),
+    "--csv": dict(help="write the per-second series to this file"),
+    "--trace-out": dict(help="also write the full JSONL trace to this path"),
+    "--metrics-out": dict(
+        help="write a final OpenMetrics snapshot of every shard "
+        "registry to this file",
+    ),
+    "--from": dict(
+        dest="from_file",
+        metavar="FILE",
+        help="render an archived JSON payload (bench payload or "
+        "lossless serve/cluster result) instead of running",
+    ),
+}
+
+#: The options of one closed-loop run.
+_CLOSED_LOOP = "--scale --duration --seed --scan"
+
+#: The options every open-loop command (serve, cluster, top) takes; the
+#: spec fields they set, but ``--policy``, are :func:`_serving`.
+_SERVING = (
+    "--policy --arrival --queue-bound --scale --duration --trace "
+    "--trace-dir --trace-slo --trace-stall-spike --trace-dip "
+    "--controller --control-interval"
+)
 
 
-def _summary_row(name: str, result: RunResult) -> list[str]:
-    return [
-        name,
-        f"{result.mean_hit_ratio():.3f}",
-        format_qps(result.mean_throughput()),
-        f"{result.mean_db_size_mb():,.0f}",
-        f"{result.latency_percentile_s(50) * 1000:.2f}",
-        f"{result.latency_percentile_s(99) * 1000:.2f}",
-    ]
+def _declare(
+    parser: argparse.ArgumentParser, names: str, **defaults: object
+) -> None:
+    """Add the space-separated ``names`` of :data:`_OPTIONS` to ``parser``.
 
-
-_HEADERS = ["engine", "hit", "QPS", "DB MB", "p50 ms", "p99 ms"]
-
-#: Headers for seed-replicated summaries (``--seeds``).
-_REPLICA_HEADERS = [
-    "engine", "n", "hit mean±std", "QPS mean±std", "p99 ms mean"
-]
-
-
-def _parse_seeds(text: str) -> list[int]:
-    seeds = [int(part) for part in text.split(",") if part.strip()]
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    return seeds
-
-
-def _replicate(names: list[str], seeds: list[int], args: argparse.Namespace):
-    """Run every engine once per seed (via the sweep runner).
-
-    Returns the sweep outcome plus one cell summary per engine, in the
-    order of ``names``.
+    ``defaults`` maps an option's dest to this command's default
+    (:data:`_REQUIRED` makes the option required).  An int or float
+    default also types the option, so ``rate=2000.0`` takes one float
+    where ``rate="2000,8000"`` takes a comma list.
     """
-    specs = expand_grid(
-        names,
-        seeds=seeds,
-        scale=args.scale,
-        duration_s=args.duration,
-        scan_mode=args.scan,
-    )
-    outcome = run_sweep(specs, jobs=args.jobs)
-    by_engine = {cell.engine: cell for cell in outcome.cells()}
-    return outcome, [by_engine[name] for name in names]
+    for name in names.split():
+        kwargs = dict(_OPTIONS[name])
+        dest = kwargs.get("dest", name.lstrip("-").replace("-", "_"))
+        if dest in defaults:
+            kwargs["default"] = defaults[dest]
+        if kwargs.get("default") is _REQUIRED:
+            del kwargs["default"]
+            kwargs["required"] = True
+        elif type(kwargs.get("default")) in (int, float):
+            kwargs.setdefault("type", type(kwargs["default"]))
+        parser.add_argument(name, **kwargs)
 
 
-def _replica_row(name: str, cell) -> list[str]:
-    hit = cell.stats["hit_ratio"]
-    qps = cell.stats["throughput_qps"]
-    p99 = cell.stats["latency_p99_ms"]
-    return [
-        name,
-        str(cell.replicas),
-        f"{hit['mean']:.3f} ± {hit['std']:.3f}",
-        f"{qps['mean']:,.0f} ± {qps['std']:,.0f}",
-        f"{p99['mean']:.2f}",
-    ]
+def _parse_list(
+    text: str,
+    noun: str,
+    parse=str,
+    choices: tuple | None = None,
+) -> list:
+    """A comma-separated option value as a non-empty list.
+
+    Each entry goes through ``parse`` and, when ``choices`` is given,
+    must be one of them; otherwise, or for an empty list, this raises
+    :class:`ConfigError`.
+    """
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ConfigError(f"no {noun} in {text!r}")
+    try:
+        values = [parse(part) for part in parts]
+    except ValueError as error:
+        raise ConfigError(str(error)) from None
+    if choices is not None:
+        unknown = [value for value in values if value not in choices]
+        if unknown:
+            raise ConfigError(
+                f"unknown {noun}: {unknown}; choose from {choices}"
+            )
+    return values
 
 
-def _replica_json(outcome, cell) -> dict:
-    replicas = [
-        dict(o.result.to_json_dict(), seed=o.spec.seed, wall_clock_s=o.wall_clock_s)
-        for o in outcome.outcomes
-        if o.spec.engine == cell.engine
-    ]
-    return dict(cell.to_json_dict(), replicas=replicas)
-
-
-def cmd_engines(args: argparse.Namespace) -> int:
-    from repro.sim.experiment import ENGINE_SPECS
-
-    if getattr(args, "json", False):
-        entries = [
-            {
-                "name": spec.name,
-                "wiring": spec.wiring,
-                "summary": spec.summary,
-                "axes": spec.axes.to_dict() if spec.axes else None,
-            }
-            for spec in ENGINE_SPECS.values()
-        ]
-        print(json.dumps(entries, indent=2, sort_keys=True))
-        return 0
-    rows = [
-        [
-            spec.name,
-            spec.axes.describe() if spec.axes else "from config",
-            spec.wiring,
-            spec.summary,
-        ]
-        for spec in ENGINE_SPECS.values()
-    ]
-    print(ascii_table(["engine", "design point", "wiring", "summary"], rows))
-    return 0
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    mode = "range queries" if args.scan else "point reads"
-    if args.seeds is not None:
-        if args.csv:
-            print("--csv is per-run; use it with --seed, not --seeds",
-                  file=sys.stderr)
-            return 2
-        if args.profile:
-            print("--profile is per-run; use it with --seed, not --seeds",
-                  file=sys.stderr)
-            return 2
-        try:
-            seeds = _parse_seeds(args.seeds)
-        except ValueError as error:
-            print(f"run: {error}", file=sys.stderr)
-            return 2
-        print(
-            f"running {args.engine} at 1/{args.scale} scale for "
-            f"{args.duration} virtual seconds ({mode}), "
-            f"seeds {args.seeds}, jobs={args.jobs}",
-            file=sys.stderr,
-        )
-        outcome, (cell,) = _replicate([args.engine], seeds, args)
-        if args.json:
-            print(json.dumps(_replica_json(outcome, cell), indent=2,
-                             sort_keys=True))
-        else:
-            print(ascii_table(
-                _REPLICA_HEADERS, [_replica_row(args.engine, cell)]
-            ))
-        return 0
-    config = SystemConfig.paper_scaled(args.scale)
-    print(
-        f"running {args.engine} at 1/{args.scale} scale for "
-        f"{args.duration} virtual seconds ({mode})",
-        file=sys.stderr,
-    )
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        result = run_experiment(
-            args.engine,
-            config,
-            duration_s=args.duration,
-            seed=args.seed,
-            scan_mode=args.scan,
-        )
-        profiler.disable()
-        out = Path(
-            args.profile_out
-            or f"results/profile_{args.engine.replace('+', '_')}.pstats"
-        )
-        out.parent.mkdir(parents=True, exist_ok=True)
-        profiler.dump_stats(out)
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative").print_stats(args.profile_top)
-        print(
-            f"[cProfile dump written to {out}; inspect with "
-            f"`python -m pstats {out}` or snakeviz]",
-            file=sys.stderr,
-        )
-    else:
-        result = run_experiment(
-            args.engine,
-            config,
-            duration_s=args.duration,
-            seed=args.seed,
-            scan_mode=args.scan,
-        )
-    if args.json:
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(ascii_table(_HEADERS, [_summary_row(args.engine, result)]))
-        print()
-        print(series_block("hit ratio", result.hit_ratio))
-        print(series_block("throughput (QPS)", result.throughput_qps))
-        print(series_block("DB size (MB)", result.db_size_mb))
-    if args.csv:
-        Path(args.csv).write_text("\n".join(result.to_csv_rows()) + "\n")
-        print(f"\ntime series written to {args.csv}", file=sys.stderr)
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    names = [name.strip() for name in args.engines.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ENGINE_NAMES]
-    if unknown:
-        print(f"unknown engines: {unknown}; see `engines`", file=sys.stderr)
-        return 2
-    if args.seeds is not None:
-        try:
-            seeds = _parse_seeds(args.seeds)
-        except ValueError as error:
-            print(f"compare: {error}", file=sys.stderr)
-            return 2
-        print(
-            f"comparing {','.join(names)} over seeds {args.seeds}, "
-            f"jobs={args.jobs} ...",
-            file=sys.stderr,
-        )
-        outcome, cells = _replicate(names, seeds, args)
-        if args.json:
-            print(json.dumps(
-                [_replica_json(outcome, cell) for cell in cells],
-                indent=2, sort_keys=True,
-            ))
-        else:
-            print(ascii_table(
-                _REPLICA_HEADERS,
-                [_replica_row(name, cell)
-                 for name, cell in zip(names, cells)],
-            ))
-        return 0
-    config = SystemConfig.paper_scaled(args.scale)
-    rows = []
-    summaries = []
-    for name in names:
-        print(f"running {name} ...", file=sys.stderr)
-        result = run_experiment(
-            name,
-            config,
-            duration_s=args.duration,
-            seed=args.seed,
-            scan_mode=args.scan,
-        )
-        rows.append(_summary_row(name, result))
-        summaries.append(result.to_json_dict())
-    if args.json:
-        print(json.dumps(summaries, indent=2, sort_keys=True))
-    else:
-        print(ascii_table(_HEADERS, rows))
-    return 0
+def _engines(text: str) -> list[str]:
+    """The names an ``--engines`` value lists; any other entry raises
+    ``unknown engines: [...]; choose from (...)``."""
+    return _parse_list(text, "engines", choices=ENGINE_NAMES)
 
 
 #: Parsers for ``--set field=v1,v2`` values, keyed by the annotated type
@@ -421,66 +400,95 @@ _CONFIG_FIELD_TYPES = {
 }
 
 
-def _parse_axis(setting: str) -> tuple[str, list[object]]:
-    """Parse one ``--set field=v1,v2`` grid axis, typed per the config."""
-    key, separator, raw = setting.partition("=")
-    key = key.strip()
-    if not separator or not raw.strip():
-        raise ConfigError(f"--set expects field=v1,v2..., got {setting!r}")
-    field_type = _CONFIG_FIELD_TYPES.get(key)
-    if field_type is None:
-        raise ConfigError(
-            f"unknown SystemConfig field {key!r} in --set {setting!r}"
-        )
-    parse = _AXIS_PARSERS.get(field_type, str)
-    return key, [parse(part.strip()) for part in raw.split(",") if part.strip()]
+def _parse_axes(settings: list[str] | None) -> dict[str, list[object]]:
+    """The ``--set field=v1,v2`` grid axes, typed per the config."""
+    axes = {}
+    for setting in settings or []:
+        key, separator, raw = setting.partition("=")
+        key = key.strip()
+        if not separator or not raw.strip():
+            raise ConfigError(f"--set expects field=v1,v2..., got {setting!r}")
+        field_type = _CONFIG_FIELD_TYPES.get(key)
+        if field_type is None:
+            raise ConfigError(
+                f"unknown SystemConfig field {key!r} in --set {setting!r}"
+            )
+        axes[key] = _parse_list(raw, key, _AXIS_PARSERS.get(field_type, str))
+    return axes
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Declarative grid sweep over engines × seeds × config overrides."""
-    names = [name.strip() for name in args.engines.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ENGINE_NAMES]
-    if unknown:
-        print(f"unknown engines: {unknown}; see `engines`", file=sys.stderr)
-        return 2
-    try:
-        seeds = _parse_seeds(args.seeds)
-        axes = dict(_parse_axis(setting) for setting in args.set or [])
-        specs = expand_grid(
-            names,
-            seeds=seeds,
-            scale=args.scale,
-            duration_s=args.duration,
-            scan_mode=args.scan,
-            axes=axes,
-        )
-    except (ConfigError, ValueError) as error:
-        print(f"sweep: {error}", file=sys.stderr)
-        return 2
-    print(
-        f"sweep: {len(specs)} runs "
-        f"({len(names)} engines × {len(seeds)} seeds"
-        + "".join(f" × {len(vals)} {key}" for key, vals in axes.items())
-        + f") with jobs={args.jobs}",
-        file=sys.stderr,
-    )
-    outcome = run_sweep(specs, jobs=args.jobs)
-    payload = outcome.to_payload(args.name)
+def _serving(args: argparse.Namespace) -> dict[str, object]:
+    """The spec fields :data:`_SERVING` sets, but the policy."""
+    return {
+        "scale": args.scale,
+        "duration_s": args.duration,
+        "arrival": args.arrival,
+        "queue_bound": args.queue_bound,
+        "trace": args.trace,
+        "trace_dir": args.trace_dir,
+        "trace_slo_s": args.trace_slo,
+        "trace_stall_spike_s": args.trace_stall_spike,
+        "trace_dip_threshold": args.trace_dip,
+        "controller": args.controller,
+        "control_interval_s": args.control_interval,
+    }
+
+
+# ----------------------------------------------------------------------
+# Outputs.
+# ----------------------------------------------------------------------
+
+
+def _print_json(value: object) -> None:
+    print(json.dumps(value, indent=2, sort_keys=True))
+
+
+def _write(path: str | Path, text: str, what: str) -> None:
+    """Write one output file, creating missing parent directories."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    print(f"{what} written to {out}", file=sys.stderr)
+
+
+def _publish(args: argparse.Namespace, payload: dict) -> bool:
+    """Write ``payload`` to ``--out`` and print it for ``--json``.
+
+    Returns whether it was printed; the command then prints no tables.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        path = outcome.write_payload(args.out, args.name)
-        print(f"sweep payload written to {path}", file=sys.stderr)
-    if args.out_dir:
-        outcome.write_payload(
-            Path(args.out_dir) / f"BENCH_{args.name}.json", args.name
-        )
-        paths = outcome.write_runs(args.out_dir)
-        print(
-            f"{len(paths)} full per-run results written to {args.out_dir}",
-            file=sys.stderr,
-        )
+        _write(args.out, text + "\n", f"{args.command} payload")
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+        print(text)
+    return args.json
+
+
+def _footer(outcome: SweepOutcome) -> str:
+    return (
+        f"\n{len(outcome.outcomes)} runs in {outcome.wall_clock_s:.1f}s "
+        f"with jobs={outcome.jobs} "
+        f"(serial estimate {outcome.serial_estimate_s:.1f}s, "
+        f"speedup {outcome.speedup:.2f}x)"
+    )
+
+
+_HEADERS = ["engine", "hit", "QPS", "DB MB", "p50 ms", "p99 ms"]
+
+
+def _summary_row(result: RunResult) -> list[str]:
+    return [
+        result.engine,
+        f"{result.mean_hit_ratio():.3f}",
+        format_qps(result.mean_throughput()),
+        f"{result.mean_db_size_mb():,.0f}",
+        f"{result.latency_percentile_s(50) * 1000:.2f}",
+        f"{result.latency_percentile_s(99) * 1000:.2f}",
+    ]
+
+
+def _replica_table(cells) -> str:
+    """Seed-replicated cells (``--seeds``, sweeps) as mean ± std rows."""
     rows = [
         [
             cell.key,
@@ -491,66 +499,337 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{cell.stats['throughput_qps']['std']:,.0f}",
             f"{cell.stats['latency_p99_ms']['mean']:.2f}",
         ]
-        for cell in outcome.cells()
+        for cell in cells
     ]
-    print(ascii_table(
-        ["cell", "n", "hit mean±std", "QPS mean±std", "p99 ms"], rows
-    ))
-    print(
-        f"\n{len(outcome.outcomes)} runs in {outcome.wall_clock_s:.1f}s "
-        f"with jobs={outcome.jobs} "
-        f"(serial estimate {outcome.serial_estimate_s:.1f}s, "
-        f"speedup {outcome.speedup:.2f}x)"
+    return ascii_table(
+        ["cell", "n", "hit mean±std", "QPS mean±std", "p99 ms mean"], rows
     )
+
+
+def _replica_json(outcome: SweepOutcome, cell) -> dict:
+    replicas = [
+        dict(o.result.to_json_dict(), seed=o.spec.seed, wall_clock_s=o.wall_clock_s)
+        for o in outcome.outcomes
+        if o.spec.cell_key() == cell.key
+    ]
+    return dict(cell.to_json_dict(), replicas=replicas)
+
+
+#: Headers for the worst-exemplar digest table (tracing runs).
+_EXEMPLAR_HEADERS = [
+    "trace id", "shard", "class", "op", "sampled", "total ms",
+    "queue ms", "service ms", "top stage", "stage ms",
+]
+
+
+def _render_trace(label: str, trace: dict) -> None:
+    """Print a ``trace`` digest: mode and flight-recorder triggers, then
+    the worst requests (``exemplar_summary`` digests, ``.get``-tolerant).
+    """
+    triggers = trace.get("flight_triggers") or []
+    print(
+        f"trace: mode={trace.get('mode', '?')} "
+        f"exemplars={trace.get('exemplars', 0)} "
+        f"flight_dumps={trace.get('flight_dumps', 0)} "
+        f"triggers={','.join(str(t) for t in triggers) or '-'}"
+    )
+    worst = trace.get("worst_exemplars")
+    if not isinstance(worst, list) or not worst:
+        return
+    print(f"worst exemplars — {label}")
+    print(ascii_table(_EXEMPLAR_HEADERS, [
+        [
+            str(digest.get("trace_id", "?")),
+            "-" if digest.get("shard") is None else str(digest["shard"]),
+            str(digest.get("klass", "?")),
+            str(digest.get("op", "?")),
+            str(digest.get("sampled", "?")),
+            f"{digest.get('total_ms', 0.0):.3f}",
+            f"{digest.get('queue_ms', 0.0):.3f}",
+            f"{digest.get('service_ms', 0.0):.3f}",
+            str(digest.get("top_stage", "?")),
+            f"{digest.get('top_stage_ms', 0.0):.3f}",
+        ]
+        for digest in worst
+    ]))
+
+
+def _render_cluster_entry(label: str, entry: dict) -> None:
+    """Cluster bench entry as summary + per-shard tables (``.get``-based)."""
+    print(ascii_table(
+        ["cluster", "shards", "goodput", "p50 ms", "p99 ms",
+         "imbalance", "hottest", "shed", "deferred"],
+        [[
+            label,
+            str(entry.get("num_shards", "?")),
+            format_qps(float(entry.get("goodput_qps", 0.0))),
+            f"{entry.get('latency_p50_ms', 0.0):.2f}",
+            f"{entry.get('latency_p99_ms', 0.0):.2f}",
+            f"{entry.get('read_imbalance', 1.0):.2f}x",
+            str(entry.get("hottest_shard", "?")),
+            str(entry.get("shed", 0)),
+            str(entry.get("deferred", 0)),
+        ]],
+    ))
+    per_shard = entry.get("per_shard")
+    if isinstance(per_shard, dict) and per_shard:
+        rows = []
+        for index in sorted(
+            per_shard, key=lambda s: int(s) if str(s).isdigit() else -1
+        ):
+            shard = per_shard[index]
+            if not isinstance(shard, dict):
+                continue
+            rows.append([
+                str(index),
+                str(shard.get("reads_completed", 0)),
+                str(shard.get("writes_applied", 0)),
+                format_qps(float(shard.get("goodput_qps", 0.0))),
+                f"{shard.get('latency_p99_ms', 0.0):.2f}",
+                f"{shard.get('mean_hit_ratio', 0.0):.3f}",
+                f"{shard.get('stall_seconds', 0.0):.1f}",
+                str(shard.get("shed", 0)),
+            ])
+        print(ascii_table(
+            ["shard", "reads", "writes", "goodput", "p99 ms", "hit",
+             "stall s", "shed"],
+            rows,
+        ))
+    migration = entry.get("migration")
+    if isinstance(migration, dict):
+        print(
+            f"migration: [{migration.get('low')}, {migration.get('high')}) "
+            f"shard {migration.get('source')} -> {migration.get('target')} "
+            f"at t={migration.get('at_s')}s "
+            f"({migration.get('entries')} entries)"
+        )
+    verify = entry.get("verify")
+    if isinstance(verify, dict):
+        print(
+            f"oracle: {verify.get('reads_checked', 0)} reads checked, "
+            f"{verify.get('read_mismatches', 0)} mismatches"
+        )
+
+
+def _render_run_entry(label: str, entry: dict) -> None:
+    """Any bench entry: cluster tables, or a one-row run/serve summary."""
+    if entry.get("kind") == "cluster":
+        _render_cluster_entry(label, entry)
+    else:
+        print(ascii_table(
+            ["run", "kind", "reads", "writes", "hit", "p50 ms", "p99 ms"],
+            [[
+                label,
+                str(entry.get("kind", "run")),
+                str(entry.get("reads_completed", 0)),
+                str(entry.get("writes_applied", 0)),
+                f"{entry.get('mean_hit_ratio', 0.0):.3f}",
+                f"{entry.get('latency_p50_ms', 0.0):.2f}",
+                f"{entry.get('latency_p99_ms', 0.0):.2f}",
+            ]],
+        ))
+    trace = entry.get("trace")
+    if isinstance(trace, dict):
+        _render_trace(label, trace)
+
+
+def _render_bench(payload: dict) -> None:
+    """A bench payload: a header, then each run entry by its ``kind``."""
+    runs = payload["runs"]
+    print(
+        f"payload {payload.get('name', '?')!r}: {len(runs)} runs "
+        f"(schema v{payload.get('schema_version', '?')})"
+    )
+    for label in sorted(runs):
+        if isinstance(runs[label], dict):
+            print()
+            _render_run_entry(label, runs[label])
+
+
+# ----------------------------------------------------------------------
+# Commands.
+# ----------------------------------------------------------------------
+
+
+def cmd_engines(args: argparse.Namespace) -> int:
+    if args.json:
+        _print_json([
+            {
+                "name": spec.name,
+                "wiring": spec.wiring,
+                "summary": spec.summary,
+                "axes": spec.axes.to_dict() if spec.axes else None,
+            }
+            for spec in ENGINE_SPECS.values()
+        ])
+        return 0
+    rows = [
+        [
+            spec.name,
+            spec.axes.describe() if spec.axes else "from config",
+            spec.wiring,
+            spec.summary,
+        ]
+        for spec in ENGINE_SPECS.values()
+    ]
+    print(ascii_table(["engine", "design point", "wiring", "summary"], rows))
+    return 0
+
+
+def _closed_loop(
+    args: argparse.Namespace, names: list[str]
+) -> tuple[SweepOutcome, list[dict], str]:
+    """Run ``names`` at ``--seed``, or once per ``--seeds`` entry, through
+    the sweep runner.
+
+    Returns the outcome plus one JSON summary per engine and the table
+    of them; over ``--seeds`` both hold mean ± std per engine.
+    """
+    replicated = args.seeds is not None
+    seeds = _parse_list(args.seeds, "seeds", int) if replicated else [args.seed]
+    specs = expand_grid(
+        names,
+        seeds=seeds,
+        scale=args.scale,
+        duration_s=args.duration,
+        scan_mode=args.scan,
+    )
+    print(
+        f"running {','.join(names)} at 1/{args.scale} scale for "
+        f"{args.duration} virtual seconds "
+        f"({'range queries' if args.scan else 'point reads'}), "
+        f"seeds {','.join(map(str, seeds))}, jobs={args.jobs}",
+        file=sys.stderr,
+    )
+    outcome = run_sweep(specs, jobs=args.jobs)
+    if replicated:
+        cells = outcome.cells()
+        summaries = [_replica_json(outcome, cell) for cell in cells]
+        return outcome, summaries, _replica_table(cells)
+    results = [o.result for o in outcome.outcomes]
+    summaries = [result.to_json_dict() for result in results]
+    return outcome, summaries, ascii_table(
+        _HEADERS, [_summary_row(result) for result in results]
+    )
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    for flag, value in (("--csv", args.csv), ("--profile", args.profile)):
+        if value and args.seeds is not None:
+            raise ConfigError(
+                f"{flag} is per-run; use it with --seed, not --seeds"
+            )
+    if args.profile:
+        import cProfile
+        import pstats
+
+        profiler = cProfile.Profile()
+        outcome, (summary,), table = profiler.runcall(
+            _closed_loop, args, [args.engine]
+        )
+        out = Path(
+            args.profile_out
+            or f"results/profile_{args.engine.replace('+', '_')}.pstats"
+        )
+        out.parent.mkdir(parents=True, exist_ok=True)
+        profiler.dump_stats(out)
+        stats = pstats.Stats(profiler, stream=sys.stderr)
+        stats.sort_stats("cumulative").print_stats(args.profile_top)
+        print(
+            f"[cProfile dump written to {out}; inspect with "
+            f"`python -m pstats {out}` or snakeviz]",
+            file=sys.stderr,
+        )
+    else:
+        outcome, (summary,), table = _closed_loop(args, [args.engine])
+    if args.json:
+        _print_json(summary)
+    else:
+        print(table)
+    if args.seeds is not None:
+        return 0
+    result = outcome.outcomes[0].result
+    if not args.json:
+        print()
+        print(series_block("hit ratio", result.hit_ratio))
+        print(series_block("throughput (QPS)", result.throughput_qps))
+        print(series_block("DB size (MB)", result.db_size_mb))
+    if args.csv:
+        _write(args.csv, "\n".join(result.to_csv_rows()) + "\n", "time series")
+    return 0
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    _, summaries, table = _closed_loop(args, _engines(args.engines))
+    if args.json:
+        _print_json(summaries)
+    else:
+        print(table)
+    return 0
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Declarative grid sweep over engines × seeds × config overrides."""
+    names = _engines(args.engines)
+    seeds = _parse_list(args.seeds, "seeds", int)
+    axes = _parse_axes(args.set)
+    specs = expand_grid(
+        names,
+        seeds=seeds,
+        scale=args.scale,
+        duration_s=args.duration,
+        scan_mode=args.scan,
+        axes=axes,
+    )
+    print(
+        f"sweep: {len(specs)} runs "
+        f"({len(names)} engines × {len(seeds)} seeds"
+        + "".join(f" × {len(vals)} {key}" for key, vals in axes.items())
+        + f") with jobs={args.jobs}",
+        file=sys.stderr,
+    )
+    outcome = run_sweep(specs, jobs=args.jobs)
+    if args.out_dir:
+        outcome.write_payload(
+            Path(args.out_dir) / f"BENCH_{args.name}.json", args.name
+        )
+        paths = outcome.write_runs(args.out_dir)
+        print(
+            f"{len(paths)} full per-run results written to {args.out_dir}",
+            file=sys.stderr,
+        )
+    if _publish(args, outcome.to_payload(args.name)):
+        return 0
+    print(_replica_table(outcome.cells()))
+    print(_footer(outcome))
     return 0
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
     """Search the compaction design space for an SLO objective."""
-    from repro.sim.tune import OBJECTIVES, run_tune
+    from repro.sim.tune import run_tune
 
-    names = [name.strip() for name in args.engines.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ENGINE_NAMES]
-    if unknown:
-        print(f"unknown engines: {unknown}; see `engines`", file=sys.stderr)
-        return 2
-    try:
-        seeds = _parse_seeds(args.seeds)
-        axes = dict(_parse_axis(setting) for setting in args.set or [])
-    except (ConfigError, ValueError) as error:
-        print(f"tune: {error}", file=sys.stderr)
-        return 2
-    cells = len(names)
-    for values in axes.values():
-        cells *= len(values)
+    names = _engines(args.engines)
+    seeds = _parse_list(args.seeds, "seeds", int)
+    axes = _parse_axes(args.set)
+    candidates = len(names) * math.prod(len(values) for values in axes.values())
     print(
-        f"tune: objective={args.objective}, {cells} candidates × "
+        f"tune: objective={args.objective}, {candidates} candidates × "
         f"{len(seeds)} seeds with jobs={args.jobs}",
         file=sys.stderr,
     )
-    try:
-        outcome = run_tune(
-            names,
-            seeds,
-            args.objective,
-            axes=axes,
-            scale=args.scale,
-            duration_s=args.duration,
-            jobs=args.jobs,
-            rate_qps=args.rate,
-            policy=args.policy,
-        )
-    except ConfigError as error:
-        print(f"tune: {error}", file=sys.stderr)
-        return 2
-    payload = outcome.to_payload(args.name)
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"tune payload written to {path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    outcome = run_tune(
+        names,
+        seeds,
+        args.objective,
+        axes=axes,
+        scale=args.scale,
+        duration_s=args.duration,
+        jobs=args.jobs,
+        rate_qps=args.rate,
+        policy=args.policy,
+    )
+    if _publish(args, outcome.to_payload(args.name)):
         return 0
     direction, description = OBJECTIVES[args.objective]
     rows = [
@@ -588,40 +867,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
                 for name, entry in deltas.items()
             ],
         ))
-    sweep = outcome.sweep
-    print(
-        f"\n{len(sweep.outcomes)} runs in {sweep.wall_clock_s:.1f}s "
-        f"with jobs={sweep.jobs} "
-        f"(serial estimate {sweep.serial_estimate_s:.1f}s, "
-        f"speedup {sweep.speedup:.2f}x)"
-    )
+    print(_footer(outcome.sweep))
     return 0
-
-
-#: Headers for the worst-exemplar digest table (tracing runs).
-_EXEMPLAR_HEADERS = [
-    "trace id", "shard", "class", "op", "sampled", "total ms",
-    "queue ms", "service ms", "top stage", "stage ms",
-]
-
-
-def _exemplar_rows(digests: list[dict]) -> list[list[str]]:
-    """Table rows from ``exemplar_summary`` digests (``.get``-tolerant)."""
-    return [
-        [
-            str(digest.get("trace_id", "?")),
-            "-" if digest.get("shard") is None else str(digest["shard"]),
-            str(digest.get("klass", "?")),
-            str(digest.get("op", "?")),
-            str(digest.get("sampled", "?")),
-            f"{digest.get('total_ms', 0.0):.3f}",
-            f"{digest.get('queue_ms', 0.0):.3f}",
-            f"{digest.get('service_ms', 0.0):.3f}",
-            str(digest.get("top_stage", "?")),
-            f"{digest.get('top_stage_ms', 0.0):.3f}",
-        ]
-        for digest in digests
-    ]
 
 
 #: Headers for the serve latency-vs-offered-load table.
@@ -631,7 +878,7 @@ _SERVE_HEADERS = [
 ]
 
 
-def _serve_rows(outcome) -> list[list[str]]:
+def _serve_rows(outcome: SweepOutcome) -> list[list[str]]:
     """One row per run × client class from a serve sweep outcome."""
     rows = []
     for spec_outcome in outcome.outcomes:
@@ -663,42 +910,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.scheduler import SCHEDULER_NAMES
     from repro.serve.spec import expand_serve_grid
 
-    names = [name.strip() for name in args.engines.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ENGINE_NAMES]
-    if unknown:
-        print(f"unknown engines: {unknown}; see `engines`", file=sys.stderr)
-        return 2
-    policies = [p.strip() for p in args.policy.split(",") if p.strip()]
-    bad = [p for p in policies if p not in SCHEDULER_NAMES]
-    if bad:
-        print(
-            f"unknown policies: {bad}; choose from {SCHEDULER_NAMES}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        rates = [float(r) for r in args.rate.split(",") if r.strip()]
-        seeds = _parse_seeds(args.seeds)
-        specs = expand_serve_grid(
-            names,
-            rates,
-            policies,
-            seeds,
-            arrival=args.arrival,
-            scale=args.scale,
-            duration_s=args.duration,
-            queue_bound=args.queue_bound,
-            trace=args.trace,
-            trace_dir=args.trace_dir,
-            trace_slo_s=args.trace_slo,
-            trace_stall_spike_s=args.trace_stall_spike,
-            trace_dip_threshold=args.trace_dip,
-            controller=args.controller,
-            control_interval_s=args.control_interval,
-        )
-    except (ConfigError, ValueError) as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
+    names = _engines(args.engines)
+    rates = _parse_list(args.rate, "rates", float)
+    policies = _parse_list(args.policy, "policies", choices=SCHEDULER_NAMES)
+    seeds = _parse_list(args.seeds, "seeds", int)
+    specs = expand_serve_grid(names, rates, policies, seeds, **_serving(args))
     print(
         f"serve: {len(specs)} runs ({len(names)} engines × {len(rates)} "
         f"rates × {len(policies)} policies × {len(seeds)} seeds), "
@@ -708,45 +924,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     outcome = run_sweep(specs, jobs=args.jobs)
     payload = outcome.to_payload(args.name)
-    if args.out:
-        path = outcome.write_payload(args.out, args.name)
-        print(f"serve payload written to {path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    if _publish(args, payload):
         return 0
     print(ascii_table(_SERVE_HEADERS, _serve_rows(outcome)))
-    for spec_outcome in outcome.outcomes:
-        result = spec_outcome.result
-        if result.trace_mode == "off" or not result.exemplars:
-            continue
-        print(
-            f"\nworst exemplars — {spec_outcome.spec.label()} "
-            f"({len(result.exemplars)} kept, "
-            f"{len(result.flight_dumps)} flight dumps)"
-        )
-        print(ascii_table(
-            _EXEMPLAR_HEADERS, _exemplar_rows(result.worst_exemplars(5))
-        ))
-    print(
-        f"\n{len(outcome.outcomes)} runs in {outcome.wall_clock_s:.1f}s "
-        f"with jobs={outcome.jobs} "
-        f"(serial estimate {outcome.serial_estimate_s:.1f}s, "
-        f"speedup {outcome.speedup:.2f}x)"
-    )
+    for label, entry in payload["runs"].items():
+        if "trace" in entry:
+            print()
+            _render_trace(label, entry["trace"])
+    print(_footer(outcome))
     return 0
-
-
-#: Headers for the cluster summary table (one row per cluster cell).
-_CLUSTER_HEADERS = [
-    "cluster", "shards", "goodput", "p50 ms", "p99 ms", "imbalance",
-    "hottest", "shed", "deferred",
-]
-
-#: Headers for the per-shard detail table.
-_SHARD_HEADERS = [
-    "cluster", "shard", "reads", "writes", "goodput", "p99 ms", "hit",
-    "stall s", "shed",
-]
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -757,61 +943,29 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         expand_cluster_grid,
         run_cluster_grid,
     )
-    from repro.serve.scheduler import SCHEDULER_NAMES
 
-    names = [name.strip() for name in args.engines.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ENGINE_NAMES]
-    if unknown:
-        print(f"unknown engines: {unknown}; see `engines`", file=sys.stderr)
-        return 2
-    if args.policy not in SCHEDULER_NAMES:
-        print(
-            f"unknown policy {args.policy!r}; choose from {SCHEDULER_NAMES}",
-            file=sys.stderr,
-        )
-        return 2
-    partitioners = [p.strip() for p in args.partitioner.split(",") if p.strip()]
-    bad = [p for p in partitioners if p not in PARTITIONERS]
-    if bad:
-        print(
-            f"unknown partitioners: {bad}; choose from {PARTITIONERS}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        shard_counts = [int(s) for s in args.shards.split(",") if s.strip()]
-        rates = [float(r) for r in args.rate.split(",") if r.strip()]
-        seeds = _parse_seeds(args.seeds)
-        common: dict[str, object] = {
-            "scale": args.scale,
-            "duration_s": args.duration,
-            "policy": args.policy,
-            "arrival": args.arrival,
-            "queue_bound": args.queue_bound,
-            "verify": args.verify,
-            "trace": args.trace,
-            "trace_dir": args.trace_dir,
-            "trace_slo_s": args.trace_slo,
-            "trace_stall_spike_s": args.trace_stall_spike,
-            "trace_dip_threshold": args.trace_dip,
-            "controller": args.controller,
-            "control_interval_s": args.control_interval,
-        }
-        if args.write_rate is not None:
-            common["write_rate_qps"] = args.write_rate
-        if args.split_at is not None:
-            common.update(
-                split_at_s=args.split_at,
-                split_source=args.split_source,
-                split_target=args.split_target,
-                split_fraction=args.split_fraction,
-            )
-        specs = expand_cluster_grid(
-            names, shard_counts, partitioners, rates, seeds, **common
-        )
-    except (ConfigError, ValueError) as error:
-        print(f"cluster: {error}", file=sys.stderr)
-        return 2
+    names = _engines(args.engines)
+    shard_counts = _parse_list(args.shards, "shard counts", int)
+    partitioners = _parse_list(
+        args.partitioner, "partitioners", choices=PARTITIONERS
+    )
+    rates = _parse_list(args.rate, "rates", float)
+    seeds = _parse_list(args.seeds, "seeds", int)
+    specs = expand_cluster_grid(
+        names,
+        shard_counts,
+        partitioners,
+        rates,
+        seeds,
+        policy=args.policy,
+        write_rate_qps=args.write_rate,
+        split_at_s=args.split_at,
+        split_source=args.split_source,
+        split_target=args.split_target,
+        split_fraction=args.split_fraction,
+        verify=args.verify,
+        **_serving(args),
+    )
     print(
         f"cluster: {len(specs)} cells ({len(names)} engines × "
         f"{len(shard_counts)} shard counts × {len(partitioners)} "
@@ -819,107 +973,37 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         f"jobs={args.jobs}",
         file=sys.stderr,
     )
-    try:
-        entries = run_cluster_grid(specs, jobs=args.jobs)
-    except ConfigError as error:
-        print(f"cluster: {error}", file=sys.stderr)
-        return 2
+    entries = run_cluster_grid(specs, jobs=args.jobs)
     payload = cluster_payload(args.name, entries)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"cluster payload written to {out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    if _publish(args, payload):
         return 0
-    summary_rows = []
-    shard_rows = []
-    for spec, result, _wall in entries:
-        summary_rows.append(
-            [
-                spec.label(),
-                str(result.num_shards),
-                format_qps(result.goodput_qps()),
-                f"{result.read_percentile_ms(50):.2f}",
-                f"{result.read_percentile_ms(99):.2f}",
-                f"{result.read_imbalance():.2f}x",
-                str(result.hottest_shard()),
-                str(result.total_shed),
-                str(result.total_deferred),
-            ]
-        )
-        for index, summary in result.per_shard_summary().items():
-            shard_rows.append(
-                [
-                    spec.label(),
-                    index,
-                    str(summary["reads_completed"]),
-                    str(summary["writes_applied"]),
-                    format_qps(summary["goodput_qps"]),
-                    f"{summary['latency_p99_ms']:.2f}",
-                    f"{summary['mean_hit_ratio']:.3f}",
-                    f"{summary['stall_seconds']:.1f}",
-                    str(summary["shed"]),
-                ]
-            )
-        if result.migration is not None:
-            m = result.migration
-            print(
-                f"{spec.label()}: migrated [{m.low}, {m.high}) "
-                f"({m.entries} entries, {m.drained_requests} queued, "
-                f"{m.moved_retries} retries) shard {m.source} -> "
-                f"{m.target} at t={m.at_s}s",
-                file=sys.stderr,
-            )
-        if result.verify is not None:
-            print(
-                f"{spec.label()}: oracle checked "
-                f"{result.verify['reads_checked']} reads, "
-                f"{result.verify['read_mismatches']} mismatches",
-                file=sys.stderr,
-            )
-    print(ascii_table(_CLUSTER_HEADERS, summary_rows))
-    print()
-    print(ascii_table(_SHARD_HEADERS, shard_rows))
-    for spec, result, _wall in entries:
-        if all(shard.trace_mode == "off" for shard in result.shards):
-            continue
-        worst = result.worst_exemplars(5)
-        if not worst:
-            continue
-        kept = sum(len(shard.exemplars) for shard in result.shards)
-        dumps = sum(len(shard.flight_dumps) for shard in result.shards)
-        print(
-            f"\nworst exemplars — {spec.label()} "
-            f"({kept} kept, {dumps} flight dumps)"
-        )
-        print(ascii_table(_EXEMPLAR_HEADERS, _exemplar_rows(worst)))
+    _render_bench(payload)
     total_wall = sum(wall for _, _, wall in entries)
     print(f"\n{len(entries)} cluster cells in {total_wall:.1f}s")
     return 0
 
 
+def _experiment_spec(args: argparse.Namespace, **fields: object) -> ExperimentSpec:
+    """The one closed-loop run ``trace`` and ``report`` describe."""
+    return ExperimentSpec(
+        args.engine,
+        scale=args.scale,
+        duration_s=args.duration,
+        seed=args.seed,
+        scan_mode=args.scan,
+        **fields,
+    )
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
-    if getattr(args, "trace_command", None) == "replay":
-        return cmd_trace_replay(args)
     if args.engine is None:
-        print("trace: --engine is required", file=sys.stderr)
-        return 2
-    config = SystemConfig.paper_scaled(args.scale)
+        raise ConfigError("--engine is required")
     print(
         f"tracing {args.engine} at 1/{args.scale} scale for "
         f"{args.duration} virtual seconds -> {args.out}",
         file=sys.stderr,
     )
-    result = run_experiment(
-        args.engine,
-        config,
-        duration_s=args.duration,
-        seed=args.seed,
-        scan_mode=args.scan,
-        trace_path=args.out,
-    )
+    result, _ = execute_with_trace(_experiment_spec(args, trace_path=args.out))
     for name in sorted(result.event_counts):
         print(f"{name}: {result.event_counts[name]}", file=sys.stderr)
     print(f"trace written to {args.out}", file=sys.stderr)
@@ -928,20 +1012,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_trace_replay(args: argparse.Namespace) -> int:
     """Replay an archived operation trace against one engine."""
-    from repro.errors import WorkloadError
     from repro.sim.experiment import build_engine, preload
     from repro.workload.trace import load_trace, replay_trace
 
-    try:
-        ops = load_trace(args.file)
-    except OSError as error:
-        print(f"trace replay: {error}", file=sys.stderr)
-        return 2
-    except WorkloadError as error:
-        print(f"trace replay: {error}", file=sys.stderr)
-        return 2
-    config = SystemConfig.paper_scaled(args.scale)
-    setup = build_engine(args.engine, config)
+    ops = load_trace(args.file)
+    setup = build_engine(args.engine, SystemConfig.paper_scaled(args.scale))
     if args.preload:
         preload(setup)
     print(
@@ -954,7 +1029,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     summary["engine"] = args.engine
     summary["ops"] = len(ops)
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        _print_json(summary)
         return 0
     rows = [
         [field, str(getattr(result, field))]
@@ -1002,102 +1077,6 @@ def _span_summaries(records: list[dict]) -> tuple[dict, dict]:
     }
 
 
-def _render_trace_section(trace: dict) -> None:
-    """Print a payload's ``trace`` digest (mode, dumps, worst requests)."""
-    triggers = trace.get("flight_triggers") or []
-    print(
-        f"trace: mode={trace.get('mode', '?')} "
-        f"exemplars={trace.get('exemplars', 0)} "
-        f"flight_dumps={trace.get('flight_dumps', 0)} "
-        f"triggers={','.join(str(t) for t in triggers) or '-'}"
-    )
-    worst = trace.get("worst_exemplars")
-    if isinstance(worst, list) and worst:
-        print(ascii_table(_EXEMPLAR_HEADERS, _exemplar_rows(worst)))
-
-
-def _render_cluster_entry(label: str, entry: dict) -> None:
-    """Cluster bench entry as summary + per-shard tables (``.get``-based)."""
-    print(ascii_table(
-        ["cluster", "shards", "goodput", "p50 ms", "p99 ms",
-         "imbalance", "shed", "deferred"],
-        [[
-            label,
-            str(entry.get("num_shards", "?")),
-            format_qps(float(entry.get("goodput_qps", 0.0))),
-            f"{entry.get('latency_p50_ms', 0.0):.2f}",
-            f"{entry.get('latency_p99_ms', 0.0):.2f}",
-            f"{entry.get('read_imbalance', 1.0):.2f}x",
-            str(entry.get("shed", 0)),
-            str(entry.get("deferred", 0)),
-        ]],
-    ))
-    per_shard = entry.get("per_shard")
-    if isinstance(per_shard, dict) and per_shard:
-        rows = []
-        for index in sorted(
-            per_shard, key=lambda s: int(s) if str(s).isdigit() else -1
-        ):
-            shard = per_shard[index]
-            if not isinstance(shard, dict):
-                continue
-            rows.append([
-                str(index),
-                str(shard.get("reads_completed", 0)),
-                str(shard.get("writes_applied", 0)),
-                format_qps(float(shard.get("goodput_qps", 0.0))),
-                f"{shard.get('latency_p99_ms', 0.0):.2f}",
-                f"{shard.get('mean_hit_ratio', 0.0):.3f}",
-                f"{shard.get('stall_seconds', 0.0):.1f}",
-                str(shard.get("shed", 0)),
-            ])
-        print(ascii_table(
-            ["shard", "reads", "writes", "goodput", "p99 ms", "hit",
-             "stall s", "shed"],
-            rows,
-        ))
-    migration = entry.get("migration")
-    if isinstance(migration, dict):
-        print(
-            f"migration: [{migration.get('low')}, {migration.get('high')}) "
-            f"shard {migration.get('source')} -> {migration.get('target')} "
-            f"at t={migration.get('at_s')}s "
-            f"({migration.get('entries')} entries)"
-        )
-    verify = entry.get("verify")
-    if isinstance(verify, dict):
-        print(
-            f"oracle: {verify.get('reads_checked', 0)} reads checked, "
-            f"{verify.get('read_mismatches', 0)} mismatches"
-        )
-
-
-def _render_generic_entry(label: str, entry: dict) -> None:
-    """Any run/serve bench entry as a one-row summary (``.get``-based)."""
-    print(ascii_table(
-        ["run", "kind", "reads", "writes", "hit", "p50 ms", "p99 ms"],
-        [[
-            label,
-            str(entry.get("kind", "run")),
-            str(entry.get("reads_completed", 0)),
-            str(entry.get("writes_applied", 0)),
-            f"{entry.get('mean_hit_ratio', 0.0):.3f}",
-            f"{entry.get('latency_p50_ms', 0.0):.2f}",
-            f"{entry.get('latency_p99_ms', 0.0):.2f}",
-        ]],
-    ))
-
-
-def _render_run_entry(label: str, entry: dict) -> None:
-    if entry.get("kind") == "cluster":
-        _render_cluster_entry(label, entry)
-    else:
-        _render_generic_entry(label, entry)
-    trace = entry.get("trace")
-    if isinstance(trace, dict):
-        _render_trace_section(trace)
-
-
 def _report_digest(payload: dict) -> dict:
     """Compact machine-readable digest of a loaded payload (``--json``)."""
     runs = payload.get("runs")
@@ -1138,28 +1117,14 @@ def _report_from_file(args: argparse.Namespace) -> int:
     try:
         payload = json.loads(Path(args.from_file).read_text())
     except (OSError, ValueError) as error:
-        print(f"report: cannot load {args.from_file}: {error}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"cannot load {args.from_file}: {error}") from None
     if not isinstance(payload, dict):
-        print(f"report: {args.from_file} is not a JSON object",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"{args.from_file} is not a JSON object")
     if args.json:
-        print(json.dumps(_report_digest(payload), indent=2, sort_keys=True))
+        _print_json(_report_digest(payload))
         return 0
-    runs = payload.get("runs")
-    if isinstance(runs, dict):
-        print(
-            f"payload {payload.get('name', '?')!r}: {len(runs)} runs "
-            f"(schema v{payload.get('schema_version', '?')})"
-        )
-        for label in sorted(runs):
-            entry = runs[label]
-            if not isinstance(entry, dict):
-                continue
-            print()
-            _render_run_entry(label, entry)
+    if isinstance(payload.get("runs"), dict):
+        _render_bench(payload)
         return 0
     kind = payload.get("kind")
     loader = None
@@ -1171,9 +1136,9 @@ def _report_from_file(args: argparse.Namespace) -> int:
         try:
             result = loader.from_dict(payload)
         except ReproError as error:
-            print(f"report: cannot load {args.from_file}: {error}",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError(
+                f"cannot load {args.from_file}: {error}"
+            ) from None
         if loader is ClusterResult:
             label = result.spec.label()
         else:
@@ -1208,22 +1173,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.from_file:
         return _report_from_file(args)
     if args.engine is None:
-        print("report: --engine or --from FILE is required", file=sys.stderr)
-        return 2
-    try:
-        spec = ExperimentSpec(
-            args.engine,
-            scale=args.scale,
-            duration_s=args.duration,
-            seed=args.seed,
-            scan_mode=args.scan,
-            profile=True,
-            sample_every=args.sample_every,
-            trace_path=args.trace_out,
-        )
-    except ConfigError as error:
-        print(f"report: {error}", file=sys.stderr)
-        return 2
+        raise ConfigError("--engine or --from FILE is required")
+    spec = _experiment_spec(
+        args,
+        profile=True,
+        sample_every=args.sample_every,
+        trace_path=args.trace_out,
+    )
     print(
         f"profiling {args.engine} at 1/{args.scale} scale for "
         f"{args.duration} virtual seconds "
@@ -1241,10 +1197,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         payload["dip_diagnosis"] = diagnosis.to_json_dict()
         payload["span_summary"] = spans
         payload["queueing_decomposition"] = queueing
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return 0
 
-    print(ascii_table(_HEADERS, [_summary_row(args.engine, result)]))
+    print(ascii_table(_HEADERS, [_summary_row(result)]))
     print()
     print(f"hit ratio (^ marks a dip below {args.dip_threshold:g})")
     print("  " + sparkline(result.hit_ratio))
@@ -1314,29 +1270,15 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterSpec, run_coordinated
     from repro.obs.expo import render_openmetrics_many
 
-    try:
-        spec = ClusterSpec(
-            engine=args.engine,
-            num_shards=args.shards,
-            partitioner=args.partitioner,
-            read_rate_qps=args.rate,
-            seed=args.seed,
-            scale=args.scale,
-            duration_s=args.duration,
-            policy=args.policy,
-            arrival=args.arrival,
-            queue_bound=args.queue_bound,
-            trace=args.trace,
-            trace_dir=args.trace_dir,
-            trace_slo_s=args.trace_slo,
-            trace_stall_spike_s=args.trace_stall_spike,
-            trace_dip_threshold=args.trace_dip,
-            controller=args.controller,
-            control_interval_s=args.control_interval,
-        )
-    except ConfigError as error:
-        print(f"top: {error}", file=sys.stderr)
-        return 2
+    spec = ClusterSpec(
+        engine=args.engine,
+        num_shards=args.shards,
+        partitioner=args.partitioner,
+        read_rate_qps=args.rate,
+        seed=args.seed,
+        policy=args.policy,
+        **_serving(args),
+    )
     interval = max(1, args.refresh)
     live = sys.stdout.isatty() and not args.plain
     headers = ["shard", "reads", "writes", "p99 ms", "hit", "stall s"]
@@ -1374,53 +1316,24 @@ def cmd_top(args: argparse.Namespace) -> int:
         print(ascii_table(headers, rows))
         sys.stdout.flush()
 
-    try:
-        result = run_coordinated(spec, on_tick=on_tick)
-    except ConfigError as error:
-        print(f"top: {error}", file=sys.stderr)
-        return 2
+    result = run_coordinated(spec, on_tick=on_tick)
     print(f"\nfinal — {spec.label()}")
-    print(ascii_table(_CLUSTER_HEADERS, [[
-        spec.label(),
-        str(result.num_shards),
-        format_qps(result.goodput_qps()),
-        f"{result.read_percentile_ms(50):.2f}",
-        f"{result.read_percentile_ms(99):.2f}",
-        f"{result.read_imbalance():.2f}x",
-        str(result.hottest_shard()),
-        str(result.total_shed),
-        str(result.total_deferred),
-    ]]))
+    _render_run_entry(spec.label(), result.to_json_dict())
     if spec.controller != "off":
         total = sum(len(s.control_decisions) for s in result.shards)
         print(
             f"controller {spec.controller}: {total} decisions "
             f"across {result.num_shards} shards"
         )
-    if any(shard.trace_mode != "off" for shard in result.shards):
-        worst = result.worst_exemplars(5)
-        if worst:
-            print("\nworst exemplars (fleet)")
-            print(ascii_table(_EXEMPLAR_HEADERS, _exemplar_rows(worst)))
-        dumps = sum(len(shard.flight_dumps) for shard in result.shards)
-        if dumps:
-            triggers = sorted({
-                dump["trigger"]
-                for shard in result.shards
-                for dump in shard.flight_dumps
-            })
-            print(
-                f"flight recorder: {dumps} dumps "
-                f"({', '.join(triggers)})"
-            )
     if args.metrics_out:
-        out = Path(args.metrics_out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(render_openmetrics_many([
-            ({"shard": str(index)}, shard.metrics)
-            for index, shard in enumerate(result.shards)
-        ]))
-        print(f"OpenMetrics snapshot written to {out}", file=sys.stderr)
+        _write(
+            args.metrics_out,
+            render_openmetrics_many([
+                ({"shard": str(index)}, shard.metrics)
+                for index, shard in enumerate(result.shards)
+            ]),
+            "OpenMetrics snapshot",
+        )
     return 0
 
 
@@ -1433,11 +1346,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.engines == "all":
         names = list(ENGINE_NAMES)
     else:
-        names = [n.strip() for n in args.engines.split(",") if n.strip()]
-        unknown = [n for n in names if n not in ENGINE_NAMES]
-        if unknown:
-            print(f"unknown engines: {unknown}; see `engines`", file=sys.stderr)
-            return 2
+        names = _engines(args.engines)
     verdict: dict = {
         "seed": args.seed,
         "ops": args.ops,
@@ -1467,7 +1376,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             report["ok"] = report["ok"] and report["crash"]["ok"]
         verdict["engines"][name] = report
     verdict["ok"] = all(r["ok"] for r in verdict["engines"].values())
-    print(json.dumps(verdict, indent=2, sort_keys=True))
+    _print_json(verdict)
     return 0 if verdict["ok"] else 1
 
 
@@ -1478,557 +1387,100 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    engines = commands.add_parser("engines", help="list engine variants")
-    engines.add_argument(
-        "--json", action="store_true",
-        help="print the engine catalog as JSON (name, wiring, axes)",
-    )
-    engines.set_defaults(func=cmd_engines)
+    def command(name, func, help, options, /, **defaults):
+        sub = commands.add_parser(name, help=help)
+        _declare(sub, options, **defaults)
+        sub.set_defaults(func=func)
+        return sub
 
-    run = commands.add_parser("run", help="run one engine, print its series")
-    run.add_argument("--engine", required=True, choices=ENGINE_NAMES)
-    run.add_argument("--csv", help="write the per-second series to this file")
-    run.add_argument(
-        "--json",
-        action="store_true",
-        help="print the run summary as JSON instead of tables",
-    )
-    run.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile: print the top functions and dump "
-        "a .pstats file (single-seed runs only)",
-    )
-    run.add_argument(
-        "--profile-out",
-        help="cProfile dump path (default results/profile_<engine>.pstats)",
-    )
-    run.add_argument(
-        "--profile-top",
-        type=int,
-        default=25,
-        help="rows in the printed cumulative-time table (default 25)",
-    )
-    _add_common(run)
-    _add_replication(run)
-    run.set_defaults(func=cmd_run)
-
-    compare = commands.add_parser("compare", help="run several engines")
-    compare.add_argument(
-        "--engines",
-        default="blsm,leveldb,lsbm",
-        help="comma-separated engine names",
-    )
-    compare.add_argument(
-        "--json",
-        action="store_true",
-        help="print all run summaries as a JSON list",
-    )
-    _add_common(compare)
-    _add_replication(compare)
-    compare.set_defaults(func=cmd_compare)
-
-    sweep = commands.add_parser(
-        "sweep",
-        help="parallel grid sweep: engines × seeds × config overrides",
-    )
-    sweep.add_argument(
-        "--engines",
-        default="blsm,leveldb,lsbm",
-        help="comma-separated engine names",
-    )
-    sweep.add_argument(
-        "--seeds",
-        default="0",
-        help="comma-separated seeds replicated per cell (default 0)",
-    )
-    sweep.add_argument(
-        "--set",
-        action="append",
-        metavar="FIELD=V1,V2",
-        help="add a config-override axis, e.g. --set trim_interval_s=10,30 "
-        "(repeatable; axes multiply)",
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (default 1 = serial, same results)",
-    )
-    sweep.add_argument(
-        "--scale",
-        type=int,
-        default=2048,
-        help="linear size scale vs the paper's setup (default 2048)",
-    )
-    sweep.add_argument(
-        "--duration",
-        type=int,
-        default=8000,
-        help="virtual seconds per run (paper: 20000)",
-    )
-    sweep.add_argument(
-        "--scan",
-        action="store_true",
-        help="drive range queries instead of point reads",
-    )
-    sweep.add_argument(
-        "--name", default="sweep", help="payload name (default sweep)"
-    )
-    sweep.add_argument(
-        "--json",
-        action="store_true",
-        help="print the bench-schema payload as JSON",
-    )
-    sweep.add_argument(
-        "--out", help="write the bench-schema payload to this file"
-    )
-    sweep.add_argument(
-        "--out-dir",
-        help="write the payload plus one lossless JSON per run here",
-    )
-    sweep.set_defaults(func=cmd_sweep)
-
-    tune = commands.add_parser(
-        "tune",
-        help="search the compaction design space for an SLO objective",
-    )
-    tune.add_argument(
-        "--engines",
-        default="design",
-        help="comma-separated candidate engines (default: design, whose "
-        "axes come from --set compaction_* overrides)",
-    )
-    tune.add_argument(
-        "--objective",
-        choices=("p99", "hit-stability"),
-        default="hit-stability",
-        help="SLO to optimize: open-loop read p99 (min) or the "
-        "hit-ratio floor (max; default)",
-    )
-    tune.add_argument(
-        "--seeds",
-        default="0",
-        help="comma-separated seeds replicated per candidate (default 0)",
-    )
-    tune.add_argument(
-        "--set",
-        action="append",
-        metavar="FIELD=V1,V2",
-        help="add a candidate axis, e.g. "
-        "--set compaction_layout=tiering,lazy-leveling "
-        "(repeatable; axes multiply)",
-    )
-    tune.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (the winner is jobs-independent)",
-    )
-    tune.add_argument(
-        "--scale",
-        type=int,
-        default=2048,
-        help="linear size scale vs the paper's setup (default 2048)",
-    )
-    tune.add_argument(
-        "--duration",
-        type=int,
-        default=8000,
-        help="virtual seconds per run (paper: 20000)",
-    )
-    tune.add_argument(
-        "--rate",
-        type=float,
-        default=2000.0,
-        help="offered read rate for the p99 objective (default 2000 QPS)",
-    )
-    tune.add_argument(
-        "--policy",
-        default="fifo",
-        help="scheduler policy for the p99 objective (default fifo)",
-    )
-    tune.add_argument(
-        "--name",
-        default="design_space",
-        help="payload name (default design_space)",
-    )
-    tune.add_argument(
-        "--json",
-        action="store_true",
-        help="print the bench-schema payload as JSON",
-    )
-    tune.add_argument(
-        "--out", help="write the bench-schema payload to this file"
-    )
-    tune.set_defaults(func=cmd_tune)
-
-    serve = commands.add_parser(
-        "serve",
-        help="open-loop serving: latency vs offered load per policy",
-    )
-    serve.add_argument(
-        "--engines",
-        default="leveldb,lsbm",
-        help="comma-separated engine names",
-    )
-    serve.add_argument(
-        "--rate",
-        default="2000,8000",
-        help="comma-separated offered read rates in paper-scale QPS",
-    )
-    serve.add_argument(
-        "--policy",
-        default="fifo",
-        help="comma-separated scheduling policies "
-        "(fifo, read-priority, weighted-fair)",
-    )
-    serve.add_argument(
-        "--arrival",
-        default="poisson",
-        choices=("poisson", "bursty", "diurnal"),
-        help="arrival process for all client classes (default poisson)",
-    )
-    serve.add_argument(
-        "--queue-bound",
-        type=int,
-        default=64,
-        help="total request-queue depth bound (default 64)",
-    )
-    serve.add_argument(
-        "--seeds",
-        default="0",
-        help="comma-separated seeds replicated per cell (default 0)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (default 1 = serial, same results)",
-    )
-    serve.add_argument(
-        "--scale",
-        type=int,
-        default=2048,
-        help="linear size scale vs the paper's setup (default 2048)",
-    )
-    serve.add_argument(
-        "--duration",
-        type=int,
-        default=2000,
-        help="virtual seconds per run (default 2000)",
-    )
-    serve.add_argument(
-        "--name", default="serve", help="payload name (default serve)"
-    )
-    serve.add_argument(
-        "--json",
-        action="store_true",
-        help="print the bench-schema payload as JSON",
-    )
-    serve.add_argument(
-        "--out", help="write the bench-schema payload to this file"
-    )
-    _add_tracing(serve)
-    _add_control(serve)
-    serve.set_defaults(func=cmd_serve)
-
-    trace = commands.add_parser(
-        "trace",
-        help="record an engine's events as JSONL, or replay an "
-        "operation trace",
-    )
-    trace.add_argument("--engine", choices=ENGINE_NAMES)
-    trace.add_argument(
-        "--out", default="trace.jsonl", help="JSONL output path"
-    )
-    _add_common(trace)
-    trace.set_defaults(func=cmd_trace, trace_command=None)
-    trace_sub = trace.add_subparsers(dest="trace_command")
-    replay = trace_sub.add_parser(
-        "replay",
-        help="replay an operation-trace file against one engine",
-    )
-    replay.add_argument("file", help="trace file (one operation per line)")
-    replay.add_argument("--engine", required=True, choices=ENGINE_NAMES)
-    replay.add_argument(
-        "--scale",
-        type=int,
-        default=2048,
-        help="linear size scale vs the paper's setup (default 2048)",
-    )
-    replay.add_argument(
-        "--preload",
-        action="store_true",
-        help="bulk-load the unique data set before replaying",
-    )
-    replay.add_argument(
-        "--json",
-        action="store_true",
-        help="print the replay counters as JSON",
-    )
-
-    cluster = commands.add_parser(
-        "cluster",
-        help="sharded cluster grid: engines × shard counts × partitioners",
-    )
-    cluster.add_argument(
-        "--engines",
-        default="leveldb,lsbm",
-        help="comma-separated engine names",
-    )
-    cluster.add_argument(
-        "--shards",
-        default="2",
-        help="comma-separated shard counts (default 2)",
-    )
-    cluster.add_argument(
-        "--partitioner",
-        default="hash",
-        help="comma-separated partitioners (hash, range)",
-    )
-    cluster.add_argument(
-        "--rate",
-        default="2000",
-        help="comma-separated cluster-wide offered read rates "
-        "(paper-scale QPS)",
-    )
-    cluster.add_argument(
-        "--write-rate",
-        type=float,
-        default=None,
-        help="cluster-wide offered write rate (default: config write OPS)",
-    )
-    cluster.add_argument(
-        "--policy",
-        default="fifo",
-        help="per-shard scheduling policy (fifo, read-priority, "
-        "weighted-fair)",
-    )
-    cluster.add_argument(
-        "--arrival",
-        default="poisson",
-        choices=("poisson", "bursty", "diurnal"),
-        help="arrival process (default poisson)",
-    )
-    cluster.add_argument(
-        "--queue-bound",
-        type=int,
-        default=64,
-        help="per-shard request-queue depth bound (default 64)",
-    )
-    cluster.add_argument(
-        "--seeds",
-        default="0",
-        help="comma-separated seeds replicated per cell (default 0)",
-    )
-    cluster.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for shard fan-out (default 1)",
-    )
-    cluster.add_argument(
-        "--scale",
-        type=int,
-        default=2048,
-        help="linear size scale vs the paper's setup (default 2048)",
-    )
-    cluster.add_argument(
-        "--duration",
-        type=int,
-        default=2000,
-        help="virtual seconds per run (default 2000)",
-    )
-    cluster.add_argument(
-        "--split-at",
-        type=int,
-        default=None,
-        help="migrate a key range mid-run at this virtual second "
-        "(range partitioner only; forces coordinated execution)",
-    )
-    cluster.add_argument(
-        "--split-source",
-        type=int,
-        default=0,
-        help="shard whose range the split cuts (default 0)",
-    )
-    cluster.add_argument(
-        "--split-target",
-        type=int,
-        default=1,
-        help="shard that adopts the migrated range (default 1)",
-    )
-    cluster.add_argument(
-        "--split-fraction",
-        type=float,
-        default=0.5,
-        help="upper fraction of the source range to migrate (default 0.5)",
-    )
-    cluster.add_argument(
-        "--verify",
-        action="store_true",
-        help="shadow every dispatch with a cluster-wide KV oracle "
-        "(forces coordinated execution)",
-    )
-    cluster.add_argument(
-        "--name", default="cluster", help="payload name (default cluster)"
-    )
-    cluster.add_argument(
-        "--json",
-        action="store_true",
-        help="print the bench-schema payload as JSON",
-    )
-    cluster.add_argument(
-        "--out", help="write the bench-schema payload to this file"
-    )
-    _add_tracing(cluster)
-    _add_control(cluster)
-    cluster.set_defaults(func=cmd_cluster)
-
-    top = commands.add_parser(
-        "top",
-        help="live per-shard telemetry for one coordinated cluster run",
-    )
-    top.add_argument("--engine", default="lsbm", choices=ENGINE_NAMES)
-    top.add_argument(
-        "--shards", type=int, default=2, help="shard count (default 2)"
-    )
-    top.add_argument(
-        "--partitioner", default="hash", help="hash or range (default hash)"
-    )
-    top.add_argument(
-        "--rate",
-        type=float,
-        default=2000.0,
-        help="cluster-wide offered read rate in paper-scale QPS",
-    )
-    top.add_argument(
-        "--policy",
-        default="fifo",
-        help="per-shard scheduling policy (default fifo)",
-    )
-    top.add_argument(
-        "--arrival",
-        default="poisson",
-        choices=("poisson", "bursty", "diurnal"),
-        help="arrival process (default poisson)",
-    )
-    top.add_argument(
-        "--queue-bound",
-        type=int,
-        default=64,
-        help="per-shard request-queue depth bound (default 64)",
-    )
-    top.add_argument(
-        "--scale",
-        type=int,
-        default=2048,
-        help="linear size scale vs the paper's setup (default 2048)",
-    )
-    top.add_argument(
-        "--duration",
-        type=int,
-        default=2000,
-        help="virtual seconds to run (default 2000)",
-    )
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument(
-        "--refresh",
-        type=int,
-        default=20,
-        help="virtual seconds between frames (default 20)",
-    )
-    top.add_argument(
-        "--plain",
-        action="store_true",
-        help="append frames instead of redrawing (the non-tty default)",
-    )
-    top.add_argument(
-        "--metrics-out",
-        help="write a final OpenMetrics snapshot of every shard "
-        "registry to this file",
-    )
-    _add_tracing(top)
-    _add_control(top)
-    top.set_defaults(func=cmd_top)
-
-    report = commands.add_parser(
-        "report",
-        help="profiled run: spans, per-cause bandwidth, dip diagnosis; "
+    command("engines", cmd_engines, "list engine variants", "--json")
+    command(
+        "run", cmd_run, "run one engine, print its series",
+        f"--engine --csv --json --profile --profile-out --profile-top "
+        f"{_CLOSED_LOOP} --seeds --jobs",
+        engine=_REQUIRED,
+    )
+    command(
+        "compare", cmd_compare, "run several engines",
+        f"--engines --json {_CLOSED_LOOP} --seeds --jobs",
+        engines="blsm,leveldb,lsbm",
+    )
+    command(
+        "sweep", cmd_sweep,
+        "parallel grid sweep: engines × seeds × config overrides",
+        "--engines --seeds --set --jobs --scale --duration --scan --name "
+        "--json --out --out-dir",
+        engines="blsm,leveldb,lsbm", seeds="0", name="sweep",
+    )
+    command(
+        "tune", cmd_tune,
+        "search the compaction design space for an SLO objective (the "
+        "design engine takes its axes from --set compaction_* overrides)",
+        "--engines --objective --seeds --set --jobs --scale --duration "
+        "--rate --policy --name --json --out",
+        engines="design", seeds="0", rate=2000.0, name="design_space",
+    )
+    command(
+        "serve", cmd_serve,
+        "open-loop serving: latency vs offered load per policy",
+        f"--engines --rate --seeds --jobs --name --json --out {_SERVING}",
+        engines="leveldb,lsbm", rate="2000,8000", seeds="0", duration=2000,
+        name="serve",
+    )
+    trace = command(
+        "trace", cmd_trace,
+        "record an engine's events as JSONL, or replay an operation trace",
+        f"--engine --out {_CLOSED_LOOP}",
+        out="trace.jsonl",
+    )
+    replay = trace.add_subparsers(dest="trace_command").add_parser(
+        "replay", help="replay an operation-trace file against one engine"
+    )
+    _declare(replay, "file --engine --scale --preload --json", engine=_REQUIRED)
+    replay.set_defaults(func=cmd_trace_replay)
+    command(
+        "cluster", cmd_cluster,
+        "sharded cluster grid: engines × shard counts × partitioners",
+        f"--engines --shards --partitioner --rate --write-rate --seeds "
+        f"--jobs --split-at --split-source --split-target --split-fraction "
+        f"--verify --name --json --out {_SERVING}",
+        engines="leveldb,lsbm", shards="2", rate="2000", seeds="0",
+        duration=2000, name="cluster",
+    )
+    command(
+        "top", cmd_top,
+        "live per-shard telemetry for one coordinated cluster run",
+        f"--engine --shards --partitioner --rate --seed --refresh --plain "
+        f"--metrics-out {_SERVING}",
+        engine="lsbm", shards=2, rate=2000.0, duration=2000, seed=0,
+    )
+    command(
+        "report", cmd_report,
+        "profiled run: spans, per-cause bandwidth, dip diagnosis; "
         "or render an archived payload with --from",
+        f"--engine --from --sample-every --dip-threshold --trace-out --json "
+        f"{_CLOSED_LOOP}",
     )
-    report.add_argument("--engine", choices=ENGINE_NAMES)
-    report.add_argument(
-        "--from",
-        dest="from_file",
-        metavar="FILE",
-        help="render an archived JSON payload (bench payload or "
-        "lossless serve/cluster result) instead of running",
+    command(
+        "check", cmd_check,
+        "differential correctness harness: oracle + invariants",
+        "--engines --seed --ops --key-space --crash --crash-ops",
+        engines="all", seed=0,
     )
-    report.add_argument(
-        "--sample-every",
-        type=int,
-        default=32,
-        help="emit one read span per this many reads (default 32)",
-    )
-    report.add_argument(
-        "--dip-threshold",
-        type=float,
-        default=0.7,
-        help="hit-ratio threshold whose downward crossings are diagnosed",
-    )
-    report.add_argument(
-        "--trace-out", help="also write the full JSONL trace to this path"
-    )
-    report.add_argument(
-        "--json",
-        action="store_true",
-        help="print the report as JSON instead of tables",
-    )
-    _add_common(report)
-    report.set_defaults(func=cmd_report)
-
-    check = commands.add_parser(
-        "check",
-        help="differential correctness harness: oracle + invariants",
-    )
-    check.add_argument(
-        "--engines",
-        default="all",
-        help='comma-separated engine names, or "all" (default)',
-    )
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument(
-        "--ops",
-        type=int,
-        default=5000,
-        help="schedule length per engine (default 5000)",
-    )
-    check.add_argument(
-        "--key-space",
-        type=int,
-        default=2000,
-        help="distinct keys in the schedule (default 2000)",
-    )
-    check.add_argument(
-        "--crash",
-        action="store_true",
-        help="also run crash/recovery fault injection at every crash point",
-    )
-    check.add_argument(
-        "--crash-ops",
-        type=int,
-        default=2500,
-        help="schedule length for crash experiments (default 2500)",
-    )
-    check.set_defaults(func=cmd_check)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input exits 2 with one stderr line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as error:
+        command = args.command
+        if getattr(args, "trace_command", None):
+            command += f" {args.trace_command}"
+        print(f"{command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

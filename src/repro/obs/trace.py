@@ -73,8 +73,11 @@ class TraceRecorder:
         return "\n".join(lines) + "\n" if lines else ""
 
     def write_jsonl(self, path: str | Path) -> int:
-        """Write the trace to ``path``; returns the number of records."""
-        Path(path).write_text(self.to_jsonl())
+        """Write the trace to ``path``, creating missing parent
+        directories; returns the number of records."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(self.to_jsonl())
         return len(self.records)
 
 

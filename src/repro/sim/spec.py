@@ -71,6 +71,10 @@ class ExperimentSpec(Wire):
             raise ConfigError(
                 f"unknown config base {self.base!r}; choose from {CONFIG_BASES}"
             )
+        if self.duration_s is not None and self.duration_s < 1:
+            raise ConfigError(
+                f"duration_s must be >= 1, got {self.duration_s}"
+            )
         if self.sample_every < 1:
             raise ConfigError("sample_every must be >= 1")
         normalized = tuple(sorted(dict(self.overrides).items()))

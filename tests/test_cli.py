@@ -23,6 +23,96 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--engine", "nope"])
 
+    #: The namespace every subcommand parses its minimal argv into: the
+    #: name, type and default of each option, as recorded before the
+    #: option declarations were shared between commands.
+    _SERVING = {
+        "arrival": "poisson", "queue_bound": 64, "policy": "fifo",
+        "trace": "off", "trace_dir": None, "trace_slo": 1.0,
+        "trace_stall_spike": 0.25, "trace_dip": 0.7,
+        "controller": "off", "control_interval": 30,
+        "scale": 2048, "duration": 2000,
+    }
+    _DEFAULTS = [
+        (["engines"], {"command": "engines", "json": False}),
+        (["run", "--engine", "lsbm"], {
+            "command": "run", "engine": "lsbm", "csv": None, "json": False,
+            "profile": False, "profile_out": None, "profile_top": 25,
+            "scale": 2048, "duration": 8000, "seed": 1, "scan": False,
+            "seeds": None, "jobs": 1,
+        }),
+        (["compare"], {
+            "command": "compare", "engines": "blsm,leveldb,lsbm",
+            "json": False, "scale": 2048, "duration": 8000, "seed": 1,
+            "scan": False, "seeds": None, "jobs": 1,
+        }),
+        (["sweep"], {
+            "command": "sweep", "engines": "blsm,leveldb,lsbm", "seeds": "0",
+            "set": None, "jobs": 1, "scale": 2048, "duration": 8000,
+            "scan": False, "name": "sweep", "json": False, "out": None,
+            "out_dir": None,
+        }),
+        (["tune"], {
+            "command": "tune", "engines": "design",
+            "objective": "hit-stability", "seeds": "0", "set": None,
+            "jobs": 1, "scale": 2048, "duration": 8000, "rate": 2000.0,
+            "policy": "fifo", "name": "design_space", "json": False,
+            "out": None,
+        }),
+        (["serve"], {
+            **_SERVING, "command": "serve", "engines": "leveldb,lsbm",
+            "rate": "2000,8000", "seeds": "0", "jobs": 1, "name": "serve",
+            "json": False, "out": None,
+        }),
+        (["trace"], {
+            "command": "trace", "engine": None, "out": "trace.jsonl",
+            "scale": 2048, "duration": 8000, "seed": 1, "scan": False,
+            "trace_command": None,
+        }),
+        (["trace", "replay", "ops.trace", "--engine", "lsbm"], {
+            "command": "trace", "trace_command": "replay",
+            "file": "ops.trace", "engine": "lsbm", "scale": 2048,
+            "preload": False, "json": False, "out": "trace.jsonl",
+            "duration": 8000, "seed": 1, "scan": False,
+        }),
+        (["cluster"], {
+            **_SERVING, "command": "cluster", "engines": "leveldb,lsbm",
+            "shards": "2", "partitioner": "hash", "rate": "2000",
+            "write_rate": None, "seeds": "0", "jobs": 1, "split_at": None,
+            "split_source": 0, "split_target": 1, "split_fraction": 0.5,
+            "verify": False, "name": "cluster", "json": False, "out": None,
+        }),
+        (["top"], {
+            **_SERVING, "command": "top", "engine": "lsbm", "shards": 2,
+            "partitioner": "hash", "rate": 2000.0, "seed": 0,
+            "refresh": 20, "plain": False, "metrics_out": None,
+        }),
+        (["report"], {
+            "command": "report", "engine": None, "from_file": None,
+            "sample_every": 32, "dip_threshold": 0.7, "trace_out": None,
+            "json": False, "scale": 2048, "duration": 8000, "seed": 1,
+            "scan": False,
+        }),
+        (["check"], {
+            "command": "check", "engines": "all", "seed": 0, "ops": 5000,
+            "key_space": 2000, "crash": False, "crash_ops": 2500,
+        }),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        _DEFAULTS,
+        ids=[" ".join(argv[:2]).replace(" --engine", "")
+             for argv, _ in _DEFAULTS],
+    )
+    def test_defaults_are_pinned(self, argv, expected):
+        parsed = vars(build_parser().parse_args(argv))
+        del parsed["func"]
+        assert parsed == expected
+        assert {key: type(value) for key, value in parsed.items()} == {
+            key: type(value) for key, value in expected.items()
+        }
+
 
 class TestRunCommand:
     def test_run_prints_summary_and_series(self, capsys):
@@ -949,3 +1039,66 @@ class TestTuneCommand:
     def test_tune_rejects_bad_axis(self, capsys):
         assert main(["tune", "--set", "not_a_field=1"]) == 2
         assert "not_a_field" in capsys.readouterr().err
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--engine", "lsbm", "--scale", "0"],
+            ["compare", "--scale", "0"],
+            ["sweep", "--engines", "lsbm", "--jobs", "0"],
+            ["serve", "--engines", "lsbm", "--jobs", "0"],
+            ["run", "--engine", "lsbm", "--duration", "-5"],
+            ["compare", "--engines", ","],
+            ["run", "--engine", "lsbm", "--scale", "8192", "--duration", "10",
+             "--csv", "{file}/x.csv"],
+            ["trace", "--engine", "lsbm", "--scale", "8192", "--duration",
+             "10", "--out", "{file}/t.jsonl"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_bad_input_exits_2_without_a_traceback(
+        self, argv, tmp_path, capsys
+    ):
+        # ``{file}`` is a regular file, so nothing can be written under it.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([arg.format(file=blocker) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"{argv[0]}: ")
+
+    def test_csv_parent_directories_are_created(self, tmp_path, capsys):
+        csv_path = tmp_path / "new" / "dir" / "x.csv"
+        assert main(
+            [
+                "run", "--engine", "lsbm", "--scale", "8192",
+                "--duration", "10", "--csv", str(csv_path),
+            ]
+        ) == 0
+        assert len(csv_path.read_text().splitlines()) == 11
+
+
+class TestOneRunPath:
+    @pytest.mark.parametrize("scan", [False, True], ids=["point", "scan"])
+    def test_run_and_compare_json_equal_the_library_result(
+        self, scan, capsys
+    ):
+        from repro.config import SystemConfig
+        from repro.sim.experiment import run_experiment
+
+        expected = run_experiment(
+            "lsbm",
+            SystemConfig.paper_scaled(8192),
+            duration_s=200,
+            seed=3,
+            scan_mode=scan,
+        ).to_json_dict()
+        expected = json.loads(json.dumps(expected))
+        common = ["--scale", "8192", "--duration", "200", "--seed", "3"]
+        common += ["--scan"] if scan else []
+        assert main(["run", "--engine", "lsbm", "--json", *common]) == 0
+        assert json.loads(capsys.readouterr().out) == expected
+        assert main(["compare", "--engines", "lsbm", "--json", *common]) == 0
+        assert json.loads(capsys.readouterr().out) == [expected]

@@ -132,11 +132,13 @@ _CONSTRAINED: dict[type, dict[str, st.SearchStrategy]] = {
     },
     ExperimentSpec: {
         "base": st.sampled_from(CONFIG_BASES),
+        "duration_s": st.none() | _POSITIVE,
         "sample_every": _POSITIVE,
     },
 }
 _CONSTRAINED[ServiceSpec] = {
     "base": st.sampled_from(CONFIG_BASES),
+    "duration_s": st.none() | _POSITIVE,
     "policy": st.sampled_from(SCHEDULER_NAMES),
     "arrival": st.sampled_from(PROCESSES),
     "read_rate_qps": _RATE,

@@ -5,8 +5,10 @@ import pickle
 
 import pytest
 
+from repro.cluster import ClusterSpec
 from repro.config import SystemConfig
 from repro.errors import ConfigError
+from repro.serve.spec import ServiceSpec
 from repro.sim.experiment import execute, run_experiment
 from repro.sim.spec import ExperimentSpec
 
@@ -37,6 +39,17 @@ class TestNormalization:
     def test_unknown_base_rejected(self):
         with pytest.raises(ConfigError, match="config base"):
             ExperimentSpec("lsbm", base="nope")
+
+    @pytest.mark.parametrize(
+        "spec_class", [ExperimentSpec, ServiceSpec, ClusterSpec]
+    )
+    def test_duration_below_one_second_rejected(self, spec_class):
+        # The serve and cluster specs delegate to the experiment spec.
+        for duration in (0, -5):
+            with pytest.raises(ConfigError, match="duration_s must be >= 1"):
+                spec_class(engine="lsbm", duration_s=duration)
+        for duration in (None, 1):
+            assert spec_class(engine="lsbm", duration_s=duration)
 
 
 class TestConfigMaterialization:
