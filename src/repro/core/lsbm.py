@@ -46,7 +46,6 @@ from repro.core.compaction_buffer import BufferLevel
 from repro.core.trim import TrimProcess
 from repro.lsm.base import GetResult, MergeOutcome, ReadCost, ScanResult
 from repro.lsm.blsm import BLSMTree
-from repro.lsm.policy import GearPolicy
 from repro.obs.events import BufferFrozen, BufferUnfrozen, FileDiscarded
 from repro.sstable.block import _shared_filter
 from repro.sstable.entry import Entry
@@ -96,10 +95,6 @@ class LSbMTree(BLSMTree):
 
     def __init__(self, substrate) -> None:
         super().__init__(substrate)
-        #: Same gear control flow as bLSM, but the hooks below adopt
-        #: merge inputs into the compaction buffer: the data-movement
-        #: axis flips to lazy adoption.
-        self.policy = GearPolicy(movement="lazy-adoption")
         #: buffer[1..k]; index 0 unused (level 0 lives in DRAM + C0').
         self.buffer: list[BufferLevel] = [
             BufferLevel(level) for level in range(self.num_levels + 1)

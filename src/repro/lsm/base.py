@@ -27,7 +27,6 @@ from repro.cache.db_cache import BlockKey, DBBufferCache
 from repro.cache.os_cache import OSBufferCache
 from repro.errors import EngineError
 from repro.lsm.memtable import Memtable
-from repro.lsm.policy import CompactionPolicy
 from repro.lsm.wal import WriteAheadLog
 from repro.obs.events import (
     CompactionEnd,
@@ -77,18 +76,6 @@ class ReadCost:
     seq_kb: float = 0.0
     false_positive_blocks: int = 0
     tables_checked: int = 0
-
-    def merge(self, other: "ReadCost") -> None:
-        self.memtable_probes += other.memtable_probes
-        self.index_probes += other.index_probes
-        self.bloom_probes += other.bloom_probes
-        self.cache_hit_blocks += other.cache_hit_blocks
-        self.os_hit_blocks += other.os_hit_blocks
-        self.disk_random_blocks += other.disk_random_blocks
-        self.seq_runs += other.seq_runs
-        self.seq_kb += other.seq_kb
-        self.false_positive_blocks += other.false_positive_blocks
-        self.tables_checked += other.tables_checked
 
     @property
     def block_reads(self) -> int:
@@ -286,8 +273,13 @@ class LSMEngine(ABC):
 
     @property
     def write_stalled(self) -> bool:
-        """True when the write buffer is full and writes would block."""
-        return self.l0_pressure >= 1.0
+        """True when level 0 is full and writes would block.
+
+        The one level-0 trigger: every engine's :meth:`_do_compactions`
+        flushes (or starts its gear) exactly when this holds, which is
+        what :meth:`run_compactions`' skip rule relies on.
+        """
+        return self._level0_kb() >= self.memtable_budget_kb
 
     def set_memtable_budget(self, budget_kb: int) -> None:
         """Move the live write-buffer budget (runtime-controller actuator).
@@ -525,22 +517,19 @@ class LSMEngine(ABC):
         Every ``put`` lands here, and nearly every call has nothing to
         do, so a pass that would change nothing is skipped.  What a pass
         does is a function of the structure and of whether level 0 is
-        full (every policy's flush trigger is ``l0_pressure >= 1``): if
+        full (every pass flushes on :attr:`write_stalled`): if
         the previous pass changed nothing, the structure is as it left it
         and level 0 is still below its budget, this one would change
-        nothing either — for any policy, including one that finds work
+        nothing either — for any engine, including one that finds work
         on every pass (a last level over capacity re-collapses each
         time, and is never skipped).  No stall can accrue below the
         budget, and no WAL truncate can be pending: only a flush sets the
         marker, and a flush is a structure change.
         """
         version = self._structure_version
-        if (
-            version == self._idle_version
-            and self._level0_kb() < self.memtable_budget_kb
-        ):
-            return
         stalled = self.write_stalled
+        if version == self._idle_version and not stalled:
+            return
         if stalled:
             disk_stats = self.disk.stats
             before_kb = disk_stats.seq_read_kb + disk_stats.seq_write_kb
@@ -556,21 +545,9 @@ class LSMEngine(ABC):
         if self._structure_version == version:
             self._idle_version = version
 
-    #: The engine's :class:`~repro.lsm.policy.CompactionPolicy` — the
-    #: declarative design-space point whose control flow drives this
-    #: engine's compaction passes.  Every concrete engine assigns one in
-    #: its constructor; the policy calls back into engine hooks for the
-    #: mechanism (flush, merge, install, accounting).
-    policy: CompactionPolicy | None = None
-
+    @abstractmethod
     def _do_compactions(self) -> None:
-        """One compaction pass: delegate to the engine's policy."""
-        policy = self.policy
-        if policy is None:
-            raise EngineError(
-                f"{type(self).__name__} assigned no compaction policy"
-            )
-        policy.run(self)
+        """One compaction pass: the control flow of the engine's point."""
 
     @abstractmethod
     def bulk_load(self, entries: list[Entry]) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.errors import EngineError
 from repro.lsm.base import LSMEngine, MergeOutcome
-from repro.lsm.policy import GearPolicy
 from repro.sstable.entry import Entry
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
@@ -42,10 +41,6 @@ class BLSMTree(LSMEngine):
         ]
         #: C0' — the flushed, on-disk image of the write buffer.
         self.c0_prime = SortedTable()
-        #: bLSM's design point.  Subclasses that flip the data-movement
-        #: axis through the gear hooks (LSbM) reassign this with the
-        #: matching axes.
-        self.policy = GearPolicy()
 
     def _run_groups(self) -> list[list[SortedTable]]:
         """C0', C1, C1', ..., Ck: each a single run, newest data first."""
@@ -74,11 +69,39 @@ class BLSMTree(LSMEngine):
         return self.c0_prime if level == 0 else self.cp[level]
 
     # ------------------------------------------------------------------
-    # The gear scheduler.  Algorithm 1's control flow lives in
-    # :class:`~repro.lsm.policy.GearPolicy`; the hooks below are the
-    # mechanism it drives (and the seam LSbM overrides to add the
-    # compaction-buffer lines).
+    # The gear scheduler: Algorithm 1's control flow, then the hooks it
+    # drives (the seam LSbM overrides to add the compaction-buffer
+    # lines, which flips the data-movement axis to lazy adoption).
     # ------------------------------------------------------------------
+    def _do_compactions(self) -> None:
+        while self.write_stalled:
+            if not self._one_pass():
+                break
+
+    def _one_pass(self) -> bool:
+        """One gear pass: compact one unit at every full level in the prefix.
+
+        Level 0 is full on entry (the caller's trigger); deeper levels
+        are full at their size-ratio capacity.  Returns whether any unit
+        moved (guards against livelock when the write buffer alone
+        exceeds S0 but holds nothing flushable).
+        """
+        capacity_kb = self.config.level_capacity_kb
+        progressed = False
+        for level in range(self.num_levels):  # i from 0 to k-1.
+            if level and self.level_total_kb(level) < capacity_kb(level):
+                break
+            source = self._source(level)
+            if not source:
+                self._rotate(level)
+                source = self._source(level)
+            if not source:
+                break  # Nothing materialized (e.g. an empty memtable).
+            unit = self._pop_unit(source)
+            self._compact_unit(level, unit)
+            progressed = True
+        return progressed
+
     def _rotate(self, level: int) -> None:
         """Start a merge round: move Ci into Ci' (flush C0 for level 0)."""
         if level == 0:

@@ -1,15 +1,15 @@
 """The generic design-space engine: any axis combination, one tree.
 
 The legacy engine classes each realize *one* point of the Sarkar
-compaction design space (see :mod:`repro.lsm.policy`).  ComposedTree
-interprets an arbitrary :class:`~repro.lsm.policy.CompactionAxes` value
-instead, so the sweep and tune layers can explore points the paper's
-baselines never shipped — tiering with partial merges, lazy-leveling,
-and any of them combined with the LSbM compaction buffer
-(``movement="lazy-adoption"``).  Its default point (size-ratio /
-leveling / partial / merge) *is* the LevelDB baseline:
-:class:`~repro.lsm.leveldb.LevelDBTree` is this class with the axes
-pinned.
+compaction design space (see :mod:`repro.lsm.policy`), written as their
+own ``_do_compactions``.  ComposedTree's pass interprets an arbitrary
+:class:`~repro.lsm.policy.CompactionAxes` value instead, so the sweep
+and tune layers can explore points the paper's baselines never
+shipped — tiering with partial merges, lazy-leveling, and any of them
+combined with the LSbM compaction buffer (``movement="lazy-adoption"``).
+Its default point (size-ratio / leveling / partial / merge) *is* the
+LevelDB baseline: :class:`~repro.lsm.leveldb.LevelDBTree` is this class
+with the axes pinned.
 
 Data layout is uniform: ``levels[1..k]`` each hold a list of sorted
 tables, oldest first.  Under ``leveling`` every level is pinned to a
@@ -48,7 +48,7 @@ from __future__ import annotations
 from repro.core.compaction_buffer import BufferLevel
 from repro.core.trim import TrimProcess
 from repro.lsm.base import GetResult, LSMEngine, ReadCost
-from repro.lsm.policy import CompactionAxes, ComposedPolicy
+from repro.lsm.policy import CompactionAxes
 from repro.obs.events import FileDiscarded
 from repro.sstable.entry import Entry
 from repro.sstable.sorted_table import SortedTable
@@ -78,7 +78,6 @@ class ComposedTree(LSMEngine):
         self._cursor: dict[int, int | None] = {
             i: None for i in range(1, self.num_levels)
         }
-        self.policy = ComposedPolicy(self.axes)
         self.buffer_files_appended = 0
         self.buffer_files_removed = 0
         if self.axes.movement == "lazy-adoption":
@@ -117,8 +116,37 @@ class ComposedTree(LSMEngine):
         return self.levels[1:]
 
     # ------------------------------------------------------------------
-    # Compaction mechanism (control flow in ComposedPolicy).
+    # Compaction: the pass interprets the axes — the trigger decides
+    # *when* a level is due, layout + granularity decide *what* one unit
+    # moves, movement decides what happens to the inputs.
     # ------------------------------------------------------------------
+    def _do_compactions(self) -> None:
+        if self.write_stalled:
+            self._flush_pass()
+        last = self.num_levels
+        for level in range(1, last + 1):
+            if level == last:
+                # Only a multi-run last level has anywhere to go: it
+                # collapses in place (the sole tombstone-dropping moment
+                # for those layouts).  Single collapse per pass — a level
+                # whose *live* data exceeds its capacity would otherwise
+                # rewrite itself forever.
+                if not self._single_run(level) and self._due(level):
+                    self._collapse_last_level()
+                break
+            while self._due(level):
+                if not self._compact_level_once(level):
+                    break
+        self._seal_adoptions()
+
+    def _due(self, level: int) -> bool:
+        """Is ``level`` due for compaction under the trigger axis?"""
+        if level == self.num_levels and len(self.levels[level]) <= 1:
+            return False  # Collapsing a single table is a no-op rewrite.
+        if self.axes.trigger == "level-saturation" and not self._single_run(level):
+            return len(self.levels[level]) > self.config.size_ratio
+        return self.level_size_kb(level) > self.config.level_capacity_kb(level)
+
     def _flush_pass(self) -> None:
         """Flush the write buffer into level 1 per the layout axis."""
         files = self._flush_memtable_to_files()
@@ -141,7 +169,7 @@ class ComposedTree(LSMEngine):
     def _compact_level_once(self, level: int) -> bool:
         """Move one granularity-sized unit from ``level`` down.
 
-        Returns whether anything moved (guards the policy's drain loop).
+        Returns whether anything moved (guards the pass's drain loop).
         """
         full = self.axes.granularity == "full-level"
         if self._single_run(level):

@@ -20,7 +20,6 @@ paper shows the two prices paid:
 from __future__ import annotations
 
 from repro.lsm.base import LSMEngine
-from repro.lsm.policy import SteppedMergePolicy
 from repro.sstable.entry import Entry
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
@@ -38,8 +37,6 @@ class SMTree(LSMEngine):
         self.levels: list[list[SortedTable]] = [
             [] for _ in range(self.num_levels + 1)
         ]
-        #: The SM-tree's design point (control flow lives in the policy).
-        self.policy = SteppedMergePolicy()
 
     def _run_groups(self) -> list[list[SortedTable]]:
         """One group per level; a level's tables are stored oldest first."""
@@ -52,8 +49,18 @@ class SMTree(LSMEngine):
         return sum(table.size_kb for table in self.levels[level])
 
     # ------------------------------------------------------------------
-    # Compactions (lazy stepped merges, driven by SteppedMergePolicy).
+    # Compactions (lazy stepped merges).
     # ------------------------------------------------------------------
+    def _do_compactions(self) -> None:
+        """Append a full write buffer to level 1, then merge every level
+        at (``>=``) its size-ratio capacity whole into the next."""
+        if self.write_stalled:
+            files = self._flush_memtable_to_files()
+            self.levels[1].append(SortedTable(files))
+        for level in range(1, self.num_levels + 1):
+            if self.level_size_kb(level) >= self.config.level_capacity_kb(level):
+                self._merge_whole_level(level)
+
     def _merge_whole_level(self, level: int) -> None:
         """Merge every table of ``level`` into one table one level down.
 

@@ -73,9 +73,10 @@ class EngineSpec:
     composed one.
 
     ``axes`` names the variant's point in the compaction design space.
-    Legacy engines are *fixed* points (their policies hardcode the
-    axes; ``leveldb`` is the interpreter pinned to its default point);
-    the composed variants are built from the axes stated here; ``None``
+    Legacy engines are *fixed* points: their ``_do_compactions`` runs
+    the point and this field is the one place it is named (``leveldb``
+    is the interpreter pinned to its default point); the composed
+    variants are built from the axes stated here; ``None``
     means the point is dynamic — the ``design`` engine reads its axes
     from the config's ``compaction_*`` fields at build time.
     """

@@ -145,9 +145,6 @@ class SSTableFile:
     def covers(self, key: int) -> bool:
         return self.min_key <= key <= self.max_key
 
-    def overlaps(self, low: int, high: int) -> bool:
-        return self.min_key <= high and low <= self.max_key
-
     # ------------------------------------------------------------------
     # Removal marker (compaction-buffer semantics).
     # ------------------------------------------------------------------

@@ -28,7 +28,6 @@ approach does not solve the cache-invalidation problem — the
 from __future__ import annotations
 
 from repro.lsm.base import LSMEngine
-from repro.lsm.policy import FlatStorePolicy
 from repro.sstable.entry import Entry
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
@@ -59,17 +58,22 @@ class HBaseStyleStore(LSMEngine):
         self._last_major_s = 0
         self.minor_compactions = 0
         self.major_compactions = 0
-        #: HBase's design point (saturation-triggered minors; the
-        #: time-triggered major stays on ``tick`` below).
-        self.policy = FlatStorePolicy()
 
     def _run_groups(self) -> list[list[SortedTable]]:
         """The flat store is one group: every table, oldest first."""
         return [self.tables]
 
     # ------------------------------------------------------------------
-    # Compactions (pass control flow in FlatStorePolicy).
+    # Compactions: saturation-triggered minors in the pass, the
+    # time-triggered major on ``tick``.
     # ------------------------------------------------------------------
+    def _do_compactions(self) -> None:
+        if self.write_stalled:
+            files = self._flush_memtable_to_files()
+            self.tables.append(SortedTable(files))
+        while len(self.tables) > self.max_store_files:
+            self._minor_compaction()
+
     def tick(self, now: int) -> None:
         super().tick(now)
         if (

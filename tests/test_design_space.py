@@ -24,12 +24,8 @@ import pytest
 from repro.check import DifferentialRunner
 from repro.config import SystemConfig
 from repro.errors import ConfigError
-from repro.lsm.policy import (
-    CompactionAxes,
-    FlatStorePolicy,
-    GearPolicy,
-    SteppedMergePolicy,
-)
+from repro.lsm.composed import ComposedTree
+from repro.lsm.policy import CompactionAxes
 from repro.sim.experiment import ENGINE_SPECS, build_engine, run_experiment
 from tests.golden_engines import (
     GOLDEN_PATH,
@@ -47,7 +43,7 @@ def golden() -> dict:
 
 
 # ----------------------------------------------------------------------
-# 1. Legacy engines are bit-identical through the policy extraction.
+# 1. Legacy engines are bit-identical to their pinned runs.
 # ----------------------------------------------------------------------
 
 
@@ -57,7 +53,7 @@ def test_legacy_engine_bit_identical(engine_name, golden):
     for seed in SEEDS:
         assert run_digests(engine_name, seed) == pinned[str(seed)], (
             f"{engine_name} seed={seed} diverged from its pre-refactor "
-            "golden digests — the policy extraction must be bit-identical"
+            "golden digests — a refactor must be bit-identical"
         )
 
 
@@ -68,7 +64,7 @@ def test_golden_covers_exactly_the_legacy_registry(golden):
 
 
 # ----------------------------------------------------------------------
-# 2. Axes: validation, registry annotations, policy fixed points.
+# 2. Axes: validation, registry annotations, composed points.
 # ----------------------------------------------------------------------
 
 
@@ -112,12 +108,27 @@ def test_every_legacy_spec_is_an_annotated_design_point():
         assert spec.axes is not None, f"{name} lost its axes annotation"
 
 
-def test_policy_fixed_points_match_their_engines():
+def test_composed_specs_build_the_axes_they_declare():
+    """A composed row names its axes twice — in its factory and in its
+    spec — so the built engine must run the point the registry names."""
+    config = SystemConfig.tiny()
+    built = {name: build_engine(name, config).engine for name in ENGINE_SPECS}
+    composed = [
+        name
+        for name, engine in built.items()
+        if isinstance(engine, ComposedTree) and ENGINE_SPECS[name].axes
+    ]
+    assert composed == [
+        "leveldb",
+        "leveldb-oscache",
+        "tiering",
+        "tiering+buffer",
+        "lazy-leveling",
+        "lazy-leveling+buffer",
+    ]
+    for name in composed:
+        assert built[name].axes == ENGINE_SPECS[name].axes, name
     assert ENGINE_SPECS["leveldb"].axes == CompactionAxes()
-    assert ENGINE_SPECS["blsm"].axes == GearPolicy().axes
-    assert ENGINE_SPECS["sm"].axes == SteppedMergePolicy.axes
-    assert ENGINE_SPECS["hbase"].axes == FlatStorePolicy.axes
-    assert ENGINE_SPECS["lsbm"].axes == GearPolicy("lazy-adoption").axes
     assert ENGINE_SPECS["lsbm"].axes.movement == "lazy-adoption"
 
 
