@@ -4,10 +4,10 @@ All three caches the paper discusses (OS buffer cache, DB buffer cache,
 key-value store cache) are LRU caches; they differ only in what they are
 indexed by (disk address, ``(file, block)``, or key) and in what they
 keep beside the residency order.  :class:`LRUCache` owns everything they
-share: the order itself, the capacity, the hit/miss counters and their
-registry publication, eviction, and live resizing.  A subclass adds its
-key mapping, an :meth:`LRUCache._evict` hook for its side bookkeeping and
-the list of counters it publishes.
+share: the order itself, the capacity, the hit/miss counters and the
+registry source that reads them, eviction, and live resizing.  A
+subclass adds its key mapping, an :meth:`LRUCache._evict` hook for its
+side bookkeeping and the list of counters its source reads.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections.abc import Hashable
 
 from repro.cache.stats import CacheStats
 from repro.obs.events import CacheResized, EventBus
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
 
 class LRUCache:
@@ -32,8 +31,8 @@ class LRUCache:
         :meth:`bind_observability` names it again.
     """
 
-    #: Registry counters published as ``cache.<name>.<counter>``, in
-    #: registration order; :meth:`_counts` yields their values in step.
+    #: Counters :meth:`metrics` reads as ``cache.<name>.<counter>``, in
+    #: order; :meth:`_counts` yields their values in step.
     _counter_names: tuple[str, ...] = ("hits", "misses", "evictions")
 
     def __init__(self, capacity: int, name: str) -> None:
@@ -44,53 +43,34 @@ class LRUCache:
         #: free for the subclass (the K-V cache keeps its rows there).
         self._order: OrderedDict[Hashable, object] = OrderedDict()
         self.stats = CacheStats()
-        self.bind_observability(NULL_REGISTRY, None, name)
+        self._obs_name = name
+        self._bus: EventBus | None = None
 
     # ------------------------------------------------------------------
     # Observability.
     # ------------------------------------------------------------------
-    def bind_observability(
-        self,
-        registry: MetricsRegistry,
-        bus: EventBus | None,
-        name: str,
-    ) -> None:
-        """Publish this cache's counters through ``registry`` and its
-        events on ``bus``.
+    def bind_observability(self, bus: EventBus, name: str) -> None:
+        """Name this cache ``name`` and publish its events on ``bus``.
 
-        Called by :class:`~repro.substrate.Substrate`; standalone caches
-        stay bound to the null registry and no bus.
-
-        Publication is deferred: the access paths bump only plain ints,
-        and the registry pulls them into the counters on flush (every
-        ``snapshot()`` flushes first), so per-access cost is zero and
-        snapshots are never stale.
+        Called by :class:`~repro.substrate.Substrate`, which also
+        registers :meth:`metrics` as a registry source; a standalone
+        cache keeps its constructor name and no bus.
         """
         self._obs_name = name
         self._bus = bus
-        self._m_counters = tuple(
-            registry.counter(f"cache.{name}.{counter}")
-            for counter in self._counter_names
-        )
-        # Offsets absorb whatever the counters and the ints held at bind
-        # time, so a rebind never double-counts.
-        self._m_offsets = tuple(
-            metric.value - count
-            for metric, count in zip(self._m_counters, self._counts())
-        )
-        registry.register_flush(self._publish_metrics)
+
+    def metrics(self) -> dict[str, int]:
+        """The cache's registry source: its counters as ``cache.<name>.*``."""
+        name = self._obs_name
+        return {
+            f"cache.{name}.{counter}": count
+            for counter, count in zip(self._counter_names, self._counts())
+        }
 
     def _counts(self) -> tuple[int, ...]:
         """The hot-path ints behind :attr:`_counter_names`, in order."""
         stats = self.stats
         return tuple(getattr(stats, counter) for counter in self._counter_names)
-
-    def _publish_metrics(self) -> None:
-        """Copy the hot-path ints into the registry counters."""
-        for metric, offset, count in zip(
-            self._m_counters, self._m_offsets, self._counts()
-        ):
-            metric.value = offset + count
 
     # ------------------------------------------------------------------
     # Residency.

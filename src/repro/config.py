@@ -332,8 +332,12 @@ class SystemConfig:
         """Raise :class:`ConfigError` if any field combination is invalid."""
         if self.pair_size_kb < 1:
             raise ConfigError("pair_size_kb must be >= 1")
+        if self.block_size_kb < self.pair_size_kb:
+            raise ConfigError("a block must hold at least one pair")
         if self.block_size_kb % self.pair_size_kb != 0:
             raise ConfigError("block size must be a multiple of pair size")
+        if self.file_size_kb < self.block_size_kb:
+            raise ConfigError("a file must hold at least one block")
         if self.file_size_kb % self.block_size_kb != 0:
             raise ConfigError("file size must be a multiple of block size")
         if self.superfile_files < 1:

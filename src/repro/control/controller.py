@@ -87,6 +87,8 @@ class Controller:
             raise ConfigError("control interval must be >= 1 virtual second")
         self.interval_s = int(interval_s)
         self.decisions_made = 0
+        #: Control ticks run; with ``decisions_made``, the registry source.
+        self.ticks = 0
         self._sim = None
         self._engine = None
 
@@ -97,8 +99,7 @@ class Controller:
         """Attach to a serve stack and snapshot interval baselines."""
         self._sim = simulator
         self._engine = simulator.engine
-        self._m_decisions = self._engine.registry.counter("control.decisions")
-        self._m_ticks = self._engine.registry.counter("control.ticks")
+        self._engine.registry.register(self.metrics)
         self._last_stall = self._engine.stats.stall_seconds
         self._last_completed = simulator._completed_count
         self._last_deferred = self._event_count("WriteDeferred")
@@ -108,6 +109,13 @@ class Controller:
         self._base_memtable_kb = self._engine.memtable_budget_kb
         self._base_cache_units = self._cache_capacity()
         self._unit_kb = self._engine.config.block_size_kb
+
+    def metrics(self) -> dict[str, int]:
+        """The controller's registry source: its ``control.*`` counts."""
+        return {
+            "control.decisions": self.decisions_made,
+            "control.ticks": self.ticks,
+        }
 
     def _event_count(self, name: str) -> int:
         return self._sim.event_tally.counts.get(name, 0)
@@ -167,7 +175,6 @@ class Controller:
         old: float, new: float, reason: str,
     ) -> dict:
         self.decisions_made += 1
-        self._m_decisions.inc()
         bus = self._engine.bus
         if bus.active:
             if bus.counting_only:
@@ -288,7 +295,7 @@ class Controller:
 class StaticController(Controller):
     """The null policy: binds, then provably does nothing.
 
-    It does not sense, emit, or bump registry counters — its run is
+    It does not sense, emit, or register a metrics source — its run is
     indistinguishable from a controller-free run on every channel the
     differential tests compare (events, metrics, results).
     """
@@ -296,8 +303,8 @@ class StaticController(Controller):
     name = "static"
 
     def bind(self, simulator) -> None:
-        # Deliberately skip the base wiring: registering even zero-valued
-        # ``control.*`` instruments would show up in the run's metrics
+        # Deliberately skip the base wiring: registering the ``control.*``
+        # source, even at zero, would show up in the run's metrics
         # snapshot and break the "indistinguishable" guarantee.
         self._sim = simulator
         self._engine = simulator.engine
@@ -327,7 +334,7 @@ class RulesController(Controller):
 
     def tick(self, now: int) -> list[dict]:
         sensors = self.sense(now)
-        self._m_ticks.inc()
+        self.ticks += 1
         decisions: list[dict] = []
         pressured = (
             sensors.stall_delta_s > self.high_stall_band_s
@@ -441,7 +448,7 @@ class GradientController(Controller):
 
     def tick(self, now: int) -> list[dict]:
         sensors = self.sense(now)
-        self._m_ticks.inc()
+        self.ticks += 1
         score = (
             sensors.completed_delta
             - self.stall_penalty * sensors.stall_delta_s

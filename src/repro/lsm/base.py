@@ -185,27 +185,7 @@ class LSMEngine(ABC):
             else None
         )
         self.stats = EngineStats()
-        self._m_flushes = self.registry.counter("engine.flushes")
-        self._m_compactions = self.registry.counter("engine.compactions")
-        self._m_compaction_read_kb = self.registry.counter(
-            "engine.compaction_read_kb"
-        )
-        self._m_compaction_write_kb = self.registry.counter(
-            "engine.compaction_write_kb"
-        )
-        self._m_stall_seconds = self.registry.counter("engine.stall_seconds")
-        # Deferred publication: hot paths bump ``self.stats`` plain
-        # attributes; the registry instruments are synced only when a
-        # snapshot asks for them (see :meth:`_publish_metrics`).  Offsets
-        # absorb whatever the counters held before this engine bound.
-        self._m_offsets = (
-            self._m_flushes.value,
-            self._m_compactions.value,
-            self._m_compaction_read_kb.value,
-            self._m_compaction_write_kb.value,
-            self._m_stall_seconds.value,
-        )
-        self.registry.register_flush(self._publish_metrics)
+        self.registry.register(self.metrics)
         #: Live write-buffer budget in KB: the bound level 0 is held to by
         #: the flush/gear triggers and the write-stall threshold.  Starts
         #: at (and without a runtime controller stays forever equal to)
@@ -847,7 +827,7 @@ class LSMEngine(ABC):
     def _account_compaction(
         self, read_kb: float, write_kb: float, obsolete: int
     ) -> None:
-        """Book one finished compaction into the stats and the registry."""
+        """Book one finished compaction into the engine stats."""
         self._structure_changed()
         stats = self.stats
         stats.compactions += 1
@@ -855,15 +835,16 @@ class LSMEngine(ABC):
         stats.compaction_write_kb += write_kb
         stats.obsolete_entries_dropped += obsolete
 
-    def _publish_metrics(self) -> None:
-        """Copy the engine counters into the registry instruments."""
+    def metrics(self) -> dict[str, float]:
+        """The engine's registry source: its counters as ``engine.*``."""
         stats = self.stats
-        flushes, compactions, read_kb, write_kb, stall_s = self._m_offsets
-        self._m_flushes.value = flushes + stats.flushes
-        self._m_compactions.value = compactions + stats.compactions
-        self._m_compaction_read_kb.value = read_kb + stats.compaction_read_kb
-        self._m_compaction_write_kb.value = write_kb + stats.compaction_write_kb
-        self._m_stall_seconds.value = stall_s + stats.stall_seconds
+        return {
+            "engine.flushes": stats.flushes,
+            "engine.compactions": stats.compactions,
+            "engine.compaction_read_kb": stats.compaction_read_kb,
+            "engine.compaction_write_kb": stats.compaction_write_kb,
+            "engine.stall_seconds": stats.stall_seconds,
+        }
 
     def _pre_install_hook(
         self, old_files: list[SSTableFile], new_files: list[SSTableFile]

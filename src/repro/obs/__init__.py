@@ -2,8 +2,8 @@
 
 Three pieces, used together by :class:`~repro.substrate.Substrate`:
 
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of typed counters,
-  gauges and histograms with a zero-cost disabled mode;
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` that reads each
+  layer's own stats into one snapshot;
 * :mod:`repro.obs.events` — an :class:`EventBus` carrying structured
   engine events (flushes, compactions, file lifecycle, cache
   invalidations, trim runs, buffer freezes);
@@ -45,14 +45,7 @@ from repro.obs.events import (
     TrimRun,
     WriteDeferred,
 )
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Reservoir,
-)
+from repro.obs.metrics import MetricsRegistry, Reservoir
 from repro.obs.expo import (
     render_openmetrics,
     render_openmetrics_many,
@@ -78,14 +71,12 @@ from repro.obs.tracing import (
 
 __all__ = [
     "NULL_PROFILER",
-    "NULL_REGISTRY",
     "TRACE_MODES",
     "BufferFrozen",
     "BufferUnfrozen",
     "CacheInvalidated",
     "CompactionEnd",
     "CompactionStart",
-    "Counter",
     "DipDiagnosis",
     "DipReport",
     "Event",
@@ -96,8 +87,6 @@ __all__ = [
     "FlightPolicy",
     "FlightRecorder",
     "FlushDone",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ReadSpan",
     "RequestShed",

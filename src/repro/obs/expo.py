@@ -1,12 +1,10 @@
 """OpenMetrics-style text exposition of MetricsRegistry snapshots.
 
-Renders the dict shape :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-produces — plain floats for counters/gauges, ``{count, sum, min, max,
-mean, p50, p95, p99}`` dicts for histograms — as the text format
-scrapers and humans both read: ``# TYPE`` headers, one sample per line,
-label sets in ``{key="value"}`` form, ``# EOF`` terminator.  Histogram
-snapshots render as summaries (quantile-labeled samples plus
-``_count``/``_sum``).
+Renders the ``{name: float}`` dict
+:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` produces as the text
+format scrapers and humans both read: ``# TYPE`` headers (every metric is
+a gauge), one sample per line, label sets in ``{key="value"}`` form,
+``# EOF`` terminator.
 
 :func:`render_openmetrics_many` merges several labeled snapshots (e.g.
 one per cluster shard) into one exposition with a single ``# TYPE``
@@ -17,10 +15,6 @@ writes.
 from __future__ import annotations
 
 import re
-
-#: Quantile labels emitted for histogram snapshots, mapped to the
-#: snapshot keys that carry them.
-_QUANTILES = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -63,37 +57,16 @@ def render_openmetrics_many(
     the same metric from different label sets share one ``# TYPE``
     header, in sorted metric order and entry order within a metric.
     """
-    families: dict[str, list[tuple[dict[str, str] | None, object]]] = {}
+    families: dict[str, list[tuple[dict[str, str] | None, float]]] = {}
     for labels, snapshot in entries:
         for name in sorted(snapshot):
             families.setdefault(name, []).append((labels, snapshot[name]))
     lines: list[str] = []
     for name in sorted(families):
         metric = prefix + sanitize_metric_name(name)
-        samples = families[name]
-        is_summary = any(isinstance(value, dict) for _, value in samples)
-        lines.append(f"# TYPE {metric} {'summary' if is_summary else 'gauge'}")
-        for labels, value in samples:
-            if isinstance(value, dict):
-                for quantile, key in _QUANTILES:
-                    quantile_labels = dict(labels or {})
-                    quantile_labels["quantile"] = quantile
-                    lines.append(
-                        f"{metric}{_label_set(quantile_labels)} "
-                        f"{_format_value(value[key])}"
-                    )
-                lines.append(
-                    f"{metric}_count{_label_set(labels)} "
-                    f"{_format_value(value['count'])}"
-                )
-                lines.append(
-                    f"{metric}_sum{_label_set(labels)} "
-                    f"{_format_value(value['sum'])}"
-                )
-            else:
-                lines.append(
-                    f"{metric}{_label_set(labels)} {_format_value(value)}"
-                )
+        lines.append(f"# TYPE {metric} gauge")
+        for labels, value in families[name]:
+            lines.append(f"{metric}{_label_set(labels)} {_format_value(value)}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 

@@ -29,8 +29,7 @@ from repro.obs.metrics import Reservoir
 HIT_RATIO_WINDOW_S = 20
 
 #: The driver's per-read latency sample is the one shared reservoir
-#: implementation (Vitter's Algorithm R) from :mod:`repro.obs.metrics` —
-#: the same sampler Histogram percentiles use.
+#: implementation (Vitter's Algorithm R) from :mod:`repro.obs.metrics`.
 LatencyReservoir = Reservoir
 
 

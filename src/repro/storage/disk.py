@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import StorageError
 from repro.clock import VirtualClock
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.storage.extent import Extent, ExtentAllocator
 
 
@@ -94,7 +93,6 @@ class SimulatedDisk:
         #: fully tagged engine stacks).
         self.cause_read_kb: dict[str, float] = {}
         self.cause_write_kb: dict[str, float] = {}
-        self.bind_observability(NULL_REGISTRY)
         self._tick = _TickLedger()
         #: Background work queued but not yet absorbed by the device.  A
         #: compaction step is *issued* within one virtual second but its
@@ -108,68 +106,27 @@ class SimulatedDisk:
         #: armed injector raises to simulate a crash at that instant.
         self.fault_hook: Callable[[str], None] | None = None
 
-    def bind_observability(self, registry: MetricsRegistry) -> None:
-        """Publish the disk ledger through ``registry``.
+    def metrics(self) -> dict[str, float]:
+        """The disk's registry source: its ledger under ``disk.*`` names.
 
-        Called by :class:`~repro.substrate.Substrate`; until then the disk
-        writes to the shared null registry, so standalone construction
-        (unit tests, ad-hoc scripts) pays nothing.
-
-        The per-operation counters (sequential KB, seeks, random blocks,
-        per-cause traffic) are published *deferred*: the I/O paths write
-        only the plain ``stats``/cause dicts, and a registered flush
-        callback copies them into the instruments whenever the registry
-        flushes (every snapshot does).  Allocation counters and the
-        live-KB gauge stay live — extent churn is orders of magnitude
-        rarer than I/O accounting.
+        Each cause in the per-cause dicts reads as
+        ``disk.bw.<cause>.<read|write>_kb``.
         """
-        self._registry = registry
-        self._m_seq_read_kb = registry.counter("disk.seq_read_kb")
-        self._m_seq_write_kb = registry.counter("disk.seq_write_kb")
-        self._m_random_reads = registry.counter("disk.random_read_blocks")
-        self._m_seeks = registry.counter("disk.seeks")
-        self._m_allocations = registry.counter("disk.allocations")
-        self._m_frees = registry.counter("disk.frees")
-        self._m_live_kb = registry.gauge("disk.live_kb")
         stats = self.stats
-        self._m_offsets = (
-            self._m_seq_read_kb.value - stats.seq_read_kb,
-            self._m_seq_write_kb.value - stats.seq_write_kb,
-            self._m_random_reads.value - stats.random_read_blocks,
-            self._m_seeks.value - stats.seeks,
-            self._m_allocations.value - stats.allocations,
-            self._m_frees.value - stats.frees,
-        )
-        # Per-cause counters are created lazily (causes arrive at
-        # runtime); rebinding re-registers the causes seen so far.
-        self._m_cause: dict[tuple[str, str], object] = {}
-        self._m_cause_offsets: dict[tuple[str, str], float] = {}
+        out = {
+            "disk.seq_read_kb": stats.seq_read_kb,
+            "disk.seq_write_kb": stats.seq_write_kb,
+            "disk.random_read_blocks": stats.random_read_blocks,
+            "disk.seeks": stats.seeks,
+            "disk.allocations": stats.allocations,
+            "disk.frees": stats.frees,
+            "disk.live_kb": self._allocator.live_kb,
+        }
         for cause, total in self.cause_read_kb.items():
-            self._cause_counter("read", cause, total)
+            out[f"disk.bw.{cause}.read_kb"] = total
         for cause, total in self.cause_write_kb.items():
-            self._cause_counter("write", cause, total)
-        registry.register_flush(self._publish_metrics)
-
-    def _publish_metrics(self) -> None:
-        """Copy the hot-path ledgers into the registry instruments."""
-        stats = self.stats
-        seq_read, seq_write, random_reads, seeks, allocs, frees = (
-            self._m_offsets
-        )
-        self._m_seq_read_kb.value = seq_read + stats.seq_read_kb
-        self._m_seq_write_kb.value = seq_write + stats.seq_write_kb
-        self._m_random_reads.value = random_reads + stats.random_read_blocks
-        self._m_seeks.value = seeks + stats.seeks
-        self._m_allocations.value = allocs + stats.allocations
-        self._m_frees.value = frees + stats.frees
-        self._m_live_kb.set(self._allocator.live_kb)
-        offsets = self._m_cause_offsets
-        for cause, total in self.cause_read_kb.items():
-            counter = self._cause_counter("read", cause)
-            counter.value = offsets[("read", cause)] + total
-        for cause, total in self.cause_write_kb.items():
-            counter = self._cause_counter("write", cause)
-            counter.value = offsets[("write", cause)] + total
+            out[f"disk.bw.{cause}.write_kb"] = total
+        return out
 
     # ------------------------------------------------------------------
     # Space management.
@@ -303,19 +260,6 @@ class SimulatedDisk:
     # ------------------------------------------------------------------
     # Per-cause bandwidth attribution.
     # ------------------------------------------------------------------
-    def _cause_counter(self, kind: str, cause: str, bound_kb: float = 0.0):
-        key = (kind, cause)
-        counter = self._m_cause.get(key)
-        if counter is None:
-            counter = self._registry.counter(f"disk.bw.{cause}.{kind}_kb")
-            self._m_cause[key] = counter
-            # The counter may pre-exist with a value (rebind); the offset
-            # keeps deferred publication from double-counting the
-            # ``bound_kb`` the cause had booked when the registry was
-            # bound.  A cause first seen after bind had booked nothing.
-            self._m_cause_offsets[key] = counter.value - bound_kb
-        return counter
-
     def _attribute(self, kind: str, cause: str, size_kb: float) -> None:
         totals = self.cause_read_kb if kind == "read" else self.cause_write_kb
         totals[cause] = totals.get(cause, 0.0) + size_kb
@@ -329,8 +273,6 @@ class SimulatedDisk:
         """
         self.cause_read_kb.setdefault(cause, 0.0)
         self.cause_write_kb.setdefault(cause, 0.0)
-        self._cause_counter("read", cause)
-        self._cause_counter("write", cause)
 
     def cause_totals(self) -> dict[str, dict[str, float]]:
         """Cumulative per-cause traffic: ``{cause: {read_kb, write_kb}}``."""

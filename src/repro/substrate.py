@@ -8,9 +8,10 @@ engine is built from one (``LSMEngine(substrate)``), and
 :mod:`repro.sim.experiment` creates one per registered engine with the
 cache stack that engine's spec declares.
 
-Constructing a substrate *binds* its disk and caches to the registry and
-bus, so every layer publishes through one spine without each call site
-having to thread observability arguments around.
+Constructing a substrate registers its disk and caches as registry
+sources and binds the caches to the bus, so every layer reports through
+one spine without each call site having to thread observability
+arguments around.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ class Substrate:
     bus: EventBus = field(default_factory=EventBus)
 
     def __post_init__(self) -> None:
-        self.disk.bind_observability(self.registry)
-        if self.db_cache is not None:
-            self.db_cache.bind_observability(self.registry, self.bus, "db")
-        if self.os_cache is not None:
-            self.os_cache.bind_observability(self.registry, self.bus, "os")
+        self.registry.register(self.disk.metrics)
+        for name, cache in (("db", self.db_cache), ("os", self.os_cache)):
+            if cache is not None:
+                cache.bind_observability(self.bus, name)
+                self.registry.register(cache.metrics)
 
     @classmethod
     def create(

@@ -49,9 +49,10 @@ class KVCachedBLSM(BLSMTree):
         self.kv_cache = KVStoreCache(
             max(1, _row_cache_kb(config) // config.pair_size_kb)
         )
-        # Bound before the engine registers its instruments, so snapshots
+        # Registered before the engine registers itself, so snapshots
         # list the row cache between the block cache and the engine.
-        self.kv_cache.bind_observability(substrate.registry, substrate.bus, "kv")
+        self.kv_cache.bind_observability(substrate.bus, "kv")
+        substrate.registry.register(self.kv_cache.metrics)
         super().__init__(substrate)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.cache.db_cache import DBBufferCache
 from repro.cache.kv_cache import KVStoreCache
 from repro.cache.os_cache import OSBufferCache
 from repro.obs.events import CacheInvalidated, EventBus
-from repro.obs.metrics import NULL_REGISTRY
 
 # ----------------------------------------------------------------------
 # LRU: exact victim order, through each cache's own access path.
@@ -180,7 +179,7 @@ class TestDBCacheGolden:
         bus = EventBus()
         seen: list[CacheInvalidated] = []
         bus.subscribe(CacheInvalidated, seen.append)
-        cache.bind_observability(NULL_REGISTRY, bus, "db")
+        cache.bind_observability(bus, "db")
         cache.access(7, 0)
         cache.access(7, 1)
         cache.invalidate_file(7)

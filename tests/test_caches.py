@@ -1,5 +1,5 @@
 """Unit tests for :mod:`repro.cache` — DB, OS and K-V caches and the
-registry counters they publish."""
+registry source that reads their counters."""
 
 import random
 
@@ -10,7 +10,6 @@ from repro.cache.kv_cache import KVStoreCache
 from repro.cache.os_cache import OSBufferCache
 from repro.cache.stats import CacheStats
 from repro.config import SystemConfig
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.experiment import build_engine
 
 
@@ -219,7 +218,7 @@ class TestKVStoreCache:
             KVStoreCache(0)
 
 
-#: Every registry counter each cache publishes, in registration order.
+#: Every counter each cache's registry source reads, in order.
 _CACHE_COUNTERS = {
     "db": ("hits", "misses", "evictions", "invalidations"),
     "os": ("hits", "misses", "evictions", "compaction_pages"),
@@ -228,7 +227,7 @@ _CACHE_COUNTERS = {
 
 
 def _cache_counts(caches) -> dict[str, float]:
-    """What each cache's registry counters must read, from its own ints."""
+    """What each cache's snapshot keys must read, from its own ints."""
     out = {}
     for name, cache in caches.items():
         for counter in _CACHE_COUNTERS[name]:
@@ -277,13 +276,3 @@ class TestCounterPublication:
         assert published == expected
         assert all(expected[f"cache.{name}.evictions"] for name in caches)
 
-        # A rebind to a fresh registry counts from the rebind on: nothing
-        # the cache saw before it is published twice.
-        fresh = MetricsRegistry()
-        for name, cache in caches.items():
-            cache.bind_observability(fresh, setup.substrate.bus, name)
-        _drive(setup, 1000, seed=1)
-        after = _cache_counts(caches)
-        assert fresh.snapshot() == {
-            key: after[key] - expected[key] for key in expected
-        }

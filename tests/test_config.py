@@ -105,6 +105,10 @@ class TestValidation:
             ("pair_size_kb", 0),
             ("block_size_kb", 3),  # not a multiple of pair size? (3 is, but file 8 % 3 != 0)
             ("file_size_kb", 6),  # not a multiple of block size 4
+            ("block_size_kb", 0),  # smaller than a pair
+            ("block_size_kb", -4),
+            ("file_size_kb", 0),  # smaller than a block
+            ("file_size_kb", -8),
             ("superfile_files", 0),
             ("size_ratio", 1),
             ("num_disk_levels", 0),

@@ -18,7 +18,7 @@ from repro.obs.events import (
     FileCreated,
     FlushDone,
 )
-from repro.obs.metrics import NULL_REGISTRY, Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder, read_jsonl
 from repro.sim.experiment import ENGINE_NAMES, build_engine
 from repro.sim.metrics import LatencyReservoir
@@ -27,64 +27,38 @@ from repro.substrate import Substrate
 
 class TestMetricsRegistry:
     def test_counter_increments(self):
+        # The layer counts in its own ledger; the snapshot reads it then.
+        stats = {"n": 0}
         registry = MetricsRegistry()
-        counter = registry.counter("a.b")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        assert registry.snapshot()["a.b"] == 3.5
+        registry.register(lambda: {"a.b": stats["n"]})
+        stats["n"] += 1
+        assert registry.snapshot()["a.b"] == 1.0
+        stats["n"] += 2
+        assert registry.snapshot()["a.b"] == 3.0
 
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
-
-    def test_same_name_shares_instrument(self):
+    def test_snapshot_values_are_floats(self):
+        live = {"kb": 7}
         registry = MetricsRegistry()
-        assert registry.counter("n") is registry.counter("n")
-        assert len(registry) == 1
-
-    def test_type_clash_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("n")
-        with pytest.raises(TypeError):
-            registry.gauge("n")
-
-    def test_gauge_and_histogram(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        gauge.set(7)
-        histogram = registry.histogram("h")
-        histogram.observe(1.0)
-        histogram.observe(3.0)
+        registry.register(lambda: {"g": live["kb"], "f": 2.5, "z": -0.0})
         snap = registry.snapshot()
-        assert snap["g"] == 7.0
-        assert snap["h"] == {
-            "count": 2.0,
-            "sum": 4.0,
-            "min": 1.0,
-            "max": 3.0,
-            "mean": 2.0,
-            "p50": 1.0,
-            "p95": 3.0,
-            "p99": 3.0,
-        }
+        assert snap == {"g": 7.0, "f": 2.5, "z": 0.0}
+        assert all(type(value) is float for value in snap.values())
+        live["kb"] = 3  # A gauge-like stat moves both ways.
+        assert registry.snapshot()["g"] == 3.0
 
-    def test_disabled_registry_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("c")
-        counter.inc(5)
-        assert counter.value == 0.0
-        assert len(registry) == 0
-        # Null instruments are shared singletons.
-        assert registry.counter("other") is counter
-        assert NULL_REGISTRY.gauge("g") is registry.gauge("whatever")
-
-    def test_names_and_contains(self):
+    def test_duplicate_key_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("b")
-        registry.counter("a")
-        assert registry.names() == ["a", "b"]
-        assert "a" in registry and "z" not in registry
+        registry.register(lambda: {"n": 1, "a": 2})
+        registry.register(lambda: {"n": 1})
+        with pytest.raises(ValueError, match="'n'"):
+            registry.snapshot()
+
+    def test_sources_read_in_registration_order(self):
+        registry = MetricsRegistry()
+        assert registry.snapshot() == {}
+        registry.register(lambda: {"b": 1})
+        registry.register(lambda: {"a": 2, "c": 3})
+        assert list(registry.snapshot()) == ["b", "a", "c"]
 
 
 class TestEventBus:

@@ -193,7 +193,7 @@ class TestSpanProfiler:
         assert "ReadSpan" not in result.event_counts
         assert not any(
             "span" in name.lower()
-            for name in setup.substrate.registry.names()
+            for name in setup.substrate.registry.snapshot()
         )
 
 

@@ -510,28 +510,14 @@ class TestExposition:
         assert sanitize_metric_name("9lives") == "_9lives"
         assert sanitize_metric_name("a:b") == "a:b"
 
-    def test_render_counters_and_histograms(self):
-        snapshot = {
-            "reads.total": 42.0,
-            "read.latency_s": {
-                "count": 3.0,
-                "sum": 0.6,
-                "min": 0.1,
-                "max": 0.3,
-                "mean": 0.2,
-                "p50": 0.2,
-                "p95": 0.3,
-                "p99": 0.3,
-            },
-        }
+    def test_render_counters(self):
+        snapshot = {"reads.total": 42.0, "disk.live_kb": 8.0}
         text = render_openmetrics(snapshot, labels={"shard": "0"})
         assert "# TYPE repro_reads_total gauge" in text
         assert 'repro_reads_total{shard="0"} 42.0' in text
-        assert "# TYPE repro_read_latency_s summary" in text
-        assert (
-            'repro_read_latency_s{quantile="0.99",shard="0"} 0.3' in text
+        assert text.index("repro_disk_live_kb") < text.index(
+            "repro_reads_total"
         )
-        assert 'repro_read_latency_s_count{shard="0"} 3.0' in text
         assert text.endswith("# EOF\n")
 
     def test_many_snapshots_share_one_type_header(self):
