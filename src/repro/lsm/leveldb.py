@@ -13,7 +13,8 @@ The class is the design-space interpreter's default point —
 size-ratio / leveling / partial / merge — under LevelDB's name:
 :class:`~repro.lsm.composed.ComposedTree` holds ``levels[i] = [run]``,
 the per-level compaction cursor and the file-by-file merge into C1;
-``tests/golden_engine_digests.json`` pins the runs it must produce.
+the ``leveldb`` cells of ``tests/golden.json`` pin the runs it must
+produce.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from repro.serve.scheduler import SCHEDULER_NAMES
 from repro.serve.spec import ServiceSpec
 from repro.sim.metrics import RunResult, TimeSeries
 from repro.sim.spec import CONFIG_BASES, ExperimentSpec
-from tests.golden_wire import (
+from tests.golden import (
     CLASS_STATS,
     CLUSTER_RESULT,
     CLUSTER_SPEC,

@@ -1,19 +1,19 @@
 """The compaction design-space refactor's proof obligations.
 
-Three layers of evidence that decomposing the engines into declarative
-axes (trigger / layout / granularity / movement) changed *nothing* it
-wasn't supposed to and *something* it was:
+Bit-identity — every legacy engine name still producing exactly the
+pre-refactor runs — is pinned by the ``engines/`` cells of
+``tests/golden.py``.  This module holds the other two layers of
+evidence that decomposing the engines into declarative axes (trigger /
+layout / granularity / movement) changed *nothing* it wasn't supposed
+to and *something* it was:
 
-1. **Bit-identity** — every legacy engine name still produces exactly
-   the pre-refactor runs: lossless result dict and ordered event stream
-   both hash to the digests pinned in ``golden_engine_digests.json``.
-2. **Soundness of the new points** — axis combinations that never
-   existed before (the ``design`` engine over arbitrary
-   ``compaction_*`` configs) stay oracle-identical and invariant-clean
-   on the pinned seed corpus.
-3. **Distinctness** — the new named points are not aliases: tiering and
-   lazy-leveling produce observably different write amplification /
-   stall / hit-ratio profiles, and the compaction buffer shifts them.
+* **Soundness of the new points** — axis combinations that never
+  existed before (the ``design`` engine over arbitrary
+  ``compaction_*`` configs) stay oracle-identical and invariant-clean
+  on the pinned seed corpus.
+* **Distinctness** — the new named points are not aliases: tiering and
+  lazy-leveling produce observably different write amplification /
+  stall / hit-ratio profiles, and the compaction buffer shifts them.
 """
 
 from __future__ import annotations
@@ -27,44 +27,11 @@ from repro.errors import ConfigError
 from repro.lsm.composed import ComposedTree
 from repro.lsm.policy import CompactionAxes
 from repro.sim.experiment import ENGINE_SPECS, build_engine, run_experiment
-from tests.golden_engines import (
-    GOLDEN_PATH,
-    LEGACY_ENGINES,
-    SEEDS,
-    run_digests,
-)
-
-
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    import json
-
-    return json.loads(GOLDEN_PATH.read_text())
+from tests.golden import LEGACY_ENGINES
 
 
 # ----------------------------------------------------------------------
-# 1. Legacy engines are bit-identical to their pinned runs.
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("engine_name", LEGACY_ENGINES)
-def test_legacy_engine_bit_identical(engine_name, golden):
-    pinned = golden["digests"][engine_name]
-    for seed in SEEDS:
-        assert run_digests(engine_name, seed) == pinned[str(seed)], (
-            f"{engine_name} seed={seed} diverged from its pre-refactor "
-            "golden digests — a refactor must be bit-identical"
-        )
-
-
-def test_golden_covers_exactly_the_legacy_registry(golden):
-    assert set(golden["digests"]) == set(LEGACY_ENGINES)
-    # The proof must not silently widen or shrink with registry edits.
-    assert set(LEGACY_ENGINES) <= set(ENGINE_SPECS)
-
-
-# ----------------------------------------------------------------------
-# 2. Axes: validation, registry annotations, composed points.
+# 1. Axes: validation, registry annotations, composed points.
 # ----------------------------------------------------------------------
 
 
@@ -155,7 +122,7 @@ def test_design_engine_reads_axes_from_config():
 
 
 # ----------------------------------------------------------------------
-# 3. New axis combinations are oracle-identical and invariant-clean.
+# 2. New axis combinations are oracle-identical and invariant-clean.
 #    (The named points — tiering, lazy-leveling, ±buffer — are already
 #    swept by test_differential's ENGINE_NAMES parametrization; this
 #    covers *unnamed* corners of the space through the design engine.)
@@ -224,7 +191,7 @@ def test_buffered_combo_actually_buffers(seed_corpus):
 
 
 # ----------------------------------------------------------------------
-# 4. The new named points are observably distinct designs.
+# 3. The new named points are observably distinct designs.
 # ----------------------------------------------------------------------
 
 
