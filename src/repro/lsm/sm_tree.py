@@ -15,6 +15,11 @@ paper shows the two prices paid:
 * obsolete versions pile up in the last level until it fills, inflating the
   database size by ~50% with periodic whole-level merge bursts
   (Figs. 12/13).
+
+The last level collapses in place only while it holds two or more
+tables: once a single table's live data fills it, nothing is left to
+drop, and merging it again on every pass would rewrite the level over
+and over (about 4,350x the ingest on ``SystemConfig.tiny()``).
 """
 
 from __future__ import annotations
@@ -53,11 +58,19 @@ class SMTree(LSMEngine):
     # ------------------------------------------------------------------
     def _do_compactions(self) -> None:
         """Append a full write buffer to level 1, then merge every level
-        at (``>=``) its size-ratio capacity whole into the next."""
+        at (``>=``) its size-ratio capacity whole into the next.
+
+        The last level is skipped while it holds fewer than two tables:
+        a single collapsed table has no obsolete version left to drop,
+        and when its live data alone reaches the capacity, re-merging it
+        on every pass rewrites the whole level for nothing.
+        """
         if self.write_stalled:
             files = self._flush_memtable_to_files()
             self.levels[1].append(SortedTable(files))
         for level in range(1, self.num_levels + 1):
+            if level == self.num_levels and len(self.levels[level]) < 2:
+                continue
             if self.level_size_kb(level) >= self.config.level_capacity_kb(level):
                 self._merge_whole_level(level)
 
