@@ -7,25 +7,23 @@ because the paper charges LSM variants with many sorted tables per level
 (SM-tree, and LSbM's compaction-buffer lists) for "reading false blocks
 caused by false bloom filter tests" (Section III) — so the filter must
 actually produce them rather than being an oracle.
+
+A block keeps its filter as one int (:mod:`repro.sstable.block`).  This
+is the standalone filter over the same masks, computed and not kept: a
+filter of thousands of keys parks no kilobyte masks in the mask tables,
+and it is an independent reference for the blocks' filters.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.bloom.hashing import probe_mask
+from repro.bloom.hashing import filter_geometry, probe_mask
 
 
 class BloomFilter:
-    """Fixed-size Bloom filter over integer keys.
-
-    Probes use *enhanced* double hashing (Dillinger & Manolios): plain
-    ``h1 + i*h2`` degrades on small filters — whenever ``gcd(h2 % m, m)``
-    is large the k probes cycle through a handful of bit positions (one
-    bit in the worst case ``h2 % m == 0``), which measurably inflates
-    the false-positive rate.  The accelerating increment ``y += i + 1``
-    keeps the probe sequence out of short cycles.
-    """
+    """Fixed-size Bloom filter over signed 64-bit integer keys; its bits are
+    one int, OR-ed with each key's probe mask."""
 
     __slots__ = ("_bits", "_num_bits", "_num_hashes", "_num_keys")
 
@@ -34,13 +32,7 @@ class BloomFilter:
             raise ValueError(f"expected_keys must be >= 0, got {expected_keys}")
         if bits_per_key < 1:
             raise ValueError(f"bits_per_key must be >= 1, got {bits_per_key}")
-        self._num_bits = max(8, expected_keys * bits_per_key)
-        # k = ln(2) * bits/key minimizes the false-positive rate.
-        self._num_hashes = max(1, min(30, round(math.log(2) * bits_per_key)))
-        # The bit array is one Python int: insertion is a single ``|=``
-        # with the key's memoized probe mask and a membership test is a
-        # single ``&`` — block filters are ~60 bits, so the ints are
-        # machine-word sized.
+        self._num_bits, self._num_hashes = filter_geometry(expected_keys, bits_per_key)
         self._bits = 0
         self._num_keys = 0
 
@@ -48,12 +40,8 @@ class BloomFilter:
     def build(cls, keys: list[int], bits_per_key: int) -> "BloomFilter":
         """Build a filter sized for and populated with ``keys``."""
         bloom = cls(len(keys), bits_per_key)
-        num_bits, num_hashes = bloom._num_bits, bloom._num_hashes
-        bits = 0
         for key in keys:
-            bits |= probe_mask(key, num_bits, num_hashes)
-        bloom._bits = bits
-        bloom._num_keys = len(keys)
+            bloom.add(key)
         return bloom
 
     def add(self, key: int) -> None:

@@ -1,19 +1,26 @@
-"""Deterministic hashing for Bloom filters.
+"""Deterministic hashing for Bloom filters, and the process-wide mask tables.
 
 Python's built-in ``hash`` is randomized per process, which would make
 simulation runs non-reproducible, so the filters use a 64-bit FNV-1a hash
 followed by a splitmix64 finalizer.  Two independent 32-bit values are
 extracted and combined with double hashing (Kirsch & Mitzenmacher) to
 derive the k probe positions — the same construction LevelDB uses.
+
+A key's k probes are one int *mask*, a pure function of the key and the
+geometry ``(num_bits, num_hashes)``; each geometry has one process-wide
+:class:`MaskTable` of them, since hot keys are probed millions of times.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+#: The most masks one :class:`MaskTable` holds before it is cleared.
+MASK_TABLE_LIMIT = 262144
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -34,39 +41,63 @@ def splitmix64(value: int) -> int:
 
 
 def hash_pair(key: int) -> tuple[int, int]:
-    """Two independent 32-bit hash values for an integer key."""
+    """Two independent 32-bit hash values for a signed 64-bit key."""
     mixed = splitmix64(fnv1a_64(key.to_bytes(8, "little", signed=True)))
     return mixed & 0xFFFFFFFF, (mixed >> 32) & 0xFFFFFFFF
 
 
-@lru_cache(maxsize=262144)
-def probe_positions(key: int, num_bits: int, num_hashes: int) -> tuple[int, ...]:
-    """The enhanced-double-hashing probe sequence for ``key``.
+def filter_geometry(num_keys: int, bits_per_key: int) -> tuple[int, int]:
+    """``(num_bits, num_hashes)`` of a filter for ``num_keys`` keys: at
+    least 8 bits; k = ln(2) * bits/key (the FP-optimal k), clamped 1..30."""
+    num_hashes = max(1, min(30, round(math.log(2) * bits_per_key)))
+    return max(8, num_keys * bits_per_key), num_hashes
 
-    Exactly the bit positions a :class:`~repro.bloom.bloom.BloomFilter`
-    of ``num_bits``/``num_hashes`` probes for ``key`` — a pure function
-    of its arguments, so it is memoized: workload key spaces are small
-    and the same hot keys are hashed millions of times per run.
+
+def probe_mask(key: int, num_bits: int, num_hashes: int) -> int:
+    """The bits a filter of ``num_bits``/``num_hashes`` probes for ``key``.
+
+    Enhanced double hashing (Dillinger & Manolios): on a small filter,
+    plain ``h1 + i*h2`` cycles through a few bits whenever ``gcd(h2 % m,
+    m)`` is large, inflating the false-positive rate; the accelerating
+    increment ``y += i + 1`` keeps the probes out of short cycles.
     """
     h1, h2 = hash_pair(key)
     x, y = h1 % num_bits, h2 % num_bits
-    positions = []
+    mask = 0
     for i in range(num_hashes):
-        positions.append(x)
+        mask |= 1 << x
         x = (x + y) % num_bits
         y = (y + i + 1) % num_bits
-    return tuple(positions)
-
-
-@lru_cache(maxsize=262144)
-def probe_mask(key: int, num_bits: int, num_hashes: int) -> int:
-    """The probe sequence of :func:`probe_positions` as one bitmask.
-
-    Filters that store their bits as an integer insert a key with a
-    single ``|=`` and test membership with a single ``&`` against this
-    mask — the per-position loop runs only on a cache miss.
-    """
-    mask = 0
-    for position in probe_positions(key, num_bits, num_hashes):
-        mask |= 1 << position
     return mask
+
+
+class MaskTable(dict):
+    """``key -> probe mask`` for one geometry; a missing mask is computed
+    and kept, after clearing the table if it holds the limit already
+    (which changes no answer, only what is recomputed)."""
+
+    __slots__ = ("num_bits", "num_hashes")
+
+    def __init__(self, num_bits: int, num_hashes: int) -> None:
+        super().__init__()
+        self.num_bits = num_bits
+        self.num_hashes = num_hashes
+
+    def __missing__(self, key: int) -> int:
+        if len(self) >= MASK_TABLE_LIMIT:
+            self.clear()
+        mask = self[key] = probe_mask(key, self.num_bits, self.num_hashes)
+        return mask
+
+
+#: Every mask table of the process, by geometry.
+_TABLES: dict[tuple[int, int], MaskTable] = {}
+
+
+def mask_table(num_keys: int, bits_per_key: int) -> MaskTable:
+    """The mask table of a filter sized for ``num_keys`` keys."""
+    geometry = filter_geometry(num_keys, bits_per_key)
+    table = _TABLES.get(geometry)
+    if table is None:
+        table = _TABLES[geometry] = MaskTable(*geometry)
+    return table

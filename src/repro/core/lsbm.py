@@ -41,13 +41,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
-from repro.bloom.hashing import probe_mask
 from repro.core.compaction_buffer import BufferLevel
 from repro.core.trim import TrimProcess
 from repro.lsm.base import GetResult, MergeOutcome, ReadCost, ScanResult
 from repro.lsm.blsm import BLSMTree
 from repro.obs.events import BufferFrozen, BufferUnfrozen, FileDiscarded
-from repro.sstable.block import _shared_filter
 from repro.sstable.entry import Entry
 from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
@@ -375,13 +373,11 @@ class LSbMTree(BLSMTree):
             if block.min_key > key:
                 continue
             bloom_probes += 1
-            bloom = block._bloom
-            if bloom is None:
-                bloom = block._bloom = _shared_filter(
-                    tuple(block._keys), block._bits_per_key
-                )
-            mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
-            if bloom._bits & mask != mask:
+            bits = block._filter
+            if bits is None:
+                bits = block._build_filter()
+            mask = block._masks[key]
+            if bits & mask != mask:
                 # The buffer lists hold subsets of this component, so a
                 # negative here clears them too (Algorithm 3's level skip).
                 continue
@@ -435,13 +431,11 @@ class LSbMTree(BLSMTree):
             if block.min_key > key:
                 continue
             cost.bloom_probes += 1
-            bloom = block._bloom
-            if bloom is None:
-                bloom = block._bloom = _shared_filter(
-                    tuple(block._keys), block._bits_per_key
-                )
-            mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
-            if bloom._bits & mask != mask:
+            bits = block._filter
+            if bits is None:
+                bits = block._build_filter()
+            mask = block._masks[key]
+            if bits & mask != mask:
                 continue
             self._read_block(file, block, cost)
             entry = block.get(key)

@@ -36,8 +36,7 @@ from repro.obs.events import (
     MemtableResized,
 )
 from repro.sstable.entry import Kind
-from repro.bloom.hashing import probe_mask
-from repro.sstable.block import Block, _shared_filter
+from repro.sstable.block import Block
 from repro.sstable.builder import TableBuilder
 from repro.sstable.entry import Entry
 from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
@@ -433,13 +432,11 @@ class LSMEngine(ABC):
             if block.min_key > key:
                 continue
             bloom_probes += 1
-            bloom = block._bloom
-            if bloom is None:
-                bloom = block._bloom = _shared_filter(
-                    tuple(block._keys), block._bits_per_key
-                )
-            mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
-            if bloom._bits & mask != mask:
+            bits = block._filter
+            if bits is None:
+                bits = block._build_filter()
+            mask = block._masks[key]
+            if bits & mask != mask:
                 continue
             cost.tables_checked += tables_checked
             cost.index_probes += index_probes
@@ -610,13 +607,11 @@ class LSMEngine(ABC):
         if block.min_key > key:
             return None
         cost.bloom_probes += 1
-        bloom = block._bloom
-        if bloom is None:
-            bloom = block._bloom = _shared_filter(
-                tuple(block._keys), block._bits_per_key
-            )
-        mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
-        if bloom._bits & mask != mask:
+        bits = block._filter
+        if bits is None:
+            bits = block._build_filter()
+        mask = block._masks[key]
+        if bits & mask != mask:
             return None
         self._read_block(file, block, cost)
         entry = block.get(key)

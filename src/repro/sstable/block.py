@@ -5,39 +5,29 @@ one single disk page.  For each single-page block, a bloom filter is built
 to check whether a key is contained in this block."
 
 A block is immutable after construction.  Lookups use binary search over
-the sorted key array; the Bloom filter is consulted by the engines *before*
+the sorted key list; the Bloom filter is consulted by the engines *before*
 touching the block so that false positives cost a (possibly disk) block
 read, exactly as in the paper's cost discussion (Section III).
+
+A block's filter is one int, the OR of its keys' probe masks, beside its
+geometry's process-wide :class:`~repro.bloom.hashing.MaskTable`; the int
+dies with the block, only the masks are shared.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
 
-from repro.bloom import BloomFilter
-from repro.bloom.hashing import probe_mask
+from repro.bloom.hashing import MaskTable, mask_table
 from repro.errors import TableError
 from repro.sstable.entry import Entry
-
-
-@lru_cache(maxsize=262144)
-def _shared_filter(keys: tuple[int, ...], bits_per_key: int) -> BloomFilter:
-    """The Bloom filter for one block's key set, shared across rebuilds.
-
-    A filter is a pure function of ``(keys, bits_per_key)``, and
-    compactions rewrite blocks with identical key sets constantly, so
-    identical blocks share one immutable filter instance.  Nothing
-    mutates a block's filter after construction.
-    """
-    return BloomFilter.build(list(keys), bits_per_key)
 
 
 class Block:
     """An immutable sorted run of entries occupying one disk page.
 
-    The Bloom filter is built lazily on the first probe: most blocks
+    The filter int is built lazily on the first probe: most blocks
     written by a compaction are rewritten by a later one before any
     point lookup ever probes them, and the filter's bits are a pure
     function of the key set, so deferring construction changes nothing
@@ -47,8 +37,8 @@ class Block:
     __slots__ = (
         "_keys",
         "_entries",
-        "_bloom",
-        "_bits_per_key",
+        "_filter",
+        "_masks",
         "min_key",
         "max_key",
         "index",
@@ -72,8 +62,8 @@ class Block:
             previous = key
         self._keys = keys
         self._entries = tuple(entries)
-        self._bloom: BloomFilter | None = None
-        self._bits_per_key = bits_per_key
+        self._filter: int | None = None
+        self._masks = mask_table(len(keys), bits_per_key)
         self.min_key = keys[0]
         self.max_key = previous
         #: Position of this block inside its file.
@@ -81,14 +71,15 @@ class Block:
 
     @classmethod
     def from_sorted(
-        cls, entries: Sequence[Entry], bits_per_key: int, index: int
+        cls, entries: Sequence[Entry], masks: MaskTable, index: int
     ) -> "Block":
         """Construct from entries the caller *guarantees* strictly sorted.
 
         A file cuts its blocks out of a builder's input (a memtable's
         sorted snapshot, a compaction merge's output), strictly sorted
         by construction, so the per-entry validation of ``__init__`` is
-        skipped there.  Everything else about the block is identical.
+        skipped there, and the file looks up ``masks`` once for all its
+        full blocks.  Everything else about the block is identical.
         """
         if not entries:
             raise TableError("a block must contain at least one entry")
@@ -96,8 +87,8 @@ class Block:
         keys = [entry.key for entry in entries]
         block._keys = keys
         block._entries = tuple(entries)
-        block._bloom = None
-        block._bits_per_key = bits_per_key
+        block._filter = None
+        block._masks = masks
         block.min_key = keys[0]
         block.max_key = keys[-1]
         block.index = index
@@ -106,15 +97,6 @@ class Block:
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-    @property
-    def bloom(self) -> BloomFilter:
-        bloom = self._bloom
-        if bloom is None:
-            bloom = self._bloom = _shared_filter(
-                tuple(self._keys), self._bits_per_key
-            )
-        return bloom
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -132,18 +114,22 @@ class Block:
         """Whether ``key`` falls inside this block's key range."""
         return self.min_key <= key <= self.max_key
 
+    def _build_filter(self) -> int:
+        """OR the keys' masks into the filter int; returns it."""
+        masks = self._masks
+        bits = 0
+        for key in self._keys:
+            bits |= masks[key]
+        self._filter = bits
+        return bits
+
     def may_contain(self, key: int) -> bool:
         """The Bloom-filter membership test (probabilistic)."""
-        # Inlines BloomFilter.may_contain — this is the single hottest
-        # probe on the point-read path, so the mask test happens here
-        # without a second method dispatch.
-        bloom = self._bloom
-        if bloom is None:
-            bloom = self._bloom = _shared_filter(
-                tuple(self._keys), self._bits_per_key
-            )
-        mask = probe_mask(key, bloom._num_bits, bloom._num_hashes)
-        return bloom._bits & mask == mask
+        bits = self._filter
+        if bits is None:
+            bits = self._build_filter()
+        mask = self._masks[key]
+        return bits & mask == mask
 
     def get(self, key: int) -> Entry | None:
         """Exact lookup inside the block."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
+from repro.bloom.hashing import mask_table
 from repro.errors import TableError
 from repro.sstable.block import Block
 from repro.sstable.entry import Entry
@@ -185,10 +186,13 @@ class SSTableFile:
         entries = self._entries
         pairs_per_block = self._pairs_per_block
         bits_per_key = self._bits_per_key
+        full = mask_table(pairs_per_block, bits_per_key)
         self._blocks = blocks = [
             Block.from_sorted(
                 entries[start : start + pairs_per_block],
-                bits_per_key,
+                full
+                if start + pairs_per_block <= len(entries)
+                else mask_table(len(entries) - start, bits_per_key),
                 start // pairs_per_block,
             )
             for start in range(0, len(entries), pairs_per_block)

@@ -39,14 +39,15 @@ class TraceOp:
         return f"{self.op} {self.key}"
 
 
-#: Integer operands each operation takes.
+#: Integer operands each operation takes; the first is a key.
 _OPERANDS = {"put": 1, "get": 1, "del": 1, "scan": 2, "tick": 0}
 
 
 def parse_line(line: str) -> TraceOp | None:
     """Parse one trace line; returns ``None`` for blanks and comments.
 
-    Anything else that is not an operation raises :class:`WorkloadError`.
+    Anything else that is not an operation, or a key outside the signed
+    64-bit range, raises :class:`WorkloadError`.
     """
     body = line.split("#", 1)[0].strip()
     if not body:
@@ -61,6 +62,8 @@ def parse_line(line: str) -> TraceOp | None:
         numbers = None
     if numbers is None or len(numbers) != _OPERANDS[op]:
         raise WorkloadError(f"malformed trace line: {line!r}")
+    if numbers and not -(2**63) <= numbers[0] < 2**63:  # Bloom-hashable.
+        raise WorkloadError(f"key outside the signed 64-bit range: {line!r}")
     return TraceOp(op, *numbers)
 
 

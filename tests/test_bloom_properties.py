@@ -5,16 +5,23 @@ by false bloom filter tests" (Section III), so the filter's
 false-positive rate must be *real but calibrated*: measured FP rate
 within 2x of the theoretical rate for the configured bits-per-key, and
 never a false negative (a false negative would silently lose data from
-the read path).
+the read path).  A block keeps its filter as one int over the process-wide
+mask tables; the last property holds it to the standalone filter.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.bloom import hashing
 from repro.bloom.bloom import BloomFilter
+from repro.sstable.block import Block
+from repro.sstable.entry import Entry
 
 #: (number of keys, bits per key) grid — 15 bits/key is the paper's
 #: setting (Section VI-A); 8 is a leaner configuration with a visibly
@@ -94,3 +101,30 @@ def test_more_bits_lower_fp_rate():
     rich_fp = sum(rich.may_contain(p) for p in probes)
     assert rich_fp < lean_fp
     assert rich.theoretical_fp_rate() < lean.theoretical_fp_rate()
+
+
+_KEYS = st.integers(-(2**63), 2**63 - 1) | st.integers(-64, 64)
+
+
+@pytest.mark.parametrize("table_limit", [None, 3], ids=["bounded", "overflowing"])
+@given(
+    keys=st.sets(_KEYS, min_size=1, max_size=8),
+    bits_per_key=st.integers(1, 20),
+    probes=st.lists(_KEYS, max_size=16),
+)
+def test_block_filter_is_the_bloom_filter(table_limit, keys, bits_per_key, probes):
+    """A block's filter int is the standalone filter's bits, and every probe
+    answers alike — also when the mask tables are cleared as they fill
+    (a limit of 3 clears them every few masks), so clearing changes no
+    answer.  One to eight keys covers full and partial blocks."""
+    keys = sorted(keys)
+    reference = BloomFilter.build(keys, bits_per_key)
+    limit = hashing.MASK_TABLE_LIMIT if table_limit is None else table_limit
+    with mock.patch.object(hashing, "MASK_TABLE_LIMIT", limit):
+        block = Block([Entry(key, 1) for key in keys], bits_per_key, index=0)
+        assert block._masks.num_bits == reference.num_bits
+        assert block._masks.num_hashes == reference.num_hashes
+        for probe in probes + keys:
+            assert block.may_contain(probe) == reference.may_contain(probe)
+        assert block._filter == reference._bits
+        assert block._build_filter() == reference._bits

@@ -1055,6 +1055,7 @@ class TestErrorBoundary:
              "--csv", "{file}/x.csv"],
             ["trace", "--engine", "lsbm", "--scale", "8192", "--duration",
              "10", "--out", "{file}/t.jsonl"],
+            ["trace", "replay", "{wide}", "--engine", "leveldb"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
@@ -1064,10 +1065,19 @@ class TestErrorBoundary:
         # ``{file}`` is a regular file, so nothing can be written under it.
         blocker = tmp_path / "file"
         blocker.write_text("")
-        assert main([arg.format(file=blocker) for arg in argv]) == 2
+        # ``{wide}`` holds a key past 64 bits that a point read takes to
+        # a block's Bloom filter once enough puts have flushed it.
+        wide = tmp_path / "wide.trace"
+        big = 2**64
+        lines = [f"put {key}" for key in range(3001)] + [f"put {big}"]
+        lines += [f"put {key}" for key in range(10_000, 12_000)]
+        wide.write_text("\n".join(lines + [f"get {big}"]) + "\n")
+        argv = [arg.format(file=blocker, wide=wide) for arg in argv]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith(f"{argv[0]}: ")
+        command = " ".join(argv[:2]) if argv[1] == "replay" else argv[0]
+        assert err.splitlines()[-1].startswith(f"{command}: ")
 
     def test_csv_parent_directories_are_created(self, tmp_path, capsys):
         csv_path = tmp_path / "new" / "dir" / "x.csv"

@@ -43,6 +43,17 @@ class TestParsing:
         with pytest.raises(WorkloadError):
             parse_line(bad)
 
+    def test_keys_outside_the_signed_64_bit_range_rejected(self):
+        """The Bloom hash reads a key as 8 signed bytes, so a wider key is
+        refused at parse time, not by an ``OverflowError`` mid-replay."""
+        assert parse_line(f"put {-(2**63)}") == TraceOp("put", -(2**63))
+        assert parse_line(f"get {2**63 - 1}") == TraceOp("get", 2**63 - 1)
+        assert parse_line(f"scan {2**63 - 1} 5") == TraceOp("scan", 2**63 - 1, 5)
+        for bad in (f"put {2**64}", f"get {2**63}", f"del {-(2**63) - 1}",
+                    f"scan {2**63} 1"):
+            with pytest.raises(WorkloadError, match="64-bit range"):
+                parse_line(bad)
+
     @pytest.mark.parametrize(
         "op",
         [
