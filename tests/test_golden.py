@@ -99,15 +99,15 @@ def test_cell_keys_are_unchanged(pins):
 
 #: How many cells each family of the table holds.
 _FAMILY_SIZES = {
-    "engines": 33, "read": 21, "write": 36, "serve": 21, "cluster": 6,
-    "crash": 16, "wire": 15, "cell_key": 6,
+    "engines": 33, "read": 21, "ycsb": 12, "write": 36, "serve": 21,
+    "cluster": 6, "crash": 16, "wire": 15, "cell_key": 6,
 }
 
 
 def test_golden_lists_the_cell_table_in_order(pins):
     assert list(pins) == list(CELLS)
     assert Counter(cell_id.split("/")[0] for cell_id in CELLS) == _FAMILY_SIZES
-    assert len(INSTANCES) == 15 and len(CELLS) == 117 + 16 + 15 + 6
+    assert len(INSTANCES) == 15 and len(CELLS) == 129 + 16 + 15 + 6
 
 
 @pytest.mark.parametrize("family", _FAMILY_SIZES)
