@@ -3,8 +3,8 @@
 
 The paper evaluates with a custom YCSB template (RangeHot), but the
 workload package implements the full core suite, and
-:class:`repro.sim.YCSBDriver` executes any operation mix with the same
-costed service-time model the paper experiments use.  This example drives
+:class:`repro.sim.MixedReadWriteDriver`, the paper's closed loop, executes
+any operation mix with the same costed service-time model.  This example drives
 each of A-F against bLSM and LSbM and reports modeled throughput and tail
 latency — the library as a general LSM workbench, not just a figure
 regenerator.
@@ -14,9 +14,8 @@ Run:  python examples/ycsb_workloads.py
 
 from __future__ import annotations
 
-from repro import SystemConfig, build_engine, preload
+from repro import MixedReadWriteDriver, SystemConfig, build_engine, preload
 from repro.sim.report import ascii_table
-from repro.sim.ycsb_driver import YCSBDriver
 from repro.workload.ycsb import ycsb_core_workload
 
 DURATION_S = 600
@@ -35,7 +34,9 @@ def run_workload(engine_name: str, letter: str, config: SystemConfig):
     setup = build_engine(engine_name, config)
     preload(setup)
     workload = ycsb_core_workload(letter, config.unique_keys)
-    driver = YCSBDriver(setup.engine, config, setup.clock, workload, seed=99)
+    driver = MixedReadWriteDriver(
+        setup.engine, config, setup.clock, workload, seed=99
+    )
     result = driver.run(DURATION_S)
     return result
 

@@ -51,7 +51,3 @@ __all__ = [
     "sparkline",
     "summarize_cells",
 ]
-
-from repro.sim.ycsb_driver import YCSBDriver  # noqa: E402
-
-__all__.append("YCSBDriver")

@@ -1,4 +1,9 @@
-"""The batched hot-path kernel for the read side of the simulation.
+"""The batched hot-path kernel for the closed loop's RangeHot reads.
+
+:class:`~repro.sim.driver.MixedReadWriteDriver` runs a RangeHot-style
+workload's point reads or scans through :class:`ReadKernel`; a YCSB
+operation mix runs one priced operation at a time in the driver itself,
+under the same per-tick cap, :data:`MAX_READS_PER_TICK`.
 
 Profiling the Fig. 8 grid shows the read loop spends most of its time in
 Python dispatch, not in the model: a per-op chain re-resolves a dozen
@@ -7,9 +12,9 @@ time, and bumps registry counters per operation.  :class:`ReadKernel`
 batches all of that per *tick* instead of per *op*: it runs one tick's
 reads in a tight loop with every bound method hoisted, accumulates
 priced latencies in a pending batch, and flushes them to the run's
-reservoir in chunks of ``batch_size`` via
+reservoir in chunks of :data:`BATCH_SIZE` via
 :meth:`~repro.obs.metrics.Reservoir.extend`.  Chunk size is
-observationally invisible (a hypothesis property test randomizes it),
+observationally invisible (a hypothesis property test patches it),
 because the budget arithmetic, RNG consumption, and append order per
 read are unchanged.
 
@@ -34,38 +39,31 @@ from repro.storage.iomodel import ReadPricer, queueing_factor
 
 #: Latencies accumulated before a flush to the reservoir.  Any positive
 #: value yields identical results (proven by the property tests); this is
-#: purely an amortization knob.
-DEFAULT_BATCH_SIZE = 256
+#: purely an amortization constant.
+BATCH_SIZE = 256
 
-#: Hard cap on simulated reads per tick, guarding against a degenerate
-#: (near-zero) priced cost making a tick spin forever.
+#: Hard cap on simulated operations per tick, guarding against a
+#: degenerate (near-zero) priced cost making a tick spin forever.
 MAX_READS_PER_TICK = 50_000
 
 
 class ReadKernel:
     """Executes one tick's thread-budgeted reads as a batched loop.
 
-    Owned by :class:`~repro.sim.driver.MixedReadWriteDriver`.  The
-    driver keeps the budget/debt bookkeeping; the kernel runs the loop.
+    Owned by :class:`~repro.sim.driver.MixedReadWriteDriver` when it
+    runs a RangeHot-style workload.  The driver keeps the budget/debt
+    bookkeeping; the kernel runs the loop.
     """
 
-    __slots__ = ("engine", "workload", "pricer", "scan_mode", "batch_size")
+    __slots__ = ("engine", "workload", "pricer", "scan_mode")
 
     def __init__(
-        self,
-        engine,
-        workload,
-        pricer: ReadPricer,
-        scan_mode: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        self, engine, workload, pricer: ReadPricer, scan_mode: bool = False
     ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.engine = engine
         self.workload = workload
         self.pricer = pricer
         self.scan_mode = scan_mode
-        self.batch_size = batch_size
 
     def run_tick(
         self,
@@ -74,20 +72,20 @@ class ReadKernel:
         utilization: float,
         result,
         profiler: SpanProfiler = NULL_PROFILER,
-        max_reads: int = MAX_READS_PER_TICK,
     ) -> tuple[int, float]:
         """Issue reads until ``budget`` is spent; ``(reads, budget)``.
 
         Observationally identical to the scalar per-op chain: same key
         draws from ``rng``, same per-read budget subtraction, same
         latency values appended to ``result.read_latencies_s`` in the
-        same order (just flushed ``batch_size`` at a time), and the same
-        profiler hook per read when profiling is enabled.
+        same order (just flushed :data:`BATCH_SIZE` at a time), and the
+        same profiler hook per read when profiling is enabled.
         """
         ops_scale = self.pricer.ops_scale
         latencies = result.read_latencies_s
         flush = latencies.extend
-        batch_size = self.batch_size
+        batch_size = BATCH_SIZE
+        max_reads = MAX_READS_PER_TICK
         profiling = profiler.enabled
         pending: list[float] = []
         append = pending.append

@@ -192,7 +192,8 @@ class RunResult(Wire):
     bandwidth_kb_by_cause: dict[str, dict[str, float]] = field(
         default_factory=dict
     )
-    #: The substrate registry's closing snapshot (set by run_experiment).
+    #: The substrate registry's closing snapshot (set by
+    #: ``repro.sim.experiment._drive`` and ``repro.serve.service.finalize_serve``).
     metrics: dict[str, object] = field(default_factory=dict)
 
     def warmup_samples(self, fraction: float = 0.1) -> int:

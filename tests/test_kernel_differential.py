@@ -10,9 +10,10 @@ series value, latency reservoir sample, event count and bandwidth total
 — to compare equal, plus (with a live subscriber, which disables the
 counting-only fast path) the full ordered event streams.
 
-The hypothesis test extends the proof to the batch-size axis: results
-must be invariant under any flush granularity, because batching only
-changes *when* accumulated costs are drained, never what they are.
+The hypothesis test extends the proof to the batch-size axis: with
+:data:`repro.sim.kernel.BATCH_SIZE` patched, results must be invariant
+under any flush granularity, because batching only changes *when*
+accumulated costs are drained, never what they are.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,7 +30,6 @@ from hypothesis import strategies as st
 from repro.config import SystemConfig
 from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.experiment import build_engine, preload
-from repro.sim.kernel import ReadKernel
 from repro.workload.ycsb import RangeHotWorkload
 from tests.scalar_reference import ScalarReads
 
@@ -48,7 +49,6 @@ def _run(
     engine_name: str,
     seed: int,
     kernel: str,
-    batch_size: int | None = None,
     duration_s: int = DURATION_S,
     scan_mode: bool = False,
     record_events: bool = False,
@@ -56,7 +56,7 @@ def _run(
     """One driver run; returns (lossless result dict, ordered events).
 
     ``kernel`` is ``"scalar"`` for the reference chain or ``"batched"``
-    for the driver's own kernel, rebuilt when ``batch_size`` is given.
+    for the driver's own kernel.
     """
     config = SystemConfig.paper_scaled(2048)
     setup = build_engine(engine_name, config)
@@ -77,11 +77,6 @@ def _run(
     )
     if kernel == "scalar":
         driver._kernel = ScalarReads(driver)
-    elif batch_size is not None:
-        driver._kernel = ReadKernel(
-            setup.engine, driver.workload, driver.pricer, scan_mode,
-            batch_size=batch_size,
-        )
     result = driver.run(duration_s)
     return result.to_dict(), events
 
@@ -125,8 +120,6 @@ def _scalar_reference():
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_results_invariant_under_batch_size(batch_size):
-    batched, _ = _run(
-        "lsbm", SEEDS[0], kernel="batched",
-        batch_size=batch_size, duration_s=800,
-    )
+    with mock.patch("repro.sim.kernel.BATCH_SIZE", batch_size):
+        batched, _ = _run("lsbm", SEEDS[0], kernel="batched", duration_s=800)
     assert json.dumps(batched, sort_keys=True) == _scalar_reference()

@@ -1,9 +1,9 @@
-"""One recorder contract over the three drivers.
+"""One recorder contract over every run loop.
 
-The closed loop, the YCSB driver and the serve loop all write their
-per-second series and window totals through
-:class:`~repro.sim.metrics.RunRecorder`, so each holds the same
-contract on a small run: every shared series sampled at every tick, the
+The closed loop, on RangeHot and on a YCSB mix, and the serve loop all
+write their per-second series and window totals through
+:class:`~repro.sim.metrics.RunRecorder`, so each holds the same contract
+on a small run: every shared series sampled at every tick, the
 hit ratio at the run's first tick and then every
 :data:`~repro.sim.metrics.HIT_RATIO_WINDOW_S`, the stall series summing
 to the stall total, and per-cause totals that reconcile with the disk.
@@ -19,7 +19,6 @@ from repro.serve.spec import ServiceSpec
 from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.experiment import build_engine, preload
 from repro.sim.metrics import HIT_RATIO_WINDOW_S
-from repro.sim.ycsb_driver import YCSBDriver
 from repro.workload.ycsb import YCSBWorkload
 
 SCALE = 8192
@@ -53,7 +52,8 @@ def _ycsb():
     workload = YCSBWorkload(
         config.unique_keys, read_proportion=0.5, update_proportion=0.5
     )
-    return setup, YCSBDriver(setup.engine, config, setup.clock, workload).run
+    driver = MixedReadWriteDriver(setup.engine, config, setup.clock, workload)
+    return setup, driver.run
 
 
 def _serve():
