@@ -13,13 +13,15 @@ point); :func:`prepare_shard` exposes the wired-but-unrun session so
 the coordinated in-process path (splits, oracle verification) and the
 differential tests can interleave or observe shard simulators directly.
 :func:`partition_arrivals` is the one place a request meets the router:
-the coordinated path generates the stream once and partitions it once
-for all shards; a fanned worker, which is shipped a spec and not a
-stream, generates it once per process and keeps its own bucket.
+the coordinated path draws the stream once and splits it lazily for all
+shards; a fanned worker, which is shipped a spec and not a stream,
+draws it once per process and keeps only its own bucket.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.cluster.spec import ClusterSpec
@@ -67,44 +69,64 @@ class ShardSpec(Wire):
         return f"{self.cluster.label()}/shard{self.shard}"
 
 
-def partition_arrivals(cluster: ClusterSpec) -> list[list[Request]]:
-    """The cluster's arrival stream, one bucket per shard.
+def partition_arrivals(
+    cluster: ClusterSpec, shards: Iterable[int] | None = None
+) -> list[Iterator[Request]]:
+    """The cluster's arrival stream, split lazily, one bucket per shard.
 
-    The merged stream is generated once and every request routed once,
-    by the split-aware request router, into its serving shard's bucket
-    in stream order — so a scheduled split's post-split arrivals
-    already land on the target shard.  The buckets are disjoint and
-    freshly built on every call: a run mutates ``Request.retries``, so
-    a request is never shared between shards or between runs.
+    A bucket per shard in ``shards`` (every shard by default), in that
+    order.  The merged stream is drawn once, as the buckets are read,
+    and every request routed once, by the split-aware request router,
+    onto its serving shard's queue in stream order — so a scheduled
+    split's post-split arrivals already land on the target shard.  A
+    request for a shard not asked for is dropped.  A queue holds what
+    was drawn to reach another shard's next arrival: one tick of
+    requests in lockstep, when every shard has traffic every tick.  The
+    buckets are disjoint and freshly drawn on every call: a run mutates
+    ``Request.retries``, so a request is never shared between shards or
+    between runs.
     """
     spec = cluster.service_spec()
     config = spec.config()
     route = cluster.request_router(config)
-    buckets: list[list[Request]] = [[] for _ in range(cluster.num_shards)]
-    for request in serve_arrivals(spec, config):
-        buckets[route(request)].append(request)
-    return buckets
+    source = serve_arrivals(spec, config)
+    wanted = range(cluster.num_shards) if shards is None else shards
+    queues: dict[int, deque[Request]] = {shard: deque() for shard in wanted}
+
+    def bucket(queue: deque[Request]) -> Iterator[Request]:
+        while True:
+            while not queue:
+                request = next(source, None)
+                if request is None:
+                    return
+                target = queues.get(route(request))
+                if target is not None:
+                    target.append(request)
+            yield queue.popleft()
+
+    return [bucket(queue) for queue in queues.values()]
 
 
 def prepare_shard(
     cluster: ClusterSpec,
     shard: int,
     observer: DispatchObserver | None = None,
-    arrivals: list[Request] | None = None,
+    arrivals: Iterable[Request] | None = None,
 ) -> ServeSession:
     """Wire one shard's serve session: its data placement and its bucket.
 
     Data placement (preload + cache warm) follows the *initial* router;
     ``arrivals`` is this shard's bucket of :func:`partition_arrivals`,
-    which the coordinated path computes once for all shards.  Left as
+    which the coordinated path splits once for all shards.  Left as
     ``None`` (a fanned worker, which is shipped a spec and not a
-    stream) the shard partitions the stream itself and keeps its own
-    bucket.  With one shard everything passes and the session is
+    stream) the shard takes its own bucket from a splitter that drops
+    every other shard's requests.  Nothing is drawn until the run reads
+    the bucket.  With one shard everything passes and the session is
     exactly the single-engine serve session.
     """
     initial = cluster.router(cluster.config())
     if arrivals is None:
-        arrivals = partition_arrivals(cluster)[shard]
+        arrivals = partition_arrivals(cluster, [shard])[0]
     return prepare_serve(
         cluster.service_spec(),
         owned=lambda key: initial.shard_for(key) == shard,

@@ -7,7 +7,7 @@ off by default and all deterministic:
 * **Trace identity** — :func:`make_trace_id` derives a request's trace
   id from ``(seed, seq)`` alone.  Arrival seqs are assigned on the
   *global* merged stream before any shard filtering
-  (:func:`~repro.serve.arrivals.generate_arrivals`), so the same
+  (:func:`~repro.serve.arrivals.arrival_stream`), so the same
   request carries the same trace id in a single-engine run, a 1-shard
   cluster, and an N-shard cluster at any ``--jobs`` — cross-layer
   identity without any runtime coordination.

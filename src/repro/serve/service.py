@@ -27,7 +27,7 @@ begin/step×N/finish composition every single-engine path uses.
 :func:`execute_serve` is the spec-to-result entry point the sweep
 workers call, mirroring :func:`repro.sim.experiment.execute`.  It is
 itself a composition of :func:`prepare_serve` (build the stack, place
-the preload, take the arrival list) and :func:`finalize_serve` (stamp
+the preload, take the arrival stream) and :func:`finalize_serve` (stamp
 spec metadata on the result) so a cluster shard can run the *identical*
 pipeline with its placement filter and its bucket of the arrival stream
 injected — the all-pass filter and the whole stream reproduce the
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -54,7 +55,7 @@ from repro.obs.tracing import (
 )
 from repro.control import Controller, make_controller
 from repro.serve.admission import ADMIT, DEFER, AdmissionController, AdmissionPolicy
-from repro.serve.arrivals import Request, generate_arrivals
+from repro.serve.arrivals import Request, arrival_stream
 from repro.serve.result import ClassStats, ServeResult
 from repro.serve.scheduler import Scheduler, make_scheduler
 from repro.serve.spec import ServiceSpec
@@ -84,14 +85,16 @@ class DispatchObserver(Protocol):
 
 
 class ServiceSimulator:
-    """Drives one engine under a pre-generated open-loop arrival stream."""
+    """Drives one engine under an open-loop arrival stream.
+
+    ``arrivals`` is read once, in order, one request ahead of the run."""
 
     def __init__(
         self,
         engine,
         config: SystemConfig,
         clock,
-        arrivals: list[Request],
+        arrivals: Iterable[Request],
         scheduler: Scheduler,
         admission: AdmissionController,
         request_sample_every: int = 17,
@@ -103,7 +106,7 @@ class ServiceSimulator:
         self.engine = engine
         self.config = config
         self.clock = clock
-        self.arrivals = arrivals
+        self.arrivals = iter(arrivals)
         self.scheduler = scheduler
         self.admission = admission
         self.pricer = ReadPricer(config)
@@ -128,7 +131,8 @@ class ServiceSimulator:
         #: (tick, stall seconds accrued that tick) for the admission window.
         self._stall_window: deque[tuple[int, float]] = deque()
         self._read_debt = 0.0
-        self._arrival_cursor = 0
+        #: The first arrival not yet ingested (read in begin()).
+        self._next_arrival: Request | None = None
         self._completed_count = 0
         # Per-run loop state, created by begin().
         self._result: ServeResult | None = None
@@ -143,12 +147,11 @@ class ServiceSimulator:
     def begin(self, duration_s: int) -> ServeResult:
         """Open a run: allocate the result, snapshot the baselines."""
         result = ServeResult(engine=self.engine.name, duration_s=duration_s)
-        for klass_name, op in self._class_ops():
-            result.class_stats[klass_name] = ClassStats(op=op)
         self.recorder.begin(result)
         # Arrival timestamps are relative to the run's first tick; the
         # engine keeps its own absolute clock (it may have ticked before).
         self._start_tick = self.clock.now
+        self._next_arrival = next(self.arrivals, None)
         self._result = result
         return result
 
@@ -212,13 +215,6 @@ class ServiceSimulator:
     def current_result(self) -> ServeResult | None:
         """The in-flight result between begin() and finish() (live views)."""
         return self._result
-
-    def _class_ops(self) -> list[tuple[str, str]]:
-        seen: dict[str, str] = {}
-        for request in self.arrivals:
-            if request.klass not in seen:
-                seen[request.klass] = request.op
-        return list(seen.items())
 
     # ------------------------------------------------------------------
     # Migration fencing (used by the cluster tier's shard split).
@@ -305,32 +301,27 @@ class ServiceSimulator:
         # The stall window only moves at the end of step(), after
         # dispatch, so one sum serves every admission decision this tick.
         recent_stall_s = self._recent_stall_s()
+        arrival = self._next_arrival
         while True:
             retry_due = (
                 self._retry_heap and self._retry_heap[0][0] < horizon
             )
-            arrival_due = (
-                self._arrival_cursor < len(self.arrivals)
-                and self.arrivals[self._arrival_cursor].arrival_s < horizon
-            )
+            arrival_due = arrival is not None and arrival.arrival_s < horizon
             if retry_due and arrival_due:
                 # Interleave strictly by time so admission sees queue
                 # depth in event order.
-                retry_due = (
-                    self._retry_heap[0][0]
-                    <= self.arrivals[self._arrival_cursor].arrival_s
-                )
+                retry_due = self._retry_heap[0][0] <= arrival.arrival_s
                 arrival_due = not retry_due
             if retry_due:
                 _, _, request = heapq.heappop(self._retry_heap)
                 self._offer(request, result, recent_stall_s, is_retry=True)
             elif arrival_due:
-                request = self.arrivals[self._arrival_cursor]
-                self._arrival_cursor += 1
                 new_arrivals += 1
-                self._offer(request, result, recent_stall_s, is_retry=False)
+                self._offer(arrival, result, recent_stall_s, is_retry=False)
+                arrival = next(self.arrivals, None)
             else:
                 break
+        self._next_arrival = arrival
         return new_arrivals
 
     def _offer(
@@ -513,13 +504,13 @@ def serve_duration(spec: ServiceSpec, config: SystemConfig) -> int:
     return spec.duration_s if spec.duration_s is not None else config.duration_s
 
 
-def serve_arrivals(spec: ServiceSpec, config: SystemConfig) -> list[Request]:
-    """The spec's whole merged arrival stream, freshly generated.
+def serve_arrivals(spec: ServiceSpec, config: SystemConfig) -> Iterator[Request]:
+    """The spec's whole merged arrival stream, drawn as it is read.
 
     Every call builds new :class:`Request` objects: a run mutates
     ``Request.retries``, so a stream is never shared between runs.
     """
-    return generate_arrivals(
+    return arrival_stream(
         spec.client_classes(config),
         config,
         RangeHotWorkload(config),
@@ -531,7 +522,7 @@ def serve_arrivals(spec: ServiceSpec, config: SystemConfig) -> list[Request]:
 def prepare_serve(
     spec: ServiceSpec,
     owned: Callable[[int], bool] | None = None,
-    arrivals: list[Request] | None = None,
+    arrivals: Iterable[Request] | None = None,
     observer: DispatchObserver | None = None,
     shard: int | None = None,
 ) -> ServeSession:
@@ -539,13 +530,14 @@ def prepare_serve(
 
     ``owned`` filters *data placement*: which preloaded keys (and which
     warm-cache touches) belong to this engine.  ``arrivals`` is the
-    request list this engine serves, in arrival order; ``None`` means
-    the spec's whole stream (:func:`serve_arrivals`).  With both left
-    at their defaults the session is exactly the single-engine run.
-    The cluster tier passes a shard-ownership predicate and the shard's
+    requests this engine serves, in arrival order; ``None`` means the
+    spec's whole stream (:func:`serve_arrivals`).  Either way nothing is
+    drawn here: the run reads the stream as it goes.  With both left at
+    their defaults the session is exactly the single-engine run.  The
+    cluster tier passes a shard-ownership predicate and the shard's
     bucket of the whole stream instead
     (:func:`repro.cluster.shard.partition_arrivals`): the stream is
-    always generated whole and only then divided, so request seqs,
+    always drawn whole and only then divided, so request seqs,
     timestamps and key choices are identical across every shard count
     (a request routes somewhere, never changes).
     """
@@ -646,9 +638,10 @@ def execute_serve(spec: ServiceSpec) -> ServeResult:
     """Materialize one :class:`ServiceSpec` into its measured result.
 
     The serve counterpart of :func:`repro.sim.experiment.execute`: build
-    the engine stack, preload the unique data set, generate the arrival
-    stream, then run the service loop.  The result carries the substrate
-    registry's closing snapshot like every other run.
+    the engine stack, preload the unique data set, then run the service
+    loop over the arrival stream, drawn as it is read.  The result
+    carries the substrate registry's closing snapshot like every other
+    run.
     """
     session = prepare_serve(spec)
     result = session.simulator.run(session.duration_s)

@@ -42,7 +42,7 @@ def generate_arrivals(
         sim_rate = klass.rate_qps / config.ops_scale
         times_rng = random.Random(f"{seed}/arrivals/{klass.name}")
         keys_rng = random.Random(f"{seed}/{klass.name}/keys")
-        times = _arrival_times(klass, sim_rate, duration_s, times_rng)
+        times = list(_arrival_times(klass, sim_rate, duration_s, times_rng))
         total += len(times)
         if total > _MAX_TOTAL_ARRIVALS:
             raise ConfigError(

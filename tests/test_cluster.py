@@ -20,6 +20,7 @@ range) so each test stays in the tens of milliseconds.
 from __future__ import annotations
 
 import json
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -38,12 +39,14 @@ from repro.cluster import (
     run_coordinated,
 )
 from repro.errors import ConfigError
+from repro.serve.arrivals import generate_arrivals
 from repro.serve.service import (
     execute_serve,
     finalize_serve,
     prepare_serve,
-    serve_arrivals,
+    serve_duration,
 )
+from repro.workload.ycsb import RangeHotWorkload
 
 PINNED_SEEDS = json.loads(
     (Path(__file__).parent / "seeds.json").read_text()
@@ -129,7 +132,7 @@ class TestSingleShardDifferential:
 
 
 class TestPartitionArrivals:
-    """Generate once, route once: the buckets are the per-shard filters."""
+    """Draw once, route once: the buckets are the per-shard filters."""
 
     @pytest.mark.parametrize(
         "params",
@@ -146,13 +149,24 @@ class TestPartitionArrivals:
     def test_buckets_equal_the_routed_filter(self, params):
         spec = cluster_spec(**params)
         config = spec.config()
-        stream = serve_arrivals(spec.service_spec(), config)
+        service = spec.service_spec()
+        stream = generate_arrivals(
+            service.client_classes(config),
+            config,
+            RangeHotWorkload(config),
+            serve_duration(service, config),
+            service.seed,
+        )
         route = spec.request_router(config)
-        buckets = partition_arrivals(spec)
+        buckets = [list(bucket) for bucket in partition_arrivals(spec)]
         assert len(buckets) == spec.num_shards
         # Request is a dataclass: == compares field for field.
         for shard, bucket in enumerate(buckets):
-            assert bucket == [r for r in stream if route(r) == shard]
+            routed = [r for r in stream if route(r) == shard]
+            assert bucket == routed
+            # Asked for alone, the bucket drops the other shards' requests.
+            (alone,) = partition_arrivals(spec, [shard])
+            assert list(alone) == routed
         union = sorted(
             (r for bucket in buckets for r in bucket), key=lambda r: r.seq
         )
@@ -162,16 +176,49 @@ class TestPartitionArrivals:
 
     def test_split_moves_post_split_arrivals_between_buckets(self):
         base = dict(num_shards=2, partitioner="range", write_rate_qps=20_000.0)
-        plain = partition_arrivals(cluster_spec(**base))
-        split = partition_arrivals(cluster_spec(split_at_s=150, **base))
+        plain = [list(b) for b in partition_arrivals(cluster_spec(**base))]
+        split = [
+            list(b)
+            for b in partition_arrivals(cluster_spec(split_at_s=150, **base))
+        ]
         assert len(split[1]) > len(plain[1])
         assert sum(map(len, split)) == sum(map(len, plain))
 
+    def test_lockstep_queues_hold_one_tick(self, monkeypatch):
+        """Under run_coordinated the splitter reads ahead only as far as
+        some shard's next arrival: with traffic on every shard every
+        tick, each queue holds next-tick arrivals only."""
+        from repro.cluster import shard as shard_module
+
+        queues: list[deque] = []
+
+        class RecordedDeque(deque):
+            def __init__(self, *args):
+                super().__init__(*args)
+                queues.append(self)
+
+        monkeypatch.setattr(shard_module, "deque", RecordedDeque)
+        spec = cluster_spec(
+            read_rate_qps=300_000.0, write_rate_qps=100_000.0, verify=True
+        )
+        held: list[int] = []
+
+        def on_tick(tick, sessions):
+            for queue in queues:
+                assert all(tick + 1 <= r.arrival_s < tick + 2 for r in queue)
+                held.append(len(queue))
+
+        result = run_coordinated(spec, on_tick=on_tick)
+        assert len(queues) == spec.num_shards
+        assert result.reads_completed > 500
+        assert max(held) > 0
+
     def test_prepare_shard_default_is_its_own_bucket(self):
         spec = cluster_spec(num_shards=3)
-        bucket = partition_arrivals(spec)[1]
+        bucket = list(partition_arrivals(spec)[1])
         session = prepare_shard(spec, 1)
-        assert session.simulator.arrivals == bucket
+        assert bucket
+        assert list(session.simulator.arrivals) == bucket
 
 
 class TestParallelEquivalence:

@@ -370,10 +370,50 @@ class TestServeEndToEnd:
             )
             return json.dumps(result.to_dict(), sort_keys=True)
 
-        stream = serve_arrivals(spec, spec.config())
+        stream = list(serve_arrivals(spec, spec.config()))
         assert stream
         assert digest(prepare_serve(spec, arrivals=stream)) == digest(
             prepare_serve(spec)
+        )
+
+
+class TestLazyStream:
+    """A serve run draws its arrivals as it reads them."""
+
+    def test_prepare_draws_nothing_and_a_step_draws_one_tick(self, monkeypatch):
+        built: list[int] = []
+
+        class CountingRequest(Request):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(arrivals, "Request", CountingRequest)
+        spec = ServiceSpec(
+            engine="lsbm", scale=8192, duration_s=300,
+            read_rate_qps=30_000.0, write_rate_qps=20_000.0, seed=1,
+        )
+        classes = len(spec.client_classes(spec.config()))
+        assert classes == 2
+        session = prepare_serve(spec)
+        assert not built
+        simulator = session.simulator
+        simulator.begin(session.duration_s)
+        for _ in range(session.duration_s):
+            simulator.step()
+            ledgers = simulator.current_result.class_stats.values()
+            arrived = sum(stats.arrived for stats in ledgers)
+            # The merge holds one drawn request per class: the
+            # simulator's lookahead and the other classes' heads.
+            assert len(built) <= arrived + classes
+        result = simulator.finish()
+        assert arrived == len(built) > 1000
+        # Ledgers open as classes first arrive, in stream order.
+        stream = serve_arrivals(spec, spec.config())
+        assert list(result.class_stats) == list(
+            dict.fromkeys(request.klass for request in stream)
         )
 
 
