@@ -106,9 +106,9 @@ class ReadPricer:
     ) -> float:
         """Unscaled modeled service seconds of one (simulated) read.
 
-        This is :meth:`price` without the final ``ops_scale`` multiply
-        — the quantity the serve layer records as a request's service
-        time, and exactly the left-to-right sum of
+        Times ``ops_scale``, it is what the read debits from a thread
+        budget; unscaled, it is the quantity the serve layer records as
+        a request's service time, and exactly the left-to-right sum of
         :meth:`stage_terms`.
         """
         seconds = (
@@ -181,15 +181,3 @@ class ReadPricer:
                     )
                 )
         return terms
-
-    def price(
-        self,
-        cost: ReadCost,
-        pairs_returned: int,
-        utilization: float,
-        is_scan: bool = False,
-    ) -> float:
-        """:meth:`service_seconds` of one simulated read, times ``ops_scale``
-        (what the read debits from a closed-loop thread budget)."""
-        seconds = self.service_seconds(cost, pairs_returned, utilization, is_scan)
-        return seconds * self.ops_scale

@@ -15,6 +15,12 @@ from __future__ import annotations
 from repro.sim.kernel import MAX_READS_PER_TICK
 
 
+def price_read(pricer, cost, pairs, utilization, is_scan=False) -> float:
+    """What one simulated read debits from a closed-loop thread budget:
+    its unscaled service seconds times ``ops_scale``."""
+    return pricer.service_seconds(cost, pairs, utilization, is_scan) * pricer.ops_scale
+
+
 class ScalarReads:
     """One tick's reads issued and priced one operation at a time."""
 
@@ -36,7 +42,9 @@ class ScalarReads:
                 key = self.workload.next_read_key(rng)
                 got = self.engine.get(key)
                 cost, pairs = got.cost, 0
-            priced = self.pricer.price(cost, pairs, utilization, self.scan_mode)
+            priced = price_read(
+                self.pricer, cost, pairs, utilization, self.scan_mode
+            )
             profiler.record_read(cost, utilization, pairs, self.scan_mode)
             budget -= priced
             result.read_latencies_s.append(priced / self.config.ops_scale)

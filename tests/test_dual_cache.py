@@ -6,6 +6,7 @@ from repro.config import SystemConfig
 from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.experiment import build_engine, preload
 from repro.sstable.entry import value_for
+from tests.scalar_reference import price_read
 
 
 def small_config():
@@ -58,9 +59,9 @@ class TestDualCacheStack:
         driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
         from repro.lsm.base import ReadCost
 
-        db_hit = driver.pricer.price(ReadCost(cache_hit_blocks=1), 0, 0.0)
-        os_hit = driver.pricer.price(ReadCost(os_hit_blocks=1), 0, 0.0)
-        disk = driver.pricer.price(ReadCost(disk_random_blocks=1), 0, 0.0)
+        db_hit = price_read(driver.pricer, ReadCost(cache_hit_blocks=1), 0, 0.0)
+        os_hit = price_read(driver.pricer, ReadCost(os_hit_blocks=1), 0, 0.0)
+        disk = price_read(driver.pricer, ReadCost(disk_random_blocks=1), 0, 0.0)
         assert db_hit < os_hit < disk
 
     def test_dual_run_end_to_end(self):

@@ -64,6 +64,7 @@ from repro.sim.metrics import TimeSeries
 from repro.sim.spec import ExperimentSpec
 from repro.sim.report import mark_line, sparkline
 from repro.storage.iomodel import ReadPricer
+from tests.scalar_reference import price_read
 
 
 def _cost_grid():
@@ -122,8 +123,8 @@ class TestSpanProfiler:
                     assert total_s == pricer.service_seconds(
                         cost, pairs, utilization, is_scan
                     ), shape
-                    assert total_s * config.ops_scale == pricer.price(
-                        cost, pairs, utilization, is_scan
+                    assert total_s * config.ops_scale == price_read(
+                        pricer, cost, pairs, utilization, is_scan
                     ), shape
                     assert all(stage["duration_s"] for stage in stages), shape
         assert shapes == 5184

@@ -9,6 +9,7 @@ from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.experiment import ENGINE_NAMES, build_engine, preload, run_experiment
 from repro.sim.metrics import RunResult, TimeSeries
 from repro.sim.report import ascii_table, format_qps, series_block, sparkline
+from tests.scalar_reference import price_read
 
 
 def small_config():
@@ -115,7 +116,7 @@ class TestDriver:
         driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
         hit = ReadCost(cache_hit_blocks=1)
         miss = ReadCost(disk_random_blocks=1)
-        assert driver.pricer.price(miss, 0, 0.0) > driver.pricer.price(hit, 0, 0.0)
+        assert price_read(driver.pricer, miss, 0, 0.0) > price_read(driver.pricer, hit, 0, 0.0)
 
     def test_price_scan_charges_tables(self):
         config = small_config()
@@ -123,18 +124,18 @@ class TestDriver:
         driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
         few = ReadCost(tables_checked=2)
         many = ReadCost(tables_checked=20)
-        assert driver.pricer.price(many, 0, 0.0, is_scan=True) > driver.pricer.price(
+        assert price_read(driver.pricer, many, 0, 0.0, is_scan=True) > price_read(driver.pricer, 
             few, 0, 0.0, is_scan=True
         )
         # Point reads don't pay the iterator-positioning cost.
-        assert driver.pricer.price(many, 0, 0.0) == driver.pricer.price(few, 0, 0.0)
+        assert price_read(driver.pricer, many, 0, 0.0) == price_read(driver.pricer, few, 0, 0.0)
 
     def test_contention_slows_disk_reads(self):
         config = small_config()
         setup = build_engine("blsm", config)
         driver = MixedReadWriteDriver(setup.engine, config, setup.clock)
         miss = ReadCost(disk_random_blocks=1)
-        assert driver.pricer.price(miss, 0, 0.5) > driver.pricer.price(miss, 0, 0.0)
+        assert price_read(driver.pricer, miss, 0, 0.5) > price_read(driver.pricer, miss, 0, 0.0)
 
     def test_ops_scale_multiplies_price(self):
         config = small_config().replace(ops_scale=4.0)
@@ -144,8 +145,8 @@ class TestDriver:
         setup2 = build_engine("blsm", base)
         driver2 = MixedReadWriteDriver(setup2.engine, base, setup2.clock)
         cost = ReadCost(cache_hit_blocks=1)
-        assert driver.pricer.price(cost, 0, 0.0) == pytest.approx(
-            4.0 * driver2.pricer.price(cost, 0, 0.0)
+        assert price_read(driver.pricer, cost, 0, 0.0) == pytest.approx(
+            4.0 * price_read(driver2.pricer, cost, 0, 0.0)
         )
 
 

@@ -13,6 +13,7 @@ from repro.lsm.base import ReadCost
 from repro.storage.disk import SimulatedDisk
 from repro.storage.extent import ExtentAllocator
 from repro.storage.iomodel import ReadPricer, queueing_factor
+from tests.scalar_reference import price_read
 
 
 class TestExtentAllocator:
@@ -207,7 +208,7 @@ class TestReadPricer:
             for is_scan in (False, True):
                 shape = (ReadCost(), 0, utilization, is_scan)
                 assert pricer.service_seconds(*shape) == base
-                assert pricer.price(*shape) == base * config.ops_scale
+                assert price_read(pricer, *shape) == base * config.ops_scale
                 charged = [term for term in pricer.stage_terms(*shape) if term[1]]
                 assert charged == [("cpu", base)]
 

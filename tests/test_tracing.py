@@ -667,8 +667,9 @@ class TestPricerEquivalence:
     """The pricer spells its arithmetic twice: ``stage_terms`` (the
     labeled addends) and ``service_seconds`` (their fused sum).
 
-    This pins the two to the same addend sequence, bitwise, and
-    ``price`` to the scaled sum.
+    This pins the two to the same addend sequence, bitwise.  (The
+    scaled budget debit, ``service_seconds * ops_scale``, is no longer a
+    pricer method; each loop that debits a budget multiplies in place.)
     """
 
     def test_price_is_scaled_service_seconds_bitwise(self):
@@ -701,9 +702,6 @@ class TestPricerEquivalence:
                     for is_scan in (False, True):
                         service = pricer.service_seconds(
                             cost, pairs, util, is_scan
-                        )
-                        assert pricer.price(cost, pairs, util, is_scan) == (
-                            service * pricer.ops_scale
                         )
                         total = 0.0
                         for _, value in pricer.stage_terms(
