@@ -10,6 +10,7 @@ test already made.
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import Counter
 
@@ -136,8 +137,11 @@ def test_golden_covers_exactly_the_cell_table(family, pins):
         for cell_id in in_table:
             sections = pins[cell_id]["sections"]
             assert pins[cell_id]["root"] == golden.digest(sections)
-            # Only the write cells run on the counting-only bus.
+            # Only the write cells run on the counting-only bus, and
+            # only they never see their engine's closing structure.
             assert ("events.order" in sections) != (family == "write")
+            pins_structure = any(s.endswith("structure") for s in sections)
+            assert pins_structure != (family == "write")
 
 
 def test_record_rewrites_only_the_matching_lines(tmp_path, pins):
@@ -174,7 +178,8 @@ def test_cells_reach_the_deep_merges(ran):
 
 def test_saturating_cell_exercises_every_offer_branch(ran):
     """The pins only prove something if defers, retries and sheds occur."""
-    result, events = ran("serve/fifo/0")
+    outcome = ran("serve/fifo/0")
+    result, events = outcome.result, outcome.events
     writers = result.class_stats["writers"]
     assert writers.deferred and writers.retried and writers.shed
     assert result.class_stats["readers"].shed
@@ -249,6 +254,19 @@ _PLANTS = (
 )
 
 
+@pytest.mark.parametrize("cell_id", _PLANTED_CELLS)
+def test_diff_names_a_moved_closing_structure(cell_id, pins, ran):
+    outcome = ran(cell_id)
+    name = _named(_PLANTED_CELLS[cell_id], "structure")
+    structure = copy.deepcopy(outcome.structure)
+    first = next(f for group in structure[name] for table in group for f in table)
+    first[3] += 1  # One file's size.
+    planted = golden.result_pin(
+        outcome.result.to_dict(), outcome.events, structure
+    )
+    assert golden.moved(cell_id, pins[cell_id], planted) == [name]
+
+
 @pytest.mark.parametrize(
     "cell_id,plant",
     [
@@ -263,10 +281,11 @@ def test_diff_names_exactly_the_planted_sections(cell_id, plant, pins, ran):
     outcome = ran(cell_id)
     payload, events = outcome.result.to_dict(), list(outcome.events)
     pinned = pins[cell_id]
-    assert golden.moved(cell_id, pinned, golden.result_pin(payload, events)) == []
+    fresh = golden.result_pin(payload, events, outcome.structure)
+    assert golden.moved(cell_id, pinned, fresh) == []
     shard = _PLANTED_CELLS[cell_id]
     target = payload if shard is None else payload["shards"][shard]
     expected = plant(target, events, shard)
-    planted = golden.result_pin(payload, events)
+    planted = golden.result_pin(payload, events, outcome.structure)
     assert set(golden.moved(cell_id, pinned, planted)) == expected
     assert planted["root"] != pinned["root"]
