@@ -64,8 +64,10 @@ class CompactionStart:
     """A merge is about to read its inputs.
 
     ``level`` is the source level (-1 when the engine has no levels, e.g.
-    the flat HBase store); ``kind`` distinguishes merge flavours
-    ("merge", "whole-level", "minor", "major").
+    the flat HBase store); ``kind`` distinguishes merge flavours: "merge"
+    into a sorted run, "tier" (a level's tables into one new table one
+    level down), "collapse" (a multi-run last level in place), and the
+    flat store's "minor" and "major".
     """
 
     level: int

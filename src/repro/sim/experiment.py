@@ -29,7 +29,7 @@ from repro.lsm.base import LSMEngine
 from repro.lsm.blsm import BLSMTree
 from repro.lsm.composed import ComposedTree
 from repro.lsm.leveldb import LevelDBTree
-from repro.lsm.policy import CompactionAxes
+from repro.lsm.policy import STEPPED_MERGE, CompactionAxes
 from repro.lsm.sm_tree import SMTree
 from repro.clock import VirtualClock
 from repro.obs.trace import TraceRecorder
@@ -75,7 +75,9 @@ class EngineSpec:
     ``axes`` names the variant's point in the compaction design space.
     Legacy engines are *fixed* points: their ``_do_compactions`` runs
     the point and this field is the one place it is named (``leveldb``
-    is the interpreter pinned to its default point); the composed
+    is the interpreter pinned to its default point, ``sm`` the
+    interpreter pinned to :data:`~repro.lsm.policy.STEPPED_MERGE`,
+    the one value both this field and the class read); the composed
     variants are built from the axes stated here; ``None``
     means the point is dynamic — the ``design`` engine reads its axes
     from the config's ``compaction_*`` fields at build time.
@@ -99,16 +101,12 @@ _LEVELED_ADOPTING = CompactionAxes(
     trigger="size-ratio", layout="leveling", granularity="partial",
     movement="lazy-adoption",
 )
-_STEPPED_MERGE = CompactionAxes(
-    trigger="size-ratio", layout="tiering", granularity="full-level",
-    movement="merge",
-)
 _FLAT_STORE = CompactionAxes(
     trigger="level-saturation", layout="tiering", granularity="partial",
     movement="merge",
 )
 #: The composed variants' points: tiering with incremental oldest-pair
-#: merges (distinct from the SM-tree's whole-level gear) and Dostoevsky
+#: merges (distinct from the SM-tree's full-level moves) and Dostoevsky
 #: style lazy-leveling, each with and without the compaction buffer.
 _TIERING = CompactionAxes(
     trigger="size-ratio", layout="tiering", granularity="partial",
@@ -166,7 +164,7 @@ ENGINE_SPECS: dict[str, EngineSpec] = {
             SMTree,
             "db",
             "Stepped-merge tree: lazy multi-table levels",
-            _STEPPED_MERGE,
+            STEPPED_MERGE,
         ),
         EngineSpec(
             "lsbm",

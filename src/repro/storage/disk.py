@@ -239,7 +239,7 @@ class SimulatedDisk:
     def note_temp_space(self, size_kb: float) -> None:
         """Record transient space held during this second's compaction.
 
-        SM-tree's whole-level merges hold input *and* output on disk until
+        The SM-tree's full-level merges hold input *and* output on disk until
         the new table is installed; Fig. 12's size bursts come from exactly
         this.  The driver samples ``live_kb + temp space`` once per second.
         """

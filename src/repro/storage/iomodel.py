@@ -43,7 +43,7 @@ def queueing_factor(utilization: float) -> float:
     device already spends on compaction I/O.  The factor is
     ``1 / (1 - u)`` with ``u`` clamped to keep it finite; at the
     paper's steady-state compaction load (~0.2) this is a mild 1.25x,
-    during SM-tree's whole-level merges it dominates.  Reports use it to
+    during the SM-tree's full-level merges it dominates.  Reports use it to
     split a priced disk stage into base service time (``stage / factor``)
     and queueing delay behind compaction I/O (the rest).  The clamp is
     spelled here only; every disk term of the pricer calls this.

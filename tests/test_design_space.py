@@ -25,7 +25,7 @@ from repro.check import DifferentialRunner
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.lsm.composed import ComposedTree
-from repro.lsm.policy import CompactionAxes
+from repro.lsm.policy import GRANULARITIES, LAYOUTS, STEPPED_MERGE, CompactionAxes
 from repro.sim.experiment import ENGINE_SPECS, build_engine, run_experiment
 from tests.golden import LEGACY_ENGINES
 
@@ -88,6 +88,7 @@ def test_composed_specs_build_the_axes_they_declare():
     assert composed == [
         "leveldb",
         "leveldb-oscache",
+        "sm",
         "tiering",
         "tiering+buffer",
         "lazy-leveling",
@@ -100,16 +101,22 @@ def test_composed_specs_build_the_axes_they_declare():
 
 
 def test_leveldb_point_ignores_config_axes():
-    """``leveldb`` is the interpreter's default point by pinning, not by
-    default: a sweep over ``compaction_*`` must never move the baseline."""
-    config = dataclasses.replace(
-        SystemConfig.tiny(),
-        compaction_layout="tiering",
-        compaction_granularity="full-level",
-    )
-    for name in ("leveldb", "leveldb-oscache"):
-        assert build_engine(name, config).engine.axes == CompactionAxes()
-    assert build_engine("design", config).engine.axes.layout == "tiering"
+    """``leveldb`` and ``sm`` are interpreter points by pinning, not by
+    default: a sweep over ``compaction_*`` must never move a baseline."""
+    assert ENGINE_SPECS["sm"].axes is STEPPED_MERGE
+    for layout in LAYOUTS:
+        for granularity in GRANULARITIES:
+            config = dataclasses.replace(
+                SystemConfig.tiny(),
+                compaction_layout=layout,
+                compaction_granularity=granularity,
+            )
+            for name in ("leveldb", "leveldb-oscache"):
+                axes = build_engine(name, config).engine.axes
+                assert axes == CompactionAxes()
+            assert build_engine("sm", config).engine.axes == STEPPED_MERGE
+            design = build_engine("design", config).engine.axes
+            assert (design.layout, design.granularity) == (layout, granularity)
 
 
 def test_design_engine_reads_axes_from_config():

@@ -77,8 +77,9 @@ class TestCompactionTraffic:
     def test_sm_rewrites_less_than_leveled(self):
         """Section VI-D: a tiered layout writes less than leveling.  On
         ``tiny`` the last level's one collapsed table fills its capacity
-        with live data; before the guard in ``SMTree._do_compactions`` it
-        was re-merged on every pass (about 4,350x the ingest)."""
+        with live data; before the guard in ``ComposedTree._due`` (a
+        single-table last level is never due) it was re-merged on every
+        pass (about 4,350x the ingest)."""
 
         def write_amplification(name: str) -> float:
             config = SystemConfig.tiny()
