@@ -476,9 +476,11 @@ def _footer(outcome: SweepOutcome) -> str:
 _HEADERS = ["engine", "hit", "QPS", "DB MB", "p50 ms", "p99 ms"]
 
 
-def _summary_row(result: RunResult) -> list[str]:
+def _summary_row(name: str, result: RunResult) -> list[str]:
+    """One table row; ``name`` is the registry name the run was asked
+    for (``result.engine`` is the class's, shared by composed points)."""
     return [
-        result.engine,
+        name,
         f"{result.mean_hit_ratio():.3f}",
         format_qps(result.mean_throughput()),
         f"{result.mean_db_size_mb():,.0f}",
@@ -508,7 +510,12 @@ def _replica_table(cells) -> str:
 
 def _replica_json(outcome: SweepOutcome, cell) -> dict:
     replicas = [
-        dict(o.result.to_json_dict(), seed=o.spec.seed, wall_clock_s=o.wall_clock_s)
+        dict(
+            o.result.to_json_dict(),
+            engine=o.spec.engine,
+            seed=o.spec.seed,
+            wall_clock_s=o.wall_clock_s,
+        )
         for o in outcome.outcomes
         if o.spec.cell_key() == cell.key
     ]
@@ -706,10 +713,13 @@ def _closed_loop(
         cells = outcome.cells()
         summaries = [_replica_json(outcome, cell) for cell in cells]
         return outcome, summaries, _replica_table(cells)
-    results = [o.result for o in outcome.outcomes]
-    summaries = [result.to_json_dict() for result in results]
+    summaries = [
+        dict(o.result.to_json_dict(), engine=o.spec.engine)
+        for o in outcome.outcomes
+    ]
     return outcome, summaries, ascii_table(
-        _HEADERS, [_summary_row(result) for result in results]
+        _HEADERS,
+        [_summary_row(o.spec.engine, o.result) for o in outcome.outcomes],
     )
 
 
@@ -1193,14 +1203,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     spans, queueing = _span_summaries(recorder.records)
 
     if args.json:
-        payload = result.to_json_dict()
+        payload = dict(result.to_json_dict(), engine=spec.engine)
         payload["dip_diagnosis"] = diagnosis.to_json_dict()
         payload["span_summary"] = spans
         payload["queueing_decomposition"] = queueing
         _print_json(payload)
         return 0
 
-    print(ascii_table(_HEADERS, [_summary_row(result)]))
+    print(ascii_table(_HEADERS, [_summary_row(spec.engine, result)]))
     print()
     print(f"hit ratio (^ marks a dip below {args.dip_threshold:g})")
     print("  " + sparkline(result.hit_ratio))

@@ -590,6 +590,22 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "blsm" in out and "lsbm" in out
 
+    def test_compare_labels_composed_points_by_registry_name(self, capsys):
+        """Both points are ``ComposedTree``s, whose class name is
+        ``design``; each row and summary names the engine asked for."""
+        common = ["--scale", "8192", "--duration", "100"]
+        engines = ["--engines", "tiering,lazy-leveling"]
+        assert main(["compare", *engines, *common]) == 0
+        rows = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.split()[:1] in (["tiering"], ["lazy-leveling"], ["design"])
+        ]
+        assert rows == ["tiering", "lazy-leveling"]
+        assert main(["compare", *engines, *common, "--json"]) == 0
+        summaries = json.loads(capsys.readouterr().out)
+        assert [s["engine"] for s in summaries] == ["tiering", "lazy-leveling"]
+
     def test_compare_rejects_unknown(self, capsys):
         assert main(["compare", "--engines", "blsm,bogus"]) == 2
 
