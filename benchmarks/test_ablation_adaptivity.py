@@ -34,7 +34,7 @@ def _run_mode(mode: str) -> float:
     driver = MixedReadWriteDriver(setup.engine, config, setup.clock, seed=1)
     driver.run(DURATION)
     engine = setup.engine
-    engine.trim.run(engine.buffer[1:])  # Settle in-flight appends.
+    engine.buffer.trim.run(engine.buffer[1:])  # Settle in-flight appends.
     return float(engine.compaction_buffer_kb)
 
 

@@ -69,7 +69,7 @@ def main() -> None:
             print(f"t={second:>5}s  (compactions={engine.stats.compactions}, "
                   f"buffer appended={stats.buffer_files_appended}, "
                   f"removed={stats.buffer_files_removed}, "
-                  f"trim runs={engine.trim.runs}, "
+                  f"trim runs={engine.buffer.trim.runs}, "
                   f"hit={cache.stats.hit_ratio:.3f})")
             print(describe(engine))
             print()

@@ -123,6 +123,11 @@ class Controller:
     def _cache(self):
         return self._engine.metric_cache
 
+    def _trim(self):
+        """The engine's trim process; ``None`` without a compaction buffer."""
+        buffer = self._engine.buffer
+        return None if buffer is None else buffer.trim
+
     def _cache_capacity(self) -> int:
         cache = self._cache()
         if cache is None:
@@ -217,7 +222,7 @@ class Controller:
         )
 
     def _retune_trim(self, now, interval_s, reason) -> dict | None:
-        trim = getattr(self._engine, "trim", None)
+        trim = self._trim()
         if trim is None:
             return None
         old = trim.interval_s
@@ -367,7 +372,7 @@ class RulesController(Controller):
                 f"defer {sensors.deferred_delta}/interval"
             )
             decisions.extend(self._shift_memory(now, step_kb, reason))
-            trim = getattr(self._engine, "trim", None)
+            trim = self._trim()
             if trim is not None:
                 base = self._engine.config.trim_interval_s
                 push(self._retune_trim(
@@ -397,7 +402,7 @@ class RulesController(Controller):
                 or self._engine.memtable_budget_kb > self._base_memtable_kb
             ):
                 decisions.extend(self._shift_memory(now, -step_kb, reason))
-            trim = getattr(self._engine, "trim", None)
+            trim = self._trim()
             if trim is not None:
                 base = self._engine.config.trim_interval_s
                 if trim.interval_s > base:

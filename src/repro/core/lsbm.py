@@ -29,10 +29,10 @@ validated by the model-equivalence property tests:
 * **Coverage flags.**  A range query may be answered entirely from a
   buffer list only if that list records *every* round merged into its run
   (otherwise recently merged keys would be missed).  A freeze breaks that
-  completeness until the level next rotates; ``BufferLevel`` coverage
-  flags track it, and scans fall back to the underlying run while
-  coverage is broken.  Point reads never need the flag: Algorithm 3 falls
-  back to ``Ci`` per key whenever the buffer misses.
+  completeness until the level next rotates; ``LSbMTree._covers`` and
+  ``_draining_covers`` track it, and scans fall back to the underlying
+  run while coverage is broken.  Point reads never need the flag:
+  Algorithm 3 falls back to ``Ci`` per key whenever the buffer misses.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
-from repro.core.compaction_buffer import BufferLevel
-from repro.core.trim import TrimProcess
+from repro.core.compaction_buffer import BufferStats, CompactionBuffer
 from repro.lsm.base import GetResult, MergeOutcome, ReadCost, ScanResult
 from repro.lsm.blsm import BLSMTree
-from repro.obs.events import BufferFrozen, BufferUnfrozen, FileDiscarded
+from repro.obs.events import BufferFrozen, BufferUnfrozen
 from repro.sstable.entry import Entry
 from repro.sstable.iterator import merge_entries
 from repro.sstable.sorted_table import SortedTable
@@ -75,11 +74,9 @@ class _RoundAccounting:
 
 
 @dataclass
-class LSbMStats:
+class LSbMStats(BufferStats):
     """LSbM-specific counters, on top of the base engine stats."""
 
-    buffer_files_appended: int = 0
-    buffer_files_removed: int = 0
     freeze_events: int = 0
     trim_runs: int = 0
     reads_served_by_buffer: int = 0
@@ -93,10 +90,9 @@ class LSbMTree(BLSMTree):
 
     def __init__(self, substrate) -> None:
         super().__init__(substrate)
-        #: buffer[1..k]; index 0 unused (level 0 lives in DRAM + C0').
-        self.buffer: list[BufferLevel] = [
-            BufferLevel(level) for level in range(self.num_levels + 1)
-        ]
+        self.lsbm_stats = LSbMStats()
+        self.buffer = CompactionBuffer(self, self.lsbm_stats)
+        self._buffer_levels = self.buffer.levels
         #: Whether a level's serving lists record every round merged into
         #: its C run since the last rotation (see module docstring).
         self._covers: list[bool] = [True] * (self.num_levels + 1)
@@ -105,71 +101,6 @@ class LSbMTree(BLSMTree):
         self._rounds: list[_RoundAccounting] = [
             _RoundAccounting() for _ in range(self.num_levels + 1)
         ]
-        self.lsbm_stats = LSbMStats()
-        # Buffer appends and trim removals move no data — the paper's
-        # "no additional I/O" claim.  Registering them as zero-I/O causes
-        # makes per-cause bandwidth reports state that explicitly (0 KB)
-        # instead of omitting the rows.
-        self.disk.record_cause("buffer-append")
-        self.disk.record_cause("trim")
-        self.trim = TrimProcess.for_engine(self)
-        #: ``buffer[1..k]`` in level order — the per-tick walks (sampling
-        #: the buffer size, the trim pass) reuse this stable view instead
-        #: of rebuilding a list every virtual second.  The BufferLevel
-        #: objects are created once above and only ever mutated in place.
-        self._buffer_levels = self.buffer[1:]
-        # The sampled buffer size is cached between membership changes:
-        # every path that adds or removes a buffer file bumps one of the
-        # append/remove counters, so the key below invalidates on exactly
-        # the events that can change the total.
-        self._buffer_kb_key: tuple[int, int] | None = None
-        self._buffer_kb_total = 0
-
-    # ------------------------------------------------------------------
-    # Substrate helpers.
-    # ------------------------------------------------------------------
-    def _remove_buffer_file(self, file: SSTableFile) -> None:
-        """Remove a file from the compaction buffer (Section IV-A).
-
-        The file's data leaves the disk and the cache; only its key-range
-        marker survives inside its sorted table so queries know to fall
-        back to the underlying tree.
-        """
-        if self.db_cache is not None:
-            self.db_cache.invalidate_file(file.file_id)
-        self.disk.free(file.extent)
-        file.mark_removed()
-        self.lsbm_stats.buffer_files_removed += 1
-        bus = self.bus
-        if bus.active:
-            if bus.counting_only:
-                bus.count(FileDiscarded)
-            else:
-                bus.emit(
-                    FileDiscarded(
-                        file_id=file.file_id,
-                        size_kb=file.size_kb,
-                        reason="buffer",
-                    )
-                )
-
-    def _remove_table_files(self, table: SortedTable) -> None:
-        for file in table:
-            if not file.removed:
-                self._remove_buffer_file(file)
-
-    @property
-    def compaction_buffer_kb(self) -> int:
-        """Live on-disk size of the whole compaction buffer."""
-        stats = self.lsbm_stats
-        key = (stats.buffer_files_appended, stats.buffer_files_removed)
-        if key != self._buffer_kb_key:
-            total = 0
-            for buf in self._buffer_levels:
-                total += buf.total_live_kb
-            self._buffer_kb_total = total
-            self._buffer_kb_key = key
-        return self._buffer_kb_total
 
     # ------------------------------------------------------------------
     # Buffered merge (Algorithm 1): hook overrides of the gear scheduler.
@@ -182,7 +113,7 @@ class LSbMTree(BLSMTree):
             for table in buf.start_drain():
                 # Any leftover previous-round B' files: their reads have
                 # fully transferred to the next level.
-                self._remove_table_files(table)
+                self.buffer.remove_table(table)
             self._draining_covers[level] = self._covers[level]
             # "When Ci becomes full and is merged down to next level,
             # Bi is unfrozen" — and its coverage restarts with the empty
@@ -228,8 +159,7 @@ class LSbMTree(BLSMTree):
             self._discard_files(unit)
         else:
             for file in unit:
-                buf.incoming.append(file)
-                self.lsbm_stats.buffer_files_appended += 1
+                self.buffer.append(buf, file)
 
         if level >= 1:
             self._pace_remove(level)
@@ -244,7 +174,7 @@ class LSbMTree(BLSMTree):
         if self.bus.active:
             self.bus.emit(BufferFrozen(level=level))
         for table in buf.take_all_serving():
-            self._remove_table_files(table)
+            self.buffer.remove_table(table)
 
     def _pace_remove(self, level: int) -> None:
         """Drain B' in lockstep with C' (Algorithm 1, lines 18-20).
@@ -267,16 +197,16 @@ class LSbMTree(BLSMTree):
             file = buf.smallest_draining_file()
             if file is None:
                 return
-            self._remove_buffer_file(file)
+            self.buffer.remove_file(file)
 
     # ------------------------------------------------------------------
     # Housekeeping: the trim process runs on the virtual-second tick.
     # ------------------------------------------------------------------
     def tick(self, now: int) -> None:
         super().tick(now)
-        removed = self.trim.maybe_run(now, self._buffer_levels)
-        if removed or self.trim.due(now):
-            self.lsbm_stats.trim_runs = self.trim.runs
+        trim = self.buffer.trim
+        trim.maybe_run(now, self._buffer_levels)
+        self.lsbm_stats.trim_runs = trim.runs
 
     # ------------------------------------------------------------------
     # The read shape: one component program for Algorithms 3 and 4.
@@ -386,7 +316,7 @@ class LSbMTree(BLSMTree):
             tables_checked = 0
             bloom_probes = 0
             if buffer_tables:
-                entry = self._search_buffer_lists(buffer_tables, key, cost)
+                entry = self.buffer.search(buffer_tables, key, cost)
                 if entry is not None:
                     self.lsbm_stats.reads_served_by_buffer += 1
                     return self._make_entry_result(entry, cost)
@@ -400,49 +330,6 @@ class LSbMTree(BLSMTree):
         cost.tables_checked += tables_checked
         cost.bloom_probes += bloom_probes
         return GetResult(False, None, cost)
-
-    def _search_buffer_lists(
-        self, tables: list[SortedTable], key: int, cost: ReadCost
-    ) -> Entry | None:
-        """Check a compaction-buffer list newest-table-first.
-
-        A removed-file marker covering the key stops the whole check
-        (Algorithm 3 lines 15-16): the newest version might have been in
-        the removed file, so only the underlying tree can answer safely.
-        """
-        for table in tables:
-            cost.index_probes += 1
-            max_keys = table._max_keys
-            position = bisect_left(max_keys, key)
-            if position == len(max_keys):
-                continue
-            file = table._files[position]
-            if file.min_key > key:
-                continue
-            if file.removed:
-                return None
-            block_keys = file._block_max_keys
-            if block_keys is None:
-                block_keys = file._materialise()
-            position = bisect_left(block_keys, key)
-            if position == len(block_keys):
-                continue
-            block = file._blocks[position]
-            if block.min_key > key:
-                continue
-            cost.bloom_probes += 1
-            bits = block._filter
-            if bits is None:
-                bits = block._build_filter()
-            mask = block._masks[key]
-            if bits & mask != mask:
-                continue
-            self._read_block(file, block, cost)
-            entry = block.get(key)
-            if entry is not None:
-                return entry
-            cost.false_positive_blocks += 1
-        return None
 
     # ------------------------------------------------------------------
     # Range queries (Algorithm 4, plus the combination rule).

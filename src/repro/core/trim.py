@@ -16,11 +16,14 @@ that is what makes trimming safe for correctness.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro.config import SystemConfig
-from repro.core.compaction_buffer import BufferLevel
 from repro.obs.events import EventBus, TrimRun
 from repro.sstable.sstable import SSTableFile
+
+if TYPE_CHECKING:  # ``repro.core.compaction_buffer`` imports this module.
+    from repro.core.compaction_buffer import BufferLevel
 
 
 class TrimProcess:
@@ -35,9 +38,10 @@ class TrimProcess:
     ) -> None:
         """``cached_blocks`` maps a file id to its resident block count
         (the DB buffer cache's own ``cached_blocks``, or a constant 0
-        without one); ``remove_file`` performs the engine-side removal
-        (marker + extent free + invalidation) and leaves the file in its
-        table."""
+        without one); ``remove_file`` is the buffer's removal (marker +
+        extent free + invalidation, see
+        :meth:`~repro.core.compaction_buffer.CompactionBuffer.remove_file`)
+        and leaves the file in its table."""
         self._interval = config.trim_interval_s
         self._threshold = config.trim_threshold
         self._cached_blocks = cached_blocks
@@ -46,23 +50,6 @@ class TrimProcess:
         self._last_run: int | None = None
         self.files_trimmed = 0
         self.runs = 0
-
-    @classmethod
-    def for_engine(cls, engine) -> "TrimProcess":
-        """The trim process of ``engine``'s compaction buffer.
-
-        Reads the per-file counter straight off the engine's DB buffer
-        cache and removes through its ``_remove_buffer_file``.
-        """
-        cache = engine.db_cache
-        return cls(
-            engine.config,
-            cached_blocks=(
-                cache.cached_blocks if cache is not None else lambda file_id: 0
-            ),
-            remove_file=engine._remove_buffer_file,
-            bus=engine.bus,
-        )
 
     @property
     def threshold(self) -> float:

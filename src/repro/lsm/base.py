@@ -46,7 +46,7 @@ from repro.sstable.superfile import SuperFileIdSource
 from repro.substrate import Substrate
 
 if TYPE_CHECKING:  # ``repro.core`` imports this module.
-    from repro.core.compaction_buffer import BufferLevel
+    from repro.core.compaction_buffer import BufferLevel, CompactionBuffer
 
 #: Sorted runs in the order one kind of query visits them.
 RunOrder = tuple[SortedTable, ...]
@@ -209,6 +209,8 @@ class LSMEngine(ABC):
         #: program); ``None`` between a :meth:`_structure_changed` and
         #: the next read.
         self._read_orders: tuple | None = None
+        #: The compaction buffer; ``None`` for engines without one.
+        self.buffer: CompactionBuffer | None = None
         #: The compaction buffer's levels; empty for engines without one.
         self._buffer_levels: list[BufferLevel] = []
         self._closed = False
@@ -232,10 +234,12 @@ class LSMEngine(ABC):
     def compaction_buffer_kb(self) -> int | None:
         """Live on-disk size of the compaction buffer; ``None`` without one.
 
-        Only LSbM maintains a compaction buffer; every other engine
-        reports ``None`` so samplers can skip the series entirely.
+        LSbM and the design-space points with ``lazy-adoption`` movement
+        keep a compaction buffer; every other engine reports ``None`` so
+        samplers can skip the series entirely.
         """
-        return None
+        buffer = self.buffer
+        return None if buffer is None else buffer.total_live_kb
 
     def _level0_kb(self) -> int:
         """Occupied level-0 size; gear engines add the on-disk ``C0'``."""
@@ -558,33 +562,18 @@ class LSMEngine(ABC):
         cost.disk_random_blocks += 1
         self.disk.foreground_random_read(1)
 
-    def _probe_file(
-        self, file: SSTableFile, key: int, cost: ReadCost
-    ) -> Entry | None:
-        """Index + Bloom + block read of one file; ``None`` if absent."""
-        cost.index_probes += 1
-        block = file.find_block(key)
-        if block is None:
-            return None
-        cost.bloom_probes += 1
-        if not block.may_contain(key):
-            return None
-        self._read_block(file, block, cost)
-        entry = block.get(key)
-        if entry is None:
-            cost.false_positive_blocks += 1
-        return entry
-
     def _search_table(
         self, table: SortedTable, key: int, cost: ReadCost
     ) -> Entry | None:
         """Point lookup in one sorted run (no removed-marker handling).
 
-        The out-of-line form of the probe :meth:`get` inlines, for the
-        paths that interleave other lookups between runs (the buffered
-        ``ComposedTree.get``): the index walk and Bloom gate are fused —
-        the same steps as ``SortedTable.find_file`` + :meth:`_probe_file`,
-        with identical cost accounting.
+        The out-of-line form of the probe :meth:`get` inlines, for a
+        descent that interleaves buffer checks between runs (the
+        ``lazy-adoption`` points of
+        :class:`~repro.lsm.composed.ComposedTree`): the index walk and
+        Bloom gate are fused — the same steps as ``find_file`` /
+        ``find_block`` / ``may_contain`` — with :meth:`get`'s cost
+        accounting.
         """
         cost.tables_checked += 1
         max_keys = table._max_keys

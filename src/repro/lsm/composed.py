@@ -21,12 +21,13 @@ single run (one table); under ``tiering`` every level holds up to
 tiering everywhere except a single-run last level.
 
 Movement ``lazy-adoption`` generalizes LSbM's buffered merge beyond the
-gear scheduler: every merge's input files are *re-referenced* into a
-per-level :class:`~repro.core.compaction_buffer.BufferLevel` instead of
-being deleted, and point reads check the buffer (newest table first)
-before the level's own tables, falling back to the tree the moment a
-removed-file marker covers the key — the same safety rule as LSbM's
-Algorithm 3.  Three things keep the buffer honest:
+gear scheduler: every merge's input files are *re-referenced* into the
+engine's :class:`~repro.core.compaction_buffer.CompactionBuffer` (the
+same one LSbM keeps) instead of being deleted, and point reads check
+each level's buffer before the level's own tables through LSbM's
+Algorithm-3 probe, falling back to the tree the moment a removed-file
+marker covers the key.  Only placement is this engine's own; three
+things keep the buffer honest:
 
 * the periodic :class:`~repro.core.trim.TrimProcess` removes files whose
   cached-block fraction fell below the threshold (Algorithm 2);
@@ -48,11 +49,9 @@ regardless of axes.
 
 from __future__ import annotations
 
-from repro.core.compaction_buffer import BufferLevel
-from repro.core.trim import TrimProcess
+from repro.core.compaction_buffer import BufferLevel, CompactionBuffer
 from repro.lsm.base import GetResult, LSMEngine, ReadCost
 from repro.lsm.policy import CompactionAxes
-from repro.obs.events import FileDiscarded
 from repro.sstable.entry import Entry
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
@@ -81,23 +80,16 @@ class ComposedTree(LSMEngine):
         self._cursor: dict[int, int | None] = {
             i: None for i in range(1, self.num_levels)
         }
-        self.buffer_files_appended = 0
-        self.buffer_files_removed = 0
         if self.axes.movement == "lazy-adoption":
-            #: buffer[1..k]; index 0 unused (level 0 lives in DRAM).
-            self.buffer: list[BufferLevel] = [
-                BufferLevel(level) for level in range(self.num_levels + 1)
-            ]
-            self._buffer_levels = self.buffer[1:]
+            self.buffer = CompactionBuffer(self)
+            self._buffer_levels = self.buffer.levels
             #: Per-level cap on completed buffer tables: bounds the extra
             #: index probes a point read pays at ~one tiering level.
             self._buffer_max_tables = self.config.size_ratio
-            # Zero-I/O causes, reported explicitly (paper's claim).
-            self.disk.record_cause("buffer-append")
-            self.disk.record_cause("trim")
-            self.trim: TrimProcess | None = TrimProcess.for_engine(self)
-        else:
-            self.trim = None
+            # The point-read descent is chosen once, here: a buffered
+            # point checks its buffer first; every other point reads
+            # through ``LSMEngine.get`` with no frame in between.
+            self.get = self._buffered_get
 
     # ------------------------------------------------------------------
     # Layout queries.
@@ -293,8 +285,7 @@ class ComposedTree(LSMEngine):
             tail = buf.incoming.max_key
             if tail is not None and file.min_key <= tail:
                 buf.finalize_incoming()
-            buf.incoming.append(file)
-            self.buffer_files_appended += 1
+            self.buffer.append(buf, file)
 
     def _seal_adoptions(self) -> None:
         """End-of-pass buffer upkeep: close Bi^0, enforce the bounds."""
@@ -314,9 +305,7 @@ class ComposedTree(LSMEngine):
         while tables and (
             buf.live_kb > capacity or len(tables) > self._buffer_max_tables
         ):
-            for file in tables.pop():
-                if not file.removed:
-                    self._remove_buffer_file(file)
+            self.buffer.remove_table(tables.pop())
 
     def _prune_removed_tails(self) -> None:
         """Drop fully-trimmed oldest buffer tables (markers and all)."""
@@ -325,45 +314,17 @@ class ComposedTree(LSMEngine):
             while tables and all(file.removed for file in tables[-1]):
                 tables.pop()
 
-    def _remove_buffer_file(self, file: SSTableFile) -> None:
-        """Free a buffer file; its key-range marker stays in its table."""
-        if self.db_cache is not None:
-            self.db_cache.invalidate_file(file.file_id)
-        self.disk.free(file.extent)
-        file.mark_removed()
-        self.buffer_files_removed += 1
-        bus = self.bus
-        if bus.active:
-            if bus.counting_only:
-                bus.count(FileDiscarded)
-            else:
-                bus.emit(
-                    FileDiscarded(
-                        file_id=file.file_id,
-                        size_kb=file.size_kb,
-                        reason="buffer",
-                    )
-                )
-
-    @property
-    def compaction_buffer_kb(self) -> int | None:
-        if not self._buffer_levels:
-            return None
-        return sum(buf.total_live_kb for buf in self._buffer_levels)
-
     def tick(self, now: int) -> None:
         super().tick(now)
-        if self.trim is not None:
-            self.trim.maybe_run(now, self._buffer_levels)
+        if self.buffer is not None:
+            self.buffer.trim.maybe_run(now, self._buffer_levels)
             self._prune_removed_tails()
 
     # ------------------------------------------------------------------
     # Queries.
     # ------------------------------------------------------------------
-    def get(self, key: int) -> GetResult:
-        """Buffer-first point lookup; the base descent without a buffer."""
-        if not self._buffer_levels:
-            return super().get(key)
+    def _buffered_get(self, key: int) -> GetResult:
+        """Buffer-first point lookup: ``get`` of a ``lazy-adoption`` point."""
         self._check_open()
         self.stats.gets += 1
         cost = ReadCost()
@@ -371,14 +332,12 @@ class ComposedTree(LSMEngine):
         entry = self.memtable.get(key)
         if entry is not None:
             return self._make_entry_result(entry, cost)
-        for level in range(1, self.num_levels + 1):
+        for level, buf in enumerate(self._buffer_levels, 1):
             # Buffer first: its newest table holds the freshest copy of
             # whatever was last merged into this level, likely still
             # cache-resident.  A removed marker stops the buffer check
             # and the level's own tables answer (Algorithm 3's rule).
-            entry = self._search_buffer_tables(
-                self.buffer[level].tables, key, cost
-            )
+            entry = self.buffer.search(buf.tables, key, cost)
             if entry is not None:
                 return self._make_entry_result(entry, cost)
             for table in reversed(self.levels[level]):  # Newest first.
@@ -386,26 +345,6 @@ class ComposedTree(LSMEngine):
                 if entry is not None:
                     return self._make_entry_result(entry, cost)
         return GetResult(False, None, cost)
-
-    def _search_buffer_tables(
-        self, tables: list[SortedTable], key: int, cost: ReadCost
-    ) -> Entry | None:
-        """Newest-table-first probe of one level's completed buffer lists.
-
-        A removed marker covering the key ends the whole check: the
-        newest buffered version might have been in the removed file, so
-        only the level's own tables can answer safely.
-        """
-        for table in tables:
-            file = table.find_file(key)
-            if file is None:
-                continue
-            if file.removed:
-                return None
-            entry = self._probe_file(file, key, cost)
-            if entry is not None:
-                return entry
-        return None
 
     # ------------------------------------------------------------------
     # Bulk loading.

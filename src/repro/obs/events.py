@@ -102,8 +102,8 @@ class FileDiscarded:
     """A file's extent was freed.
 
     ``reason`` is "compaction" for normal retirement of merged inputs and
-    rewritten outputs, "buffer" for LSbM's compaction-buffer removals
-    (trim, pace-removal, freeze).
+    rewritten outputs, "buffer" for compaction-buffer removals (trim;
+    LSbM's pace-removal and freeze; the interpreter's buffer bound).
     """
 
     file_id: int

@@ -10,7 +10,6 @@ violation, which makes shrunk hypothesis counterexamples readable.
 
 from __future__ import annotations
 
-from repro.core.lsbm import LSbMTree
 from repro.errors import EngineError
 from repro.lsm.base import LSMEngine
 from repro.lsm.blsm import BLSMTree
@@ -78,7 +77,9 @@ def _check_gear_bounds(engine: BLSMTree) -> None:
             )
 
 
-def _check_lsbm_buffer(engine: LSbMTree) -> None:
+def _check_buffer(engine: LSMEngine) -> None:
+    """Compaction-buffer bookkeeping, for every engine that keeps one."""
+    total = 0
     for buf in engine._buffer_levels:
         if buf.frozen and buf.live_kb != 0:
             raise EngineError(f"frozen B{buf.level} holds live data")
@@ -88,6 +89,14 @@ def _check_lsbm_buffer(engine: LSbMTree) -> None:
                 raise EngineError(
                     f"B{buf.level}^0 references removed file {file.file_id}"
                 )
+        total += buf.total_live_kb
+    # A membership change that bumped neither counter leaves it stale.
+    memo = engine.buffer.total_live_kb
+    if memo != total:
+        raise EngineError(
+            f"memoised buffer size {memo} KB is stale: the levels hold "
+            f"{total} KB"
+        )
 
 
 def _labelled_runs(engine: LSMEngine) -> list[tuple[str, SortedTable]]:
@@ -195,5 +204,5 @@ def check_engine(engine) -> None:
     _check_read_orders(engine)
     if isinstance(engine, BLSMTree):  # Includes LSbM and the warmup variant.
         _check_gear_bounds(engine)
-    if isinstance(engine, LSbMTree):
-        _check_lsbm_buffer(engine)
+    if engine._buffer_levels:
+        _check_buffer(engine)

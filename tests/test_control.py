@@ -210,7 +210,7 @@ class TestTrimAndAdmissionRetune:
     def test_trim_retune_clamps(self):
         config = SystemConfig.tiny()
         setup = build_engine("lsbm", config)
-        trim = setup.engine.trim
+        trim = setup.engine.buffer.trim
         trim.retune(threshold=5.0, interval_s=0)
         assert trim.threshold == 1.0
         assert trim.interval_s == 1

@@ -194,7 +194,7 @@ def test_buffered_combo_actually_buffers(seed_corpus):
     )
     report = runner.run()
     assert report.ok, report.to_json_dict()
-    assert runner.setup.engine.buffer_files_appended > 0
+    assert runner.setup.engine.buffer.stats.buffer_files_appended > 0
 
 
 # ----------------------------------------------------------------------

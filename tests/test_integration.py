@@ -141,7 +141,7 @@ class TestWorkloadAdaptivity:
         )
         driver.run(3000)
         engine = setup.engine
-        engine.trim.run(engine.buffer[1:])
+        engine.buffer.trim.run(engine.buffer[1:])
         trimmable_kb = sum(
             table.size_kb
             for level in engine.buffer[1:]

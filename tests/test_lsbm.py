@@ -154,7 +154,19 @@ class TestTrim:
             if step % 20 == 0:
                 clock.advance(1)
                 engine.tick(clock.now)
-        assert engine.trim.runs >= 2
+        assert engine.buffer.trim.runs >= 2
+
+    def test_trim_runs_counted_on_an_idle_engine(self):
+        """A pass that removes nothing still counts: the stat equals the
+        trim process's own count after every tick."""
+        engine, clock, *_ = make_lsbm()
+        engine.bulk_load([Entry(k, 0) for k in range(2048)])
+        for _ in range(300):
+            clock.advance(1)
+            engine.tick(clock.now)
+            assert engine.lsbm_stats.trim_runs == engine.buffer.trim.runs
+        assert engine.buffer.trim.runs >= 2
+        assert engine.buffer.trim.files_trimmed == 0
 
     def test_trim_removes_uncached_files(self):
         """A write-only workload caches nothing, so the trim process must
@@ -166,7 +178,7 @@ class TestTrim:
             if step % 16 == 0:
                 clock.advance(1)
                 engine.tick(clock.now)
-        engine.trim.run(engine.buffer[1:])  # Catch files appended since.
+        engine.buffer.trim.run(engine.buffer[1:])  # Catch files appended since.
         # Everything except the untrimmable newest tables must be gone.
         for level in engine.buffer[1:]:
             for table in level.trimmable_tables():
@@ -198,7 +210,7 @@ class TestTrim:
             if step % 16 == 0:
                 clock.advance(1)
                 engine.tick(clock.now)
-        engine.trim.run(engine.buffer[1:])  # Catch files appended since.
+        engine.buffer.trim.run(engine.buffer[1:])  # Catch files appended since.
         live_buffer = sum(level.total_live_kb for level in engine.buffer[1:])
         # A write-only workload keeps (almost) nothing in the buffer
         # beyond the untrimmable newest tables of each level.
@@ -233,7 +245,7 @@ class TestNoCrossEngineState:
             f for level in first.buffer[1:] for f in level.live_files()
         )
         before = first.compaction_buffer_kb
-        first._remove_buffer_file(victim)
+        first.buffer.remove_file(victim)
         assert first.compaction_buffer_kb == before - victim.size_kb
 
         assert [table.size_kb for table in tables] == sizes

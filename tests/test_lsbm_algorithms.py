@@ -78,7 +78,7 @@ class TestRemovedMarkers:
             for table in level.trimmable_tables() + level.tables[:1]:
                 for file in table:
                     if not file.removed:
-                        engine._remove_buffer_file(file)
+                        engine.buffer.remove_file(file)
                         removed += 1
         assert removed > 0
         # Every read must still produce the model answer via the tree.
@@ -95,7 +95,7 @@ class TestRemovedMarkers:
             for table in level.trimmable_tables() + level.tables[:1]:
                 for file in table:
                     if not file.removed:
-                        engine._remove_buffer_file(file)
+                        engine.buffer.remove_file(file)
         for _ in range(30):
             low = rng.randrange(4096)
             high = low + rng.randrange(96)

@@ -13,6 +13,8 @@ own on a twin engine fed the same operations.
 * ``lsbm_reference_get``: LSbM's component search in its out-of-line
   form (run gate, complement, buffer lists first), walking ``c``, ``cp``
   and ``buffer`` by index.
+* ``composed_reference_get``: a ``lazy-adoption`` point's descent, per
+  level its buffer tables then its own tables, newest first.
 * ``reference_scan``: ``files_overlapping`` -> ``blocks_overlapping``
   -> one cache call per block -> ``entries_in_range`` (the eager file's
   walk over ``Block`` objects, kept in ``tests/eager_reference.py``),
@@ -51,18 +53,16 @@ def _fresh(engine_name: str):
 
 
 def _descent(engine):
-    """The engine's on-disk ``get``: the K-V variant's row cache sits in
-    front of the bLSM descent it inherits."""
+    """The engine's on-disk ``get`` as the engine resolves it (a buffered
+    composed point binds its descent when it is built); the K-V
+    variant's row cache sits in front of the bLSM descent it inherits."""
     if isinstance(engine, KVCachedBLSM):
         return BLSMTree.get
-    return type(engine).get
+    return engine.get.__func__
 
 
 def _reads_through_base(engine) -> bool:
-    get = _descent(engine)
-    return get is LSMEngine.get or (
-        get is ComposedTree.get and not engine._buffer_levels
-    )
+    return _descent(engine) is LSMEngine.get
 
 
 #: Engines whose ``get`` is the base descent (the buffered points and
@@ -78,12 +78,19 @@ BASE_GET_ENGINES = [
 def test_read_path_has_one_owner_per_kind(engine_name):
     engine, _ = _fresh(engine_name)
     kind = type(engine)
-    assert _descent(engine) in (LSMEngine.get, LSbMTree.get, ComposedTree.get)
+    assert _descent(engine) in (
+        LSMEngine.get, LSbMTree.get, ComposedTree._buffered_get
+    )
     assert kind.scan in (LSMEngine.scan, LSbMTree.scan)
     # Only the paper's engine and the buffered points leave the base.
     if not isinstance(engine, LSbMTree) and not engine._buffer_levels:
         assert _reads_through_base(engine)
         assert kind.scan is LSMEngine.scan
+    if isinstance(engine, ComposedTree) and not engine._buffer_levels:
+        # No pass-through frame: the interpreter's unbuffered points
+        # resolve ``get`` to the base descent itself.
+        assert kind.get is LSMEngine.get
+        assert engine.get.__func__ is LSMEngine.get
 
 
 def test_base_get_covers_every_unbuffered_engine():
@@ -214,7 +221,7 @@ def lsbm_components(engine: LSbMTree):
 
 
 def _reference_buffer_lists(
-    engine: LSbMTree, tables: list[SortedTable], key: int, cost: ReadCost
+    engine: LSMEngine, tables: list[SortedTable], key: int, cost: ReadCost
 ) -> Entry | None:
     """A compaction-buffer list newest-table-first; a removed marker
     covering the key stops the whole check (Algorithm 3 lines 15-16)."""
@@ -305,6 +312,87 @@ def test_fused_lsbm_get_equals_reference_descent(engine_name, ops):
     for got, want, fused, plain in _run_twins(engine_name, ops, compare):
         _assert_same_get(got, want, fused, plain)
         assert fused.lsbm_stats == plain.lsbm_stats
+
+
+# ----------------------------------------------------------------------
+# The buffered interpreter points: buffer tables, then the level's own.
+# ----------------------------------------------------------------------
+def composed_reference_get(engine: ComposedTree, key: int) -> GetResult:
+    """A ``lazy-adoption`` point's ``get``, unfused: per level the buffer
+    tables newest first (one ``index_probes`` each, a removed marker
+    ends the check), then the level's tables newest first."""
+    engine.stats.gets += 1
+    cost = ReadCost()
+    cost.memtable_probes += 1
+    entry = engine.memtable.get(key)
+    if entry is not None:
+        return engine._make_entry_result(entry, cost)
+    for level in range(1, engine.num_levels + 1):
+        entry = _reference_buffer_lists(
+            engine, engine.buffer[level].tables, key, cost
+        )
+        if entry is not None:
+            return engine._make_entry_result(entry, cost)
+        for run in reversed(engine.levels[level]):
+            cost.tables_checked += 1
+            file = run.find_file(key)
+            if file is None:
+                continue
+            cost.index_probes += 1
+            block = file.find_block(key)
+            if block is None:
+                continue
+            cost.bloom_probes += 1
+            if not block.may_contain(key):
+                continue
+            engine._read_block(file, block, cost)
+            entry = block.get(key)
+            if entry is not None:
+                return engine._make_entry_result(entry, cost)
+            cost.false_positive_blocks += 1
+    return GetResult(False, None, cost)
+
+
+#: 1,000 puts spread over the key space, a tick after every 50: the
+#: tiny buffered points adopt their first files only after about 500.
+BUFFER_WARMUP = [
+    op
+    for i in range(1000)
+    for op in [("put", i * 389 % 1024)] + [("tick", 0)] * (i % 50 == 49)
+]
+
+
+@twin_settings
+@given(ops=OP_STREAMS)
+@pytest.mark.parametrize(
+    "engine_name", ["tiering+buffer", "lazy-leveling+buffer"]
+)
+def test_buffered_composed_get_equals_reference_descent(engine_name, ops):
+    """Same answer, cost in every field, cache state and buffer counters
+    after every read: the buffered points count probes as LSbM does."""
+    compare = {
+        "get": (lambda engine, key: engine.get(key), composed_reference_get)
+    }
+    twins = _run_twins(engine_name, BUFFER_WARMUP + ops, compare)
+    for got, want, fused, plain in twins:
+        _assert_same_get(got, want, fused, plain)
+        assert fused.buffer.stats == plain.buffer.stats
+
+
+@pytest.mark.parametrize(
+    "engine_name", ["tiering+buffer", "lazy-leveling+buffer"]
+)
+def test_buffer_warmup_gives_the_twins_a_buffer(engine_name):
+    """Without buffer tables the test above would only compare tree
+    probes."""
+    engine, clock = _fresh(engine_name)
+    for op, key in BUFFER_WARMUP:
+        if op == "put":
+            engine.put(key)
+        else:
+            clock.advance(1)
+            engine.tick(clock.now)
+    assert any(buf.tables for buf in engine._buffer_levels)
 
 
 # ----------------------------------------------------------------------

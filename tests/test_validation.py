@@ -71,6 +71,40 @@ class TestCheckerCatchesCorruption:
             with pytest.raises(EngineError, match="frozen"):
                 check_engine(engine)
 
+    @staticmethod
+    def _buffered_interpreter():
+        """A ``tiering+buffer`` point holding buffer tables."""
+        setup = build_engine("tiering+buffer", SystemConfig.tiny())
+        engine, clock = setup.engine, setup.clock
+        rng = random.Random(7)
+        for step in range(1500):
+            engine.put(rng.randrange(1024))
+            if step % 50 == 0:
+                clock.advance(1)
+                engine.tick(clock.now)
+        check_engine(engine)
+        buf = next(b for b in engine._buffer_levels if b.live_kb > 0)
+        return engine, buf
+
+    def test_detects_removed_file_in_interpreter_incoming(self):
+        engine, buf = self._buffered_interpreter()
+        # Corrupt: a removed file referenced from Bi^0.
+        buf.incoming = buf.tables.pop(0)
+        victim = next(f for f in buf.incoming if not f.removed)
+        engine.buffer.remove_file(victim)
+        with pytest.raises(EngineError, match="references removed file"):
+            check_engine(engine)
+
+    def test_detects_stale_interpreter_buffer_size(self):
+        engine, buf = self._buffered_interpreter()
+        assert engine.compaction_buffer_kb > 0  # Fills the memo.
+        # Corrupt: a live file leaves without bumping a counter.
+        victim = next(f for t in buf.tables for f in t if not f.removed)
+        victim.mark_removed()
+        engine.disk.free(victim.extent)
+        with pytest.raises(EngineError, match="memoised buffer size"):
+            check_engine(engine)
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(EngineError):
             check_engine(object())
@@ -118,8 +152,11 @@ class TestCheckerCatchesCorruption:
             engine.put(rng.randrange(2048))
         engine.scan(0, 64)
         check_engine(engine)
-        engine.buffer[1].incoming = SortedTable()
-        with pytest.raises(EngineError, match="stale"):
+        # The same files in a new list object: only the read shape moves
+        # (dropping them would also leave the buffer's size stale).
+        level = engine.buffer[1]
+        level.incoming = SortedTable(level.incoming)
+        with pytest.raises(EngineError, match="read orders are stale"):
             check_engine(engine)
         engine._structure_changed()
         check_engine(engine)
