@@ -18,46 +18,43 @@ from pathlib import Path
 
 from repro import SystemConfig, build_engine, preload
 from repro.sim.report import ascii_table
-from repro.workload.trace import (
-    TraceRecorder,
-    load_trace,
-    replay_trace,
-    save_trace,
-)
+from repro.workload.trace import TraceOp, load_trace, replay_trace, save_trace
 
 ENGINES = ("leveldb", "blsm", "sm", "lsbm")
 
 
-def record_workload(config: SystemConfig) -> TraceRecorder:
+def record_workload(config: SystemConfig) -> list[TraceOp]:
     """A skewed read/write mix with housekeeping ticks."""
-    recorder = TraceRecorder()
+    ops = []
     rng = random.Random(2024)
     hot_start = config.unique_keys // 4
     hot_size = config.hot_range_pairs
     for step in range(8000):
         roll = rng.random()
         if roll < 0.25:
-            recorder.put(rng.randrange(config.unique_keys))
+            ops.append(TraceOp("put", rng.randrange(config.unique_keys)))
         elif roll < 0.9:
             if rng.random() < 0.95:
-                recorder.get(hot_start + rng.randrange(hot_size))
+                ops.append(TraceOp("get", hot_start + rng.randrange(hot_size)))
             else:
-                recorder.get(rng.randrange(config.unique_keys))
+                ops.append(TraceOp("get", rng.randrange(config.unique_keys)))
         else:
-            recorder.scan(
-                hot_start + rng.randrange(hot_size), config.scan_length_pairs
+            ops.append(
+                TraceOp(
+                    "scan",
+                    hot_start + rng.randrange(hot_size),
+                    config.scan_length_pairs,
+                )
             )
         if step % 20 == 0:
-            recorder.tick()
-    return recorder
+            ops.append(TraceOp("tick"))
+    return ops
 
 
 def main() -> None:
     config = SystemConfig.paper_scaled(4096)
-    recorder = record_workload(config)
-
     path = Path(tempfile.gettempdir()) / "rangehot.trace"
-    save_trace(recorder.ops, path)
+    save_trace(record_workload(config), path)
     ops = load_trace(path)
     print(f"recorded {len(ops)} operations -> {path}\n")
 

@@ -156,7 +156,7 @@ class BLSMTree(LSMEngine):
     # Bulk loading.
     # ------------------------------------------------------------------
     def bulk_load(self, entries: list[Entry]) -> None:
-        files, _ = self.builder.build_grouped(iter(entries), cause="preload")
+        files = self.builder.build_grouped(iter(entries), cause="preload")
         for file in files:
             self.c[self.num_levels].append(file)
         self._seq = max(self._seq, max((e.seq for e in entries), default=0))

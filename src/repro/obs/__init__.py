@@ -1,21 +1,27 @@
 """repro.obs — the observability core shared by every layer.
 
-Three pieces, used together by :class:`~repro.substrate.Substrate`:
+Two pieces are used together by :class:`~repro.substrate.Substrate`:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` that reads each
   layer's own stats into one snapshot;
 * :mod:`repro.obs.events` — an :class:`EventBus` carrying structured
   engine events (flushes, compactions, file lifecycle, cache
-  invalidations, trim runs, buffer freezes);
-* :mod:`repro.obs.trace` — a :class:`TraceRecorder` exporting the event
-  stream as a replayable, diffable JSONL log;
+  invalidations, trim runs, buffer freezes).
+
+The rest read from them:
+
+* :mod:`repro.obs.trace` — the one JSONL artifact format: an event's
+  record shape (:func:`~repro.obs.trace.event_record`), the one writer
+  (:func:`write_jsonl`) and the one reader (:func:`read_jsonl`, which
+  checks every record, span stages to the bit), plus the
+  :class:`TraceRecorder` that logs a run's event stream;
 * :mod:`repro.obs.diagnose` — dip diagnosis, attributing hit-ratio dips
   to the causal events in their windows;
 * :mod:`repro.obs.tracing` — one read-span record (the pricer's stage
   list), sampled by count in the closed loop (:class:`SpanProfiler`,
   with a zero-cost disabled path) and inside tail/uniform exemplar span
   trees in serve, plus deterministic trace ids and an anomaly-triggered
-  flight recorder;
+  flight recorder that dumps its ring through :func:`write_jsonl`;
 * :mod:`repro.obs.expo` — OpenMetrics-style text exposition of registry
   snapshots.
 """
@@ -51,7 +57,14 @@ from repro.obs.expo import (
     render_openmetrics_many,
     sanitize_metric_name,
 )
-from repro.obs.trace import TraceRecorder, read_jsonl
+from repro.obs.trace import (
+    TraceRecorder,
+    read_jsonl,
+    reconciliation_error_s,
+    stage_sum_s,
+    validate_exemplar,
+    write_jsonl,
+)
 from repro.obs.tracing import (
     NULL_PROFILER,
     TRACE_MODES,
@@ -61,12 +74,7 @@ from repro.obs.tracing import (
     SpanProfiler,
     exemplar_summary,
     make_trace_id,
-    reconciliation_error_s,
     span_tree,
-    stage_sum_s,
-    validate_exemplar,
-    validate_trace_jsonl,
-    write_exemplars_jsonl,
 )
 
 __all__ = [
@@ -110,6 +118,5 @@ __all__ = [
     "span_tree",
     "stage_sum_s",
     "validate_exemplar",
-    "validate_trace_jsonl",
-    "write_exemplars_jsonl",
+    "write_jsonl",
 ]

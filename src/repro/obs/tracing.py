@@ -19,7 +19,7 @@ off by default and all deterministic:
   everything in ``"full"`` mode.  A kept read's service stages are its
   :func:`read_stages`, so ``queue + Σstages == total`` holds with
   reconciliation error exactly ``0.0`` (see
-  :func:`reconciliation_error_s`).
+  :func:`~repro.obs.trace.reconciliation_error_s`).
 
 * **Flight recorder** — :class:`FlightRecorder` keeps a bounded ring of
   the most recent bus events per shard and dumps the window to JSONL
@@ -37,17 +37,17 @@ keeps its counting-only amortization, and the hot path is unchanged.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from hashlib import blake2b
 
-from repro.config import ConfigError, SystemConfig
+from repro.config import SystemConfig
 from repro.obs.events import EventBus, ReadSpan
+from repro.obs.trace import event_record, stage_sum_s, write_jsonl
 from repro.storage.iomodel import ReadPricer, queueing_factor
 
 if TYPE_CHECKING:  # repro.lsm.base imports repro.obs: keep this one-way.
@@ -68,9 +68,6 @@ DEFAULT_UNIFORM_EVERY = 101
 #: Hard cap on retained exemplars (guards ``"full"`` mode memory).
 DEFAULT_MAX_EXEMPLARS = 10_000
 
-#: Operation kinds a request can carry.
-_OPS = ("read", "scan", "write")
-
 
 def make_trace_id(seed: int, seq: int) -> str:
     """Deterministic 16-hex-digit trace id for request ``seq`` of ``seed``.
@@ -80,19 +77,6 @@ def make_trace_id(seed: int, seq: int) -> str:
     count — the identity that ties a request's hops together.
     """
     return blake2b(f"{seed}/req/{seq}".encode(), digest_size=8).hexdigest()
-
-
-def stage_sum_s(stages: list[dict]) -> float:
-    """Left-to-right float sum of stage durations (NOT ``math.fsum``).
-
-    Exactness contract: the stages of an exemplar are the pricer's own
-    addends in the pricer's own evaluation order, so this plain
-    accumulation reproduces the recorded ``service_s`` bit for bit.
-    """
-    total = 0.0
-    for stage in stages:
-        total += stage["duration_s"]
-    return total
 
 
 def read_stages(
@@ -187,18 +171,6 @@ class SpanProfiler:
 #: Shared disabled profiler: the driver binds to this when nobody asked
 #: for spans, making the per-read hook one attribute check and a return.
 NULL_PROFILER = SpanProfiler(enabled=False)
-
-
-def reconciliation_error_s(exemplar: dict) -> float:
-    """|queue_delay + Σ service stages − total| for one span record.
-
-    Zero — exactly zero, not merely small — for every exemplar the
-    tracer emits: the stage sum equals ``service_s`` bitwise and
-    ``total_s`` was computed as ``queue_delay_s + service_s``.  A
-    closed-loop ReadSpan has no queue: its ``total_s`` is the stage sum.
-    """
-    service = stage_sum_s(exemplar["stages"])
-    return abs(exemplar.get("queue_delay_s", 0.0) + service - exemplar["total_s"])
 
 
 def span_tree(exemplar: dict) -> dict:
@@ -514,9 +486,7 @@ class FlightRecorder:
             bus.subscribe_all(self._on_event)
 
     def _on_event(self, event) -> None:
-        record = {"t": self.clock.now, "event": type(event).__name__}
-        record.update(asdict(event))
-        self._ring.append(record)
+        self._ring.append(event_record(self.clock.now, event))
 
     def note(self, t: float, event: str, **fields) -> None:
         """Append a synthetic record (request breadcrumbs, markers)."""
@@ -581,7 +551,6 @@ class FlightRecorder:
             self._write(dump)
 
     def _write(self, dump: dict) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         shard_part = "" if self.shard is None else f"_shard{self.shard}"
         name = (
             f"flight_{self.label}{shard_part}"
@@ -591,11 +560,7 @@ class FlightRecorder:
             key: value for key, value in dump.items() if key != "records"
         }
         header["event"] = "FlightDump"
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(record, sort_keys=True) for record in dump["records"]
-        )
-        (self.out_dir / name).write_text("\n".join(lines) + "\n")
+        write_jsonl(self.out_dir / name, [header, *dump["records"]])
 
     def summary(self) -> dict:
         return {
@@ -603,122 +568,3 @@ class FlightRecorder:
             "dropped_dumps": self.dropped_dumps,
             "triggers": sorted({dump["trigger"] for dump in self.dumps}),
         }
-
-
-# ----------------------------------------------------------------------
-# JSONL export and schema validation.
-# ----------------------------------------------------------------------
-def write_exemplars_jsonl(path: str | Path, exemplars: list[dict]) -> int:
-    """One exemplar record per line; returns how many were written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(record, sort_keys=True) for record in exemplars]
-    path.write_text("\n".join(lines) + "\n" if lines else "")
-    return len(lines)
-
-
-def validate_exemplar(record: dict) -> None:
-    """Schema check for one exemplar record; raises ``ValueError``.
-
-    Also enforces the exactness contract: the record's stage sum must
-    reconcile with its queueing-delay + service-time decomposition with
-    error exactly ``0.0``.
-    """
-
-    fail = _invalid("exemplar", record)
-    trace_id = record.get("trace_id")
-    if not isinstance(trace_id, str) or not re.fullmatch(
-        r"[0-9a-f]{16}", trace_id
-    ):
-        raise fail("trace_id must be 16 lowercase hex digits")
-    if not isinstance(record.get("seq"), int) or record["seq"] < 0:
-        raise fail("seq must be a non-negative int")
-    if record.get("op") not in _OPS:
-        raise fail(f"op must be one of {_OPS}")
-    if record.get("sampled") not in ("tail", "uniform", "full"):
-        raise fail("sampled must be tail|uniform|full")
-    if not isinstance(record.get("klass"), str):
-        raise fail("klass must be a string")
-    _validate_span(record, ("arrival_s", "queue_delay_s", "service_s"), fail)
-
-
-def _invalid(what: str, record: dict):
-    """The ``ValueError`` factory one record's checks raise through."""
-    return lambda message: ValueError(f"invalid {what}: {message}: {record!r}")
-
-
-def _validate_span(record: dict, numbers: tuple[str, ...], fail) -> None:
-    """The checks every span record gets, exemplar or ReadSpan: ``numbers``
-    and ``total_s`` are non-negative, ``stages`` is a non-empty list of
-    named, non-negative stages, and they reconcile with ``total_s``
-    exactly."""
-    for key in numbers + ("total_s",):
-        value = record.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            raise fail(f"{key} must be a non-negative number")
-    stages = record.get("stages")
-    if not isinstance(stages, list) or not stages:
-        raise fail("stages must be a non-empty list")
-    for stage in stages:
-        if not isinstance(stage, dict) or not isinstance(
-            stage.get("stage"), str
-        ):
-            raise fail("each stage needs a 'stage' name")
-        duration = stage.get("duration_s")
-        if not isinstance(duration, (int, float)) or duration < 0:
-            raise fail("each stage needs a non-negative duration_s")
-    if reconciliation_error_s(record) != 0.0:
-        raise fail("stage durations do not reconcile exactly")
-
-
-def validate_flight_record(record: dict) -> None:
-    """Schema check for one flight-ring or dump-header record."""
-    if not isinstance(record.get("t"), (int, float)):
-        raise ValueError(f"flight record needs a numeric 't': {record!r}")
-    if not isinstance(record.get("event"), str):
-        raise ValueError(f"flight record needs an 'event' name: {record!r}")
-    if record["event"] == "ReadSpan":
-        _validate_span(record, ("utilization",), _invalid("read span", record))
-    if record["event"] == "FlightDump":
-        if record.get("trigger") not in (
-            "slo-breach",
-            "stall-spike",
-            "hit-ratio-dip",
-        ):
-            raise ValueError(f"unknown flight trigger: {record!r}")
-        for key in ("value", "threshold"):
-            if not isinstance(record.get(key), (int, float)):
-                raise ValueError(
-                    f"flight dump header needs numeric {key!r}: {record!r}"
-                )
-
-
-def validate_trace_jsonl(path: str | Path) -> int:
-    """Validate every line of a trace/flight JSONL file; returns count.
-
-    Exemplar files hold exemplar records (keyed by ``trace_id``);
-    flight files hold a ``FlightDump`` header followed by the ring
-    window's event records; closed-loop traces hold timestamped event
-    records, ``ReadSpan`` among them.  Raises ``ConfigError`` naming
-    ``path:lineno`` on the first bad line, and for a file with no record.
-    """
-    count = 0
-    for lineno, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"not a JSON object: {line.strip()!r}")
-            if "trace_id" in record:
-                validate_exemplar(record)
-            else:
-                validate_flight_record(record)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        count += 1
-    if count == 0:
-        raise ConfigError(f"{path}: empty trace file")
-    return count

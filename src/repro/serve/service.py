@@ -46,13 +46,8 @@ from typing import Callable, Protocol
 from repro.config import SystemConfig
 from repro.errors import EngineError
 from repro.obs.events import RequestShed, WriteDeferred
-from repro.obs.tracing import (
-    FlightPolicy,
-    FlightRecorder,
-    RequestTracer,
-    safe_label,
-    write_exemplars_jsonl,
-)
+from repro.obs.trace import write_jsonl
+from repro.obs.tracing import FlightPolicy, FlightRecorder, RequestTracer, safe_label
 from repro.control import Controller, make_controller
 from repro.serve.admission import ADMIT, DEFER, AdmissionController, AdmissionPolicy
 from repro.serve.arrivals import Request, arrival_stream
@@ -626,7 +621,7 @@ def finalize_serve(session: ServeSession, result: ServeResult) -> ServeResult:
     tracer = session.simulator.tracer
     if tracer is not None and spec.trace_dir and result.exemplars:
         shard_part = "" if tracer.shard is None else f"_shard{tracer.shard}"
-        write_exemplars_jsonl(
+        write_jsonl(
             f"{spec.trace_dir}/trace_{safe_label(spec.label())}"
             f"{shard_part}.jsonl",
             result.exemplars,

@@ -32,7 +32,7 @@ from repro.lsm.leveldb import LevelDBTree
 from repro.lsm.policy import STEPPED_MERGE, CompactionAxes
 from repro.lsm.sm_tree import SMTree
 from repro.clock import VirtualClock
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import TraceRecorder, write_jsonl
 from repro.obs.tracing import SpanProfiler
 from repro.sim.driver import MixedReadWriteDriver
 from repro.sim.metrics import RunResult
@@ -416,7 +416,7 @@ def execute_with_trace(
     if recorder is not None:
         _finalize_trace(setup, spec.engine, recorder)
         if spec.trace_path is not None:
-            recorder.write_jsonl(spec.trace_path)
+            write_jsonl(spec.trace_path, recorder.records)
     return result, recorder
 
 

@@ -60,17 +60,18 @@ def expand_grid(
     engines: Sequence[str],
     seeds: Sequence[int] = (0,),
     *,
-    base: str = "paper_scaled",
-    scale: int = 2048,
-    duration_s: int | None = None,
-    scan_mode: bool = False,
     axes: dict[str, Sequence[object]] | None = None,
-) -> list[ExperimentSpec]:
+    spec_class: type = ExperimentSpec,
+    **fields: object,
+) -> list:
     """The cartesian grid ``engines × axes × seeds`` as a spec list.
 
     ``axes`` maps :class:`~repro.config.SystemConfig` field names to the
     values to sweep; every combination of one value per axis becomes one
-    cell, replicated once per seed.
+    cell, replicated once per seed.  Each cell is a ``spec_class``
+    (:class:`ExperimentSpec`, or
+    :class:`~repro.serve.spec.ServiceSpec` for a serve grid) built with
+    ``fields`` (``base``, ``scale``, ``duration_s``, ...) passed through.
     """
     unknown = [name for name in engines if name not in ENGINE_NAMES]
     if unknown:
@@ -86,14 +87,11 @@ def expand_grid(
         for combo in itertools.product(*(axes[key] for key in keys)):
             for seed in seeds:
                 specs.append(
-                    ExperimentSpec(
+                    spec_class(
                         engine=name,
-                        base=base,
-                        scale=scale,
                         overrides=tuple(zip(keys, combo)),
-                        duration_s=duration_s,
                         seed=seed,
-                        scan_mode=scan_mode,
+                        **fields,
                     )
                 )
     return specs

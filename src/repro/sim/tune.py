@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import ConfigError
-from repro.sim.experiment import ENGINE_NAMES
 from repro.sim.metrics import RunResult, TimeSeries
 from repro.sim.sweep import (
     SUMMARY_METRICS,
@@ -280,66 +279,20 @@ def run_tune(
             f"unknown objective {objective!r}; "
             f"choose from {sorted(OBJECTIVES)}"
         )
+    fields: dict = dict(base=base, scale=scale, duration_s=duration_s)
     if objective == "p99":
-        specs = _expand_serve_candidates(
-            engines, seeds, axes=axes, base=base, scale=scale,
-            duration_s=duration_s, rate_qps=rate_qps, policy=policy,
+        from repro.serve.spec import ServiceSpec
+
+        fields.update(
+            spec_class=ServiceSpec,
+            policy=policy,
+            read_rate_qps=rate_qps,
             queue_bound=queue_bound,
         )
-    else:
-        specs = expand_grid(
-            engines, seeds, base=base, scale=scale,
-            duration_s=duration_s, axes=axes,
-        )
+    specs = expand_grid(engines, seeds, axes=axes, **fields)
     sweep = run_sweep(specs, jobs=jobs)
     return TuneOutcome(
         objective=objective,
         sweep=sweep,
         candidates=rank_candidates(objective, sweep),
     )
-
-
-def _expand_serve_candidates(
-    engines: Sequence[str],
-    seeds: Sequence[int],
-    *,
-    axes: dict[str, Sequence[object]] | None,
-    base: str,
-    scale: int,
-    duration_s: int | None,
-    rate_qps: float,
-    policy: str,
-    queue_bound: int,
-) -> list:
-    """The serve-spec mirror of :func:`expand_grid` for ``p99``."""
-    import itertools
-
-    from repro.serve.spec import ServiceSpec
-
-    unknown = [name for name in engines if name not in ENGINE_NAMES]
-    if unknown:
-        raise ConfigError(
-            f"unknown engines {unknown}; choose from {ENGINE_NAMES}"
-        )
-    if not engines or not seeds:
-        raise ConfigError("run_tune needs at least one engine and one seed")
-    axes = axes or {}
-    keys = list(axes)
-    specs = []
-    for name in engines:
-        for combo in itertools.product(*(axes[key] for key in keys)):
-            for seed in seeds:
-                specs.append(
-                    ServiceSpec(
-                        engine=name,
-                        base=base,
-                        scale=scale,
-                        overrides=tuple(zip(keys, combo)),
-                        duration_s=duration_s,
-                        seed=seed,
-                        policy=policy,
-                        read_rate_qps=rate_qps,
-                        queue_bound=queue_bound,
-                    )
-                )
-    return specs

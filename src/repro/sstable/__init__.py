@@ -6,11 +6,7 @@ from repro.sstable.entry import Entry, Kind, newest, value_for
 from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import FileIdSource, SSTableFile
-from repro.sstable.superfile import (
-    SuperFile,
-    SuperFileIdSource,
-    group_into_superfiles,
-)
+from repro.sstable.superfile import SuperFileIdSource, group_into_superfiles
 
 __all__ = [
     "Block",
@@ -19,7 +15,6 @@ __all__ = [
     "Kind",
     "SSTableFile",
     "SortedTable",
-    "SuperFile",
     "SuperFileIdSource",
     "TableBuilder",
     "group_into_superfiles",

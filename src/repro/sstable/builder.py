@@ -3,7 +3,7 @@
 Compactions and memtable flushes both end in the same step: stream sorted,
 deduplicated entries out to new on-disk files.  :class:`TableBuilder` cuts
 the stream into files (each a view that cuts itself into single-page
-blocks when a point read first needs them), packs files into super-files
+blocks when a point read first needs them), stamps super-file ids on them
 (Section IV-C), allocates each file's contiguous extent and charges the
 disk with the sequential write traffic.
 """
@@ -16,11 +16,7 @@ from repro.config import SystemConfig
 from repro.obs.events import EventBus, FileCreated
 from repro.sstable.entry import Entry
 from repro.sstable.sstable import FileIdSource, SSTableFile
-from repro.sstable.superfile import (
-    SuperFile,
-    SuperFileIdSource,
-    group_into_superfiles,
-)
+from repro.sstable.superfile import SuperFileIdSource, group_into_superfiles
 from repro.storage.disk import SimulatedDisk
 
 
@@ -106,10 +102,10 @@ class TableBuilder:
         entries: Iterable[Entry],
         charge_write: bool = True,
         cause: str = "unattributed",
-    ) -> tuple[list[SSTableFile], list[SuperFile]]:
-        """Build files and pack them into super-files of ``r`` members."""
+    ) -> list[SSTableFile]:
+        """Build files and stamp them into super-files of ``r`` members."""
         files = self.build(entries, charge_write=charge_write, cause=cause)
-        superfiles = group_into_superfiles(
+        group_into_superfiles(
             files, self._config.superfile_files, self._superfile_ids
         )
-        return files, superfiles
+        return files

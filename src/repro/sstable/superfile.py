@@ -8,11 +8,12 @@ continuous files, and all these files stored in a continuous disk region.
 A super-file is the basic operation unit for the underlying LSM-tree while
 a file is the basic operation unit for the compaction buffer."
 
-Here a :class:`SuperFile` is a lightweight grouping of consecutively built
-:class:`~repro.sstable.sstable.SSTableFile` objects.  The builder tags each
-file with its super-file id; engines that compact at super-file granularity
-consume whole groups, while the compaction buffer appends and trims the
-member files individually.
+Here a super-file is no object of its own: it is the id that
+:func:`group_into_superfiles` stamps on consecutively built
+:class:`~repro.sstable.sstable.SSTableFile` objects.  Engines that compact
+at super-file granularity consume the files sharing an id as one unit,
+while the compaction buffer appends and trims the member files
+individually.
 """
 
 from __future__ import annotations
@@ -33,58 +34,24 @@ class SuperFileIdSource:
         return value
 
 
-class SuperFile:
-    """A fixed group of contiguous files treated as one compaction unit."""
-
-    __slots__ = ("superfile_id", "files")
-
-    def __init__(self, superfile_id: int, files: list[SSTableFile]) -> None:
-        if not files:
-            raise TableError("a super-file must contain at least one file")
-        for left, right in zip(files, files[1:]):
-            if left.max_key >= right.min_key:
-                raise TableError("super-file members must be sorted and disjoint")
-        self.superfile_id = superfile_id
-        self.files = files
-        for member in files:
-            member.superfile_id = superfile_id
-
-    @property
-    def min_key(self) -> int:
-        return self.files[0].min_key
-
-    @property
-    def max_key(self) -> int:
-        return self.files[-1].max_key
-
-    @property
-    def size_kb(self) -> int:
-        return sum(member.size_kb for member in self.files)
-
-    def __len__(self) -> int:
-        return len(self.files)
-
-    def __repr__(self) -> str:
-        return (
-            f"SuperFile(id={self.superfile_id}, files={len(self.files)},"
-            f" keys=[{self.min_key}, {self.max_key}])"
-        )
-
-
 def group_into_superfiles(
     files: list[SSTableFile],
     files_per_superfile: int,
     ids: SuperFileIdSource,
-) -> list[SuperFile]:
-    """Pack consecutively built files into super-files of fixed arity.
+) -> None:
+    """Stamp consecutively built files with super-file ids of fixed arity.
 
-    The trailing group may be smaller; it is still a valid compaction
-    unit (the last super-file of a build is simply short).
+    Each group of ``files_per_superfile`` files gets the next id; the
+    trailing group may be smaller (the last super-file of a build is
+    simply short).  A group's members must be sorted and disjoint.
     """
     if files_per_superfile < 1:
         raise TableError("files_per_superfile must be >= 1")
-    groups: list[SuperFile] = []
     for start in range(0, len(files), files_per_superfile):
         members = files[start : start + files_per_superfile]
-        groups.append(SuperFile(ids.next_id(), members))
-    return groups
+        superfile_id = ids.next_id()
+        for left, right in zip(members, members[1:]):
+            if left.max_key >= right.min_key:
+                raise TableError("super-file members must be sorted and disjoint")
+        for member in members:
+            member.superfile_id = superfile_id

@@ -32,8 +32,9 @@ def _check_run(table: SortedTable, label: str) -> None:
 
 def _check_live_extents(engine, tables: list[tuple[str, SortedTable]]) -> None:
     """Every live (non-removed) file must own a live disk extent, and the
-    sum of live file sizes must not exceed the disk's live footprint."""
-    total = 0
+    live files must be the disk's whole live footprint: no extent may stay
+    live once no run and no buffer list references its file."""
+    live_kb: dict[int, int] = {}
     for label, table in tables:
         for file in table:
             if file.removed:
@@ -46,11 +47,14 @@ def _check_live_extents(engine, tables: list[tuple[str, SortedTable]]) -> None:
                 raise EngineError(
                     f"{label}: live file {file.file_id} has a freed extent"
                 )
-            total += file.size_kb
-    if total > engine.disk.live_kb:
+            live_kb[file.file_id] = file.extent.size_kb
+    total = sum(live_kb.values())
+    disk = engine.disk
+    if (len(live_kb), total) != (disk.live_extents, disk.live_kb):
         raise EngineError(
-            f"live files ({total} KB) exceed disk footprint "
-            f"({engine.disk.live_kb} KB)"
+            f"live files ({len(live_kb)} extents, {total} KB) differ from "
+            f"the disk's live footprint ({disk.live_extents} extents, "
+            f"{disk.live_kb} KB)"
         )
 
 

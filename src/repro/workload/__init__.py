@@ -2,11 +2,9 @@
 
 from repro.workload.distributions import (
     ExponentialSizeChooser,
-    HotspotChooser,
     KeyChooser,
     LatestChooser,
     ScrambledZipfianChooser,
-    SequentialChooser,
     UniformChooser,
     ZipfianChooser,
 )
@@ -20,14 +18,12 @@ from repro.workload.ycsb import (
 
 __all__ = [
     "ExponentialSizeChooser",
-    "HotspotChooser",
     "KeyChooser",
     "LatestChooser",
     "Operation",
     "OpKind",
     "RangeHotWorkload",
     "ScrambledZipfianChooser",
-    "SequentialChooser",
     "UniformChooser",
     "YCSBWorkload",
     "ZipfianChooser",

@@ -1,10 +1,10 @@
 """Key-chooser distributions, following YCSB's generator semantics.
 
 The paper drives its evaluation with YCSB (Section VI-B); the workload it
-actually uses — RangeHot — is built from a hotspot-style distribution, but
-the standard YCSB choosers (uniform, zipfian, scrambled zipfian, latest,
-hotspot) are all provided so the example applications can run the YCSB
-core workloads A-F against any engine.
+actually uses — RangeHot — draws its hot range itself, and the YCSB
+choosers its core workloads A-F need (uniform, zipfian, scrambled
+zipfian, latest) are provided so the example applications can run them
+against any engine.
 
 All choosers draw from a caller-supplied :class:`random.Random` so that a
 single seeded generator makes a whole experiment reproducible.
@@ -96,37 +96,6 @@ class ScrambledZipfianChooser(KeyChooser):
         return splitmix64(rank) % self.num_keys
 
 
-class HotspotChooser(KeyChooser):
-    """YCSB's hotspot distribution: a hot set absorbs most operations.
-
-    ``hot_fraction`` of the key space receives ``hot_op_fraction`` of the
-    operations; both the hot and cold draws are uniform within their sets.
-    """
-
-    def __init__(
-        self,
-        num_keys: int,
-        hot_fraction: float,
-        hot_op_fraction: float,
-        hot_start: int = 0,
-    ) -> None:
-        if not 0.0 < hot_fraction <= 1.0:
-            raise WorkloadError("hot_fraction must be in (0, 1]")
-        if not 0.0 <= hot_op_fraction <= 1.0:
-            raise WorkloadError("hot_op_fraction must be in [0, 1]")
-        self.num_keys = num_keys
-        self.hot_start = hot_start
-        self.hot_size = max(1, int(num_keys * hot_fraction))
-        if hot_start + self.hot_size > num_keys:
-            raise WorkloadError("hot range exceeds the key space")
-        self.hot_op_fraction = hot_op_fraction
-
-    def next_key(self, rng: random.Random) -> int:
-        if rng.random() < self.hot_op_fraction:
-            return self.hot_start + rng.randrange(self.hot_size)
-        return rng.randrange(self.num_keys)
-
-
 class LatestChooser(KeyChooser):
     """YCSB's "latest" distribution: recency-skewed toward new inserts.
 
@@ -146,18 +115,6 @@ class LatestChooser(KeyChooser):
     def next_key(self, rng: random.Random) -> int:
         rank = self._zipfian.next_key(rng) % self.max_key
         return self.max_key - 1 - rank
-
-
-class SequentialChooser(KeyChooser):
-    """Deterministic 0, 1, 2, ... — the load phase's insert order."""
-
-    def __init__(self, start: int = 0) -> None:
-        self._next = start
-
-    def next_key(self, rng: random.Random) -> int:
-        value = self._next
-        self._next += 1
-        return value
 
 
 class ExponentialSizeChooser:

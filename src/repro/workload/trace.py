@@ -10,9 +10,9 @@ anomaly.  A trace is a plain text file, one operation per line:
     scan 100 50      # start, length-in-pairs
     tick             # advance one virtual second (housekeeping)
 
-:class:`TraceRecorder` captures a stream (e.g. while a generator runs),
-:func:`load_trace`/:func:`save_trace` round-trip it through a file, and
-:func:`replay_trace` drives any engine with it, returning basic counts.
+A stream is a ``list[TraceOp]``: :func:`load_trace`/:func:`save_trace`
+round-trip it through a file, and :func:`replay_trace` drives any engine
+with it, returning basic counts.
 """
 
 from __future__ import annotations
@@ -65,31 +65,6 @@ def parse_line(line: str) -> TraceOp | None:
     if numbers and not -(2**63) <= numbers[0] < 2**63:  # Bloom-hashable.
         raise WorkloadError(f"key outside the signed 64-bit range: {line!r}")
     return TraceOp(op, *numbers)
-
-
-class TraceRecorder:
-    """Collects operations for later replay or archival."""
-
-    def __init__(self) -> None:
-        self.ops: list[TraceOp] = []
-
-    def put(self, key: int) -> None:
-        self.ops.append(TraceOp("put", key))
-
-    def get(self, key: int) -> None:
-        self.ops.append(TraceOp("get", key))
-
-    def delete(self, key: int) -> None:
-        self.ops.append(TraceOp("del", key))
-
-    def scan(self, start: int, length: int) -> None:
-        self.ops.append(TraceOp("scan", start, length))
-
-    def tick(self) -> None:
-        self.ops.append(TraceOp("tick"))
-
-    def __len__(self) -> int:
-        return len(self.ops)
 
 
 def save_trace(ops: list[TraceOp], path: str | Path) -> None:

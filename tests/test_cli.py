@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.obs.trace import read_jsonl
-from repro.obs.tracing import validate_trace_jsonl
 
 
 class TestParser:
@@ -299,7 +298,6 @@ class TestReportCommand:
         assert 0.0 <= queueing["queueing_share"] <= 1.0
         records = read_jsonl(trace)
         assert any(r["event"] == "ReadSpan" for r in records)
-        assert validate_trace_jsonl(trace) == len(records)
 
     def test_report_rejects_sample_every_zero_in_one_line(self, capsys):
         code = main(["report", "--engine", "lsbm", "--sample-every", "0"])
@@ -612,17 +610,18 @@ class TestCompareCommand:
 
 class TestTraceReplayCommand:
     def test_replay_round_trips_a_saved_trace(self, tmp_path, capsys):
-        from repro.workload.trace import TraceRecorder, save_trace
+        from repro.workload.trace import TraceOp, save_trace
 
-        recorder = TraceRecorder()
-        recorder.put(5)
-        recorder.get(5)
-        recorder.delete(5)
-        recorder.get(5)
-        recorder.scan(0, 10)
-        recorder.tick()
+        ops = [
+            TraceOp("put", 5),
+            TraceOp("get", 5),
+            TraceOp("del", 5),
+            TraceOp("get", 5),
+            TraceOp("scan", 0, 10),
+            TraceOp("tick"),
+        ]
         path = tmp_path / "ops.trace"
-        save_trace(recorder.ops, path)
+        save_trace(ops, path)
 
         code = main(
             [
@@ -779,12 +778,10 @@ class TestTracingFlags:
         out = capsys.readouterr().out
         assert "worst exemplars" in out
         assert "top stage" in out
-        from repro.obs.tracing import validate_trace_jsonl
-
         files = sorted(tmp_path.glob("*.jsonl"))
         assert any(f.name.startswith("trace_") for f in files)
         for f in files:
-            assert validate_trace_jsonl(f) > 0
+            assert read_jsonl(f)
 
     def test_cluster_trace_payload_carries_trace_digest(self, capsys):
         code = main(

@@ -19,7 +19,7 @@ from repro.obs.events import (
     FlushDone,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceRecorder, read_jsonl
+from repro.obs.trace import TraceRecorder, read_jsonl, write_jsonl
 from repro.sim.experiment import ENGINE_NAMES, build_engine
 from repro.sim.metrics import LatencyReservoir
 from repro.substrate import Substrate
@@ -121,17 +121,20 @@ class TestTraceRecorder:
         bus.emit(FileCreated(file_id=3, size_kb=4, extent_start=12))
         recorder.finalize(live_kb=4, live_extents=1)
         path = tmp_path / "trace.jsonl"
-        assert recorder.write_jsonl(path) == 2
+        assert write_jsonl(path, recorder.records) == 2
         records = read_jsonl(path)
+        assert records == recorder.records
         assert records[0]["event"] == "FileCreated"
         assert records[0]["file_id"] == 3
         assert records[-1] == {
             "t": 0, "event": "TraceEnd", "live_kb": 4, "live_extents": 1,
         }
 
-    def test_empty_trace_serializes_empty(self):
+    def test_empty_trace_serializes_empty(self, tmp_path):
         recorder = TraceRecorder(VirtualClock())
-        assert recorder.to_jsonl() == ""
+        path = tmp_path / "sub" / "empty.jsonl"
+        assert write_jsonl(path, recorder.records) == 0
+        assert path.read_text() == ""
         assert len(recorder) == 0
 
 

@@ -44,13 +44,12 @@ from repro.obs.events import (
     ReadSpan,
     TrimRun,
 )
-from repro.obs.trace import TraceRecorder, read_jsonl
+from repro.obs.trace import TraceRecorder, read_jsonl, stage_sum_s, write_jsonl
 from repro.obs.tracing import (
     NULL_PROFILER,
     RequestTracer,
     SpanProfiler,
     read_stages,
-    stage_sum_s,
 )
 from repro.serve.arrivals import Request
 from repro.sim.driver import MixedReadWriteDriver
@@ -306,17 +305,19 @@ class TestDipDiagnosis:
 
 
 class TestGoldenTrace:
-    def test_same_seed_runs_are_byte_identical(self):
+    def test_same_seed_runs_are_byte_identical(self, tmp_path):
         config = SystemConfig.paper_scaled(8192)
         traces = []
-        for _ in range(2):
+        for run in range(2):
             result, recorder = execute_with_trace(
                 ExperimentSpec.from_config(
                     "lsbm", config, duration_s=400, seed=3,
                     profile=True, sample_every=8,
                 )
             )
-            traces.append(recorder.to_jsonl())
+            path = tmp_path / f"run{run}.jsonl"
+            write_jsonl(path, recorder.records)
+            traces.append(path.read_text())
         assert traces[0], "trace must not be empty"
         assert "ReadSpan" in traces[0]
         assert traces[0] == traces[1]
@@ -375,7 +376,7 @@ class TestGoldenTrace:
             clock.advance(1)
         recorder.finalize(live_kb=0, live_extents=0)
         path = tmp_path / "all_events.jsonl"
-        recorder.write_jsonl(path)
+        write_jsonl(path, recorder.records)
         records = read_jsonl(path)
         assert records == recorder.records
         names = [r["event"] for r in records]
@@ -416,6 +417,7 @@ class TestRunProfiled:
             )
         )
         records = read_jsonl(path)
+        assert records == recorder.records
         assert records[-1]["event"] == "TraceEnd"
         created = sum(
             r["size_kb"] for r in records if r["event"] == "FileCreated"

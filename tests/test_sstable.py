@@ -167,12 +167,9 @@ class TestBuilderAndFile:
 
     def test_grouped_build_tags_superfiles(self):
         builder, _ = make_builder()  # superfile_files = 2
-        files, superfiles = builder.build_grouped(iter(entries(*range(48))))
+        files = builder.build_grouped(iter(entries(*range(48))))
         assert len(files) == 6
-        assert len(superfiles) == 3
-        assert all(len(sf) == 2 for sf in superfiles)
-        for sf in superfiles:
-            assert all(f.superfile_id == sf.superfile_id for f in sf.files)
+        assert [f.superfile_id for f in files] == [0, 0, 1, 1, 2, 2]
 
 
 class TestSuperFile:
@@ -185,11 +182,17 @@ class TestSuperFile:
             )
 
     def test_size_and_bounds(self):
+        """A super-file is the files stamped with its id: one id covers
+        the whole short group, so its bounds and size are theirs."""
         builder, _ = make_builder()
         files = builder.build(iter(entries(*range(16))))
-        (sf,) = group_into_superfiles(files, 10, SuperFileIdSource())
-        assert sf.min_key == 0 and sf.max_key == 15
-        assert sf.size_kb == sum(f.size_kb for f in files)
+        ids = SuperFileIdSource()
+        ids.next_id()
+        assert group_into_superfiles(files, 10, ids) is None
+        members = [f for f in files if f.superfile_id == 1]
+        assert len(members) == len(files) > 1
+        assert members[0].min_key == 0 and members[-1].max_key == 15
+        assert ids.next_id() == 2
 
 
 class TestSortedTable:

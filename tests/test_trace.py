@@ -5,7 +5,6 @@ import pytest
 from repro.errors import WorkloadError
 from repro.workload.trace import (
     TraceOp,
-    TraceRecorder,
     load_trace,
     parse_line,
     replay_trace,
@@ -85,21 +84,16 @@ class TestParsing:
 
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
-        recorder = TraceRecorder()
-        recorder.put(1)
-        recorder.get(2)
-        recorder.delete(3)
-        recorder.scan(4, 10)
-        recorder.tick()
+        ops = [
+            TraceOp("put", 1),
+            TraceOp("get", 2),
+            TraceOp("del", 3),
+            TraceOp("scan", 4, 10),
+            TraceOp("tick"),
+        ]
         path = tmp_path / "ops.trace"
-        save_trace(recorder.ops, path)
-        assert load_trace(path) == recorder.ops
-
-    def test_recorder_length(self):
-        recorder = TraceRecorder()
-        recorder.put(1)
-        recorder.tick()
-        assert len(recorder) == 2
+        save_trace(ops, path)
+        assert load_trace(path) == ops
 
 
 class TestReplay:
@@ -128,7 +122,7 @@ class TestReplay:
     def test_same_trace_same_outcome_across_engines(self, tmp_path):
         """A trace replayed on two engines yields identical answers —
         the whole point of archiving traces."""
-        recorder = TraceRecorder()
+        ops = []
         import random
 
         rng = random.Random(12)
@@ -136,18 +130,18 @@ class TestReplay:
             roll = rng.random()
             key = rng.randrange(512)
             if roll < 0.5:
-                recorder.put(key)
+                ops.append(TraceOp("put", key))
             elif roll < 0.8:
-                recorder.get(key)
+                ops.append(TraceOp("get", key))
             elif roll < 0.9:
-                recorder.delete(key)
+                ops.append(TraceOp("del", key))
             else:
-                recorder.scan(key, 20)
+                ops.append(TraceOp("scan", key, 20))
             if rng.random() < 0.05:
-                recorder.tick()
+                ops.append(TraceOp("tick"))
         path = tmp_path / "mixed.trace"
-        save_trace(recorder.ops, path)
-        ops = load_trace(path)
+        save_trace(ops, path)
+        assert load_trace(path) == ops
 
         outcomes = []
         for name in ("leveldb", "lsbm"):

@@ -41,19 +41,21 @@ from repro.obs.expo import (
     render_openmetrics_many,
     sanitize_metric_name,
 )
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import (
+    TraceRecorder,
+    read_jsonl,
+    reconciliation_error_s,
+    stage_sum_s,
+    validate_exemplar,
+    write_jsonl,
+)
 from repro.obs.tracing import (
     FlightPolicy,
     FlightRecorder,
     RequestTracer,
     exemplar_summary,
     make_trace_id,
-    reconciliation_error_s,
     span_tree,
-    stage_sum_s,
-    validate_exemplar,
-    validate_trace_jsonl,
-    write_exemplars_jsonl,
 )
 from repro.serve.arrivals import Request
 from repro.serve.service import execute_serve, prepare_serve
@@ -338,7 +340,12 @@ class TestFlightRecorder:
         assert set(names) & set(CAUSAL_EVENT_TYPES)
         files = list(tmp_path.glob("flight_*slo-breach*.jsonl"))
         assert len(files) == 1
-        assert validate_trace_jsonl(files[0]) == 3
+        header = {
+            key: value for key, value in dump.items() if key != "records"
+        }
+        assert read_jsonl(files[0]) == [
+            dict(header, event="FlightDump"), *dump["records"]
+        ]
 
     def test_stall_spike_and_dip_triggers(self):
         flight = self._recorder()
@@ -544,15 +551,9 @@ class TestJsonlRoundTrips:
     def test_exemplar_jsonl_round_trips_and_validates(self, tmp_path):
         result = execute_serve(serve_spec(trace="exemplar"))
         path = tmp_path / "exemplars.jsonl"
-        count = write_exemplars_jsonl(path, result.exemplars)
+        count = write_jsonl(path, result.exemplars)
         assert count == len(result.exemplars) > 0
-        assert validate_trace_jsonl(path) == count
-        loaded = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if line
-        ]
-        assert loaded == result.exemplars
+        assert read_jsonl(path) == result.exemplars
 
     def test_trace_dir_files_written_by_serve(self, tmp_path):
         spec = serve_spec(trace="exemplar", trace_dir=str(tmp_path))
@@ -561,7 +562,20 @@ class TestJsonlRoundTrips:
         files = sorted(tmp_path.glob("*.jsonl"))
         assert any(f.name.startswith("trace_") for f in files)
         for f in files:
-            assert validate_trace_jsonl(f) > 0
+            assert read_jsonl(f)
+        (exemplar_file,) = [f for f in files if f.name.startswith("trace_")]
+        assert read_jsonl(exemplar_file) == result.exemplars
+        assert result.flight_dumps
+        for dump in result.flight_dumps:
+            (flight_file,) = tmp_path.glob(
+                f"flight_*_{dump['trigger']}_t{dump['t']}.jsonl"
+            )
+            header = {
+                key: value for key, value in dump.items() if key != "records"
+            }
+            assert read_jsonl(flight_file) == [
+                dict(header, event="FlightDump"), *dump["records"]
+            ]
 
     def test_validation_rejects_bad_records(self, tmp_path):
         good = execute_serve(serve_spec(trace="exemplar")).exemplars[0]
@@ -575,11 +589,11 @@ class TestJsonlRoundTrips:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(skewed) + "\n")
         with pytest.raises(ConfigError, match="bad.jsonl:1"):
-            validate_trace_jsonl(path)
+            read_jsonl(path)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         with pytest.raises(ConfigError, match="empty"):
-            validate_trace_jsonl(empty)
+            read_jsonl(empty)
 
     @pytest.mark.parametrize("line", ["5", "[1, 2]"])
     def test_a_line_that_is_not_an_object_names_its_place(
@@ -588,13 +602,13 @@ class TestJsonlRoundTrips:
         path = tmp_path / "odd.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match="odd.jsonl:1: not a JSON object"):
-            validate_trace_jsonl(path)
+            read_jsonl(path)
 
     def test_a_line_that_is_not_json_names_its_place(self, tmp_path):
         path = tmp_path / "torn.jsonl"
         path.write_text('{"t": 1, "event": "FlushDone"}\n{"t": 2, "ev\n')
         with pytest.raises(ConfigError, match="torn.jsonl:2: "):
-            validate_trace_jsonl(path)
+            read_jsonl(path)
 
     def test_read_span_records_get_the_exemplar_stage_checks(self, tmp_path):
         stages = [
@@ -608,7 +622,7 @@ class TestJsonlRoundTrips:
         }
         path = tmp_path / "spans.jsonl"
         path.write_text(json.dumps(span) + "\n")
-        assert validate_trace_jsonl(path) == 1
+        assert read_jsonl(path) == [span]
         for bad in (
             {key: value for key, value in span.items() if key != "stages"},
             dict(span, stages=[]),
@@ -618,7 +632,7 @@ class TestJsonlRoundTrips:
         ):
             path.write_text(json.dumps(span) + "\n" + json.dumps(bad) + "\n")
             with pytest.raises(ConfigError, match="spans.jsonl:2: invalid read"):
-                validate_trace_jsonl(path)
+                read_jsonl(path)
 
     def test_serve_result_transports_trace_fields_losslessly(self):
         result = execute_serve(serve_spec(trace="exemplar"))

@@ -55,6 +55,23 @@ class TestCheckerCatchesCorruption:
         with pytest.raises(EngineError, match="freed extent"):
             check_engine(engine)
 
+    def test_detects_unreferenced_live_extent(self):
+        """A file dropped from a run without a discard stays live on disk."""
+        engine = build_engine("blsm", SystemConfig.tiny()).engine
+        rng = random.Random(3)
+        for _ in range(1500):
+            engine.put(rng.randrange(2048))
+        check_engine(engine)
+        level = next(
+            level
+            for level in range(1, engine.num_levels + 1)
+            if len(engine.c[level].files) >= 2
+        )
+        engine.c[level] = SortedTable(engine.c[level].files[1:])
+        engine._structure_changed()
+        with pytest.raises(EngineError, match="live footprint"):
+            check_engine(engine)
+
     def test_detects_frozen_level_with_data(self):
         engine, clock, *_ = make_engine("lsbm")
         rng = random.Random(4)

@@ -9,10 +9,8 @@ from repro.config import SystemConfig
 from repro.errors import WorkloadError
 from repro.workload.distributions import (
     ExponentialSizeChooser,
-    HotspotChooser,
     LatestChooser,
     ScrambledZipfianChooser,
-    SequentialChooser,
     UniformChooser,
     ZipfianChooser,
 )
@@ -74,27 +72,6 @@ class TestScrambledZipfian:
         assert max(hot_keys) > 1000
 
 
-class TestHotspot:
-    def test_hot_set_receives_hot_fraction(self):
-        chooser = HotspotChooser(10_000, hot_fraction=0.1, hot_op_fraction=0.9)
-        rng = random.Random(6)
-        keys = [chooser.next_key(rng) for _ in range(20000)]
-        in_hot = sum(1 for k in keys if k < 1000)
-        assert 0.85 < in_hot / len(keys) < 0.96
-
-    def test_hot_range_placement(self):
-        chooser = HotspotChooser(
-            1000, hot_fraction=0.1, hot_op_fraction=1.0, hot_start=500
-        )
-        rng = random.Random(7)
-        keys = [chooser.next_key(rng) for _ in range(1000)]
-        assert all(500 <= k < 600 for k in keys)
-
-    def test_hot_range_must_fit(self):
-        with pytest.raises(WorkloadError):
-            HotspotChooser(100, hot_fraction=0.5, hot_op_fraction=0.9, hot_start=80)
-
-
 class TestLatest:
     def test_prefers_recent(self):
         chooser = LatestChooser(initial_max_key=1000)
@@ -109,13 +86,6 @@ class TestLatest:
         assert chooser.max_key == 100
         chooser.advance(50)  # Never shrinks.
         assert chooser.max_key == 100
-
-
-class TestSequential:
-    def test_counts_up(self):
-        chooser = SequentialChooser(5)
-        rng = random.Random(0)
-        assert [chooser.next_key(rng) for _ in range(3)] == [5, 6, 7]
 
 
 class TestScanLengths:
