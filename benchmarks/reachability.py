@@ -17,6 +17,8 @@ inherit the environment and record too.  The traffic is:
   ``tune``, ``serve``, ``report``, ``cluster``) at ``--jobs 1``, because
   pool workers leave through ``os._exit``, which skips the exit hook and
   drops their record;
+* one read of every JSONL file those commands wrote through
+  ``repro.obs.trace.read_jsonl``, as the CI workflow's trace checks do;
 * ``python -m benchmarks.ladder --smoke``;
 * every ``examples/*.py``.
 
@@ -82,6 +84,17 @@ threading.setprofile(_record)
 sys.setprofile(_record)
 '''
 
+#: Reads (and so validates) every JSONL file under ``argv[1]``.
+READ_TRACES = """\
+import sys
+from pathlib import Path
+from repro.obs.trace import read_jsonl
+paths = sorted(Path(sys.argv[1]).rglob("*.jsonl"))
+assert paths, "the traced commands wrote no JSONL"
+for path in paths:
+    read_jsonl(path)
+"""
+
 
 def commands(out: Path) -> list[tuple[str, list[str]]]:
     """The traffic: ``(label, argv)`` pairs, writing only under ``out``."""
@@ -135,6 +148,7 @@ def commands(out: Path) -> list[tuple[str, list[str]]]:
                                  "--verify", "--name", "cluster_split",
                                  "--trace", "exemplar", "--trace-dir", traces,
                                  "--out", str(out / "cluster_split.json")]),
+        ("read-traces", [sys.executable, "-c", READ_TRACES, str(out)]),
         ("ladder-smoke", [sys.executable, "-m", "benchmarks.ladder", "--smoke",
                           "--out", str(out / "ladder")]),
     ]

@@ -46,7 +46,7 @@ from repro.lsm.base import GetResult, MergeOutcome, ReadCost, ScanResult
 from repro.lsm.blsm import BLSMTree
 from repro.obs.events import BufferFrozen, BufferUnfrozen
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries
+from repro.sstable.iterator import newest_first
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 from repro.sstable.superfile import group_into_superfiles
@@ -341,7 +341,9 @@ class LSbMTree(BLSMTree):
         complete record of the run (no freeze since rotation) and no
         removed-file marker overlaps the range; otherwise from the
         underlying run plus its drained complement.  Either way every
-        sorted table read is one :meth:`_scan_table_files` pass.
+        sorted table read is one :meth:`_scan_table_files` pass, and the
+        sources reach the combine in probe order: the program's, and a
+        component's buffer tables newest first, as Algorithm 3 probes them.
         """
         self._check_open()
         self.stats.scans += 1
@@ -372,4 +374,4 @@ class LSbMTree(BLSMTree):
                     sources.append(
                         self._scan_table_files(group, low, high, cost)
                     )
-        return ScanResult(merge_entries(sources, drop_tombstones=True), cost)
+        return ScanResult(newest_first(sources), cost)

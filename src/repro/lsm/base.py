@@ -39,7 +39,7 @@ from repro.sstable.entry import Kind
 from repro.sstable.block import Block
 from repro.sstable.builder import TableBuilder
 from repro.sstable.entry import Entry
-from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
+from repro.sstable.iterator import merge_with_obsolete_count, newest_first
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import FileIdSource, SSTableFile
 from repro.sstable.superfile import SuperFileIdSource
@@ -374,19 +374,21 @@ class LSMEngine(ABC):
         self._structure_version += 1
         self._read_orders = None
 
-    def _derive_read_orders(self) -> tuple[RunOrder, RunOrder]:
-        """Flatten the hook into ``(probe order, scan order)``.
+    def _derive_read_orders(self) -> tuple[RunOrder, tuple[RunOrder, ...]]:
+        """Flatten the hook into ``(probe order, scan groups)``.
 
         A point read must meet the newest version first, so it takes
-        each group's runs newest first; a scan merges every version
-        anyway and takes them as stored.  Both orders are kept exactly
+        each group's runs newest first.  A scan touches blocks as
+        stored — the groups newest first, each group's runs oldest
+        first — and keeps the group boundaries so it can hand its
+        sources on in probe order.  Both orders are kept exactly
         because both reach ``db_cache.access``: the order blocks are
         touched in is LRU state, hence every later hit, miss and price.
         """
         groups = self._run_groups()
         return (
             tuple(run for group in groups for run in reversed(group)),
-            tuple(run for group in groups for run in group),
+            tuple(map(tuple, groups)),
         )
 
     def get(self, key: int) -> GetResult:
@@ -468,13 +470,17 @@ class LSMEngine(ABC):
         orders = self._read_orders
         if orders is None:
             orders = self._read_orders = self._derive_read_orders()
-        for table in orders[1]:
-            overlapping = table.files_overlapping(low, high)
-            if not overlapping:
-                continue
-            cost.tables_checked += 1
-            sources.append(self._scan_table_files(overlapping, low, high, cost))
-        return ScanResult(merge_entries(sources, drop_tombstones=True), cost)
+        for group in orders[1]:
+            found: list[list[Entry]] = []
+            for table in group:
+                overlapping = table.files_overlapping(low, high)
+                if overlapping:
+                    cost.tables_checked += 1
+                    found.append(
+                        self._scan_table_files(overlapping, low, high, cost)
+                    )
+            sources += reversed(found)  # Probe order: newest run first.
+        return ScanResult(newest_first(sources), cost)
 
     def run_compactions(self) -> None:
         """Perform whatever compaction work current sizes demand.

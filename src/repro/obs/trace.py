@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
@@ -66,17 +65,6 @@ class TraceRecorder:
         record: dict[str, object] = {"t": self._clock.now, "event": "TraceEnd"}
         record.update(closing_state)
         self.records.append(record)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def counts(self) -> dict[str, int]:
-        """Number of recorded events per type name."""
-        tally: Counter[str] = Counter(str(r["event"]) for r in self.records)
-        return dict(tally)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:

@@ -1,10 +1,12 @@
-"""The merge every compaction and every range query runs.
+"""The two rules by which sorted sources become one, newest per key.
 
-Several sorted sources become one, keeping only the newest version of
-each key (the version with the largest sequence number) and optionally
-dropping tombstones: a compaction drops them when its output lands in
-the last level — at that point no older version can exist below, so the
-tombstone has done its job — and a range query never returns them.
+* Compaction, :func:`merge_entries`: the largest sequence number wins,
+  whatever order the sources come in, since a merge's inputs carry no
+  age order.  Tombstones are dropped when the output lands in the last
+  level: no older version can exist below.
+* Range query, :func:`newest_first`: the sources come in probe order and
+  the first version met wins, as for a point read.  No tombstone is
+  returned.
 """
 
 from __future__ import annotations
@@ -64,3 +66,18 @@ def merge_with_obsolete_count(
     """
     merged = merge_entries(sources, drop_tombstones)
     return merged, sum(map(len, sources)) - len(merged)
+
+
+def newest_first(sources: list[Sequence[Entry]]) -> list[Entry]:
+    """Combine sorted unique-key sources given newest first, dropping
+    tombstones.
+
+    One dict is updated from the oldest source to the newest, so each
+    key ends on the first version probe order meets; then only the int
+    keys are sorted, and no ``Entry`` is compared.
+    """
+    latest: dict[int, Entry] = {}
+    for source in reversed(sources):
+        latest.update(zip(map(_key_of, source), source))
+    return [entry for entry in map(latest.__getitem__, sorted(latest))
+            if not entry.kind]

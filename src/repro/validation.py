@@ -205,6 +205,8 @@ def check_engine(engine) -> None:
         _check_run(run, label)
     _check_live_extents(engine, runs)
     _check_file_shapes(engine, runs)
+    if engine.memtable._keys != sorted(engine.memtable._entries):
+        raise EngineError("memtable key index disagrees with its entries")
     _check_read_orders(engine)
     if isinstance(engine, BLSMTree):  # Includes LSbM and the warmup variant.
         _check_gear_bounds(engine)

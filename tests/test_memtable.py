@@ -1,7 +1,10 @@
 """Unit tests for :mod:`repro.lsm.memtable`."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.lsm.memtable import Memtable
-from repro.sstable.entry import Kind
+from repro.sstable.entry import Entry, Kind
 
 
 class TestMemtable:
@@ -58,3 +61,37 @@ class TestMemtable:
         for key in (4, 2, 8):
             mem.put(key, seq=key)
         assert [e.key for e in mem] == [2, 4, 8]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from([Kind.PUT, Kind.DELETE]),
+                st.integers(min_value=0, max_value=40),
+            ),
+            st.just(("clear", 0)),
+        ),
+        max_size=60,
+    ),
+    low=st.integers(min_value=-5, max_value=45),
+    high=st.integers(min_value=-5, max_value=45),
+)
+def test_key_index_equals_brute_force(ops, low, high):
+    """After every put, delete, re-put and clear, the flush order and a
+    range read equal a filter of the newest versions by brute force."""
+    mem = Memtable(pair_size_kb=1)
+    newest: dict[int, Entry] = {}
+    for seq, (kind, key) in enumerate(ops, start=1):
+        if kind == "clear":
+            mem.clear()
+            newest.clear()
+        else:
+            (mem.put if kind == Kind.PUT else mem.delete)(key, seq)
+            newest[key] = Entry(key, seq, kind)
+        ordered = [newest[key] for key in sorted(newest)]
+        assert mem.sorted_entries() == ordered
+        assert mem.entries_in_range(low, high) == [
+            entry for entry in ordered if low <= entry.key <= high
+        ]

@@ -112,7 +112,9 @@ class TestTraceRecorder:
             )
         )
         assert [r["t"] for r in recorder.records] == [0, 10]
-        assert recorder.counts() == {"FlushDone": 1, "CompactionEnd": 1}
+        assert [r["event"] for r in recorder.records] == [
+            "FlushDone", "CompactionEnd",
+        ]
 
     def test_jsonl_round_trip(self, tmp_path):
         clock = VirtualClock()
@@ -135,7 +137,7 @@ class TestTraceRecorder:
         path = tmp_path / "sub" / "empty.jsonl"
         assert write_jsonl(path, recorder.records) == 0
         assert path.read_text() == ""
-        assert len(recorder) == 0
+        assert recorder.records == []
 
 
 class TestLatencyReservoir:

@@ -39,7 +39,11 @@ from repro.lsm.blsm import BLSMTree
 from repro.lsm.composed import ComposedTree
 from repro.sim.experiment import ENGINE_NAMES, build_engine
 from repro.sstable.entry import Entry, Kind
-from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
+from repro.sstable.iterator import (
+    merge_entries,
+    merge_with_obsolete_count,
+    newest_first,
+)
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import SSTableFile
 from repro.variants.kv_store import KVCachedBLSM
@@ -598,3 +602,41 @@ def test_merge_equals_heap_merge(versions, drop_tombstones):
     merged, obsolete = merge_with_obsolete_count(sources, drop_tombstones)
     assert merged == want
     assert obsolete == sum(len(source) for source in sources) - len(want)
+
+
+# ----------------------------------------------------------------------
+# The scan rule against the compaction rule.
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(
+    versions=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=30),
+                st.integers(min_value=0, max_value=3),
+            ),
+            unique_by=lambda version: version[0],
+            max_size=20,
+        ),
+        max_size=6,
+    ),
+)
+@example(versions=[])
+@example(versions=[[], []])
+@example(versions=[[(3, 0), (4, 1)]])  # One source.
+@example(versions=[[], [(1, 2)], []])
+@example(versions=[[(1, 0), (2, 0)], [(1, 3)], [(1, 0)]])
+def test_newest_first_equals_merge(versions):
+    """Sources in probe order — source ``i`` holds seqs in ``[4(n-i),
+    4(n-i)+3]``, so a shared key's seq falls with the source index — give
+    the same result under the scan rule as under the compaction rule,
+    tombstones dropped."""
+    n = len(versions)
+    sources = [
+        [_write(key, 4 * (n - i) + offset) for key, offset in sorted(source)]
+        for i, source in enumerate(versions)
+    ]
+    got = newest_first(sources)
+    assert isinstance(got, list)
+    assert got == merge_entries(sources, drop_tombstones=True)
+    assert all(got is not source for source in sources)

@@ -127,6 +127,20 @@ class TestCheckerCatchesCorruption:
             check_engine(object())
 
     @pytest.mark.parametrize(
+        "corrupt",
+        [list.pop, list.reverse],
+        ids=["key-missing", "keys-unsorted"],
+    )
+    def test_detects_corrupt_memtable_index(self, corrupt):
+        engine, *_ = make_engine("leveldb")
+        for key in (5, 3, 9):
+            engine.put(key)
+        check_engine(engine)
+        corrupt(engine.memtable._keys)
+        with pytest.raises(EngineError, match="memtable key index"):
+            check_engine(engine)
+
+    @pytest.mark.parametrize(
         "engine_name", ["leveldb", "blsm", "sm", "hbase", "lsbm", "lsbm-dual"]
     )
     def test_detects_stale_read_order(self, engine_name):
